@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .data import Dataset, standardize as standardize_dataset
 from .encoder import EncoderModel, LossTrace, TrainConfig, train
-from .losses import novelty_loss
+from .losses import novelty_loss, novelty_rows
 from .mappings import RandomMap, identity_map, rff, sparse_rp
 from .metrics import auc_pr, auc_roc
 from .rng import child_seed
@@ -78,9 +78,12 @@ def anomaly_score(model: EncoderModel, x: np.ndarray) -> float:
 
 
 def score_rows(model: EncoderModel, X: np.ndarray) -> np.ndarray:
-    """anomaly_score applied row by row (same code path, so values agree bit-exactly)."""
-    X = np.asarray(X, dtype=np.float64)
-    return np.array([anomaly_score(model, X[r]) for r in range(X.shape[0])])
+    """Anomaly scores of the rows of X in one batched pass.
+
+    anomaly_score runs the same code on a 1-row matrix, and that code is
+    row-invariant, so each score equals anomaly_score of its row bit-exactly.
+    """
+    return novelty_rows(model, X)
 
 
 def _build_map(d: int, config: BoostConfig, seed: int, X: np.ndarray) -> RandomMap:
@@ -120,18 +123,7 @@ def boost_train_member(
     active = np.arange(X.shape[0])
 
     def fit(round_idx: int):
-        cfg = TrainConfig(
-            m=config.train.m,
-            epochs=config.train.epochs,
-            task="anomaly",
-            batch_size=config.train.batch_size,
-            learning_rate=config.train.learning_rate,
-            use_pair_loss=config.train.use_pair_loss,
-            use_aux_loss=config.train.use_aux_loss,
-            aux_weight=config.train.aux_weight,
-            leaky_slope=config.train.leaky_slope,
-            seed=child_seed(member_seed, 1 + round_idx),
-        )
+        cfg = replace(config.train, seed=child_seed(member_seed, 1 + round_idx))
         return train(X[active], cfg, mapping)
 
     model, trace = fit(0)
@@ -213,25 +205,11 @@ def run_anomaly(
     use_aux = train_cfg.use_aux_loss and ablation != "no_aux_loss"
     if not (use_pair or use_aux):
         raise ValueError("no loss enabled: ablation removed the only active loss")
-    cfg = BoostConfig(
-        train=TrainConfig(
-            m=m,
-            epochs=train_cfg.epochs,
-            task="anomaly",
-            batch_size=train_cfg.batch_size,
-            learning_rate=train_cfg.learning_rate,
-            use_pair_loss=use_pair,
-            use_aux_loss=use_aux,
-            aux_weight=train_cfg.aux_weight,
-            leaky_slope=train_cfg.leaky_slope,
-            seed=train_cfg.seed,
-        ),
-        members=config.members,
-        filter_fraction=config.filter_fraction,
+    cfg = replace(
+        config,
+        train=replace(train_cfg, m=m, use_pair_loss=use_pair, use_aux_loss=use_aux),
         filter_rounds=0 if ablation == "no_boosting" else config.filter_rounds,
         source=source,
-        bandwidth=config.bandwidth,
-        density=config.density,
     )
 
     t0 = time.perf_counter()

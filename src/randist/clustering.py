@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -169,18 +169,7 @@ def run_clustering(
     use_aux = config.use_aux_loss and ablation != "no_aux_loss"
     if not (use_pair or use_aux):
         raise ValueError("no loss enabled: ablation removed the only active loss")
-    cfg = TrainConfig(
-        m=config.m,
-        epochs=config.epochs,
-        task="clustering",
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        use_pair_loss=use_pair,
-        use_aux_loss=use_aux,
-        aux_weight=config.aux_weight,
-        leaky_slope=config.leaky_slope,
-        seed=config.seed,
-    )
+    cfg = replace(config, use_pair_loss=use_pair, use_aux_loss=use_aux)
 
     k_map = map_dim if map_dim is not None else cfg.m
     map_seed = child_seed(cfg.seed, 10_000)

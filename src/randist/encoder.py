@@ -5,8 +5,10 @@ Each SGD step regresses the full batch Gram: every ordered pair inside the
 shuffled batch, self-pairs included, so each embedding norm is anchored to
 its supervisory value. Subsampling pairs leaves the norms under-determined
 and makes the near-convergence gradient noisy enough to escape at the
-fixed learning rate. Supervisory targets are dot products under the frozen
-random mapping, precomputed once since the mapping never changes.
+fixed learning rate. The mapped training rows are computed once per call
+to `train`; the pair targets and the novelty term both read them. The pair
+term takes the exact form that is cheaper at the batch's shape: the nb x nb
+Gram residual when m or k >= nb, the m x m feature Grams otherwise.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import NumericError
 from .losses import PairBatch
-from .mappings import RandomMap, apply
+from .mappings import RandomMap, apply, row_products
 from .rng import child_seed, stream
 
 TASKS = ("anomaly", "clustering")
@@ -97,11 +99,12 @@ class EncoderModel:
         z = self.w @ x + self.b
         return np.where(z > 0.0, z, self.leaky_slope * z)
 
-    def forward_batch(self, X: np.ndarray) -> np.ndarray:
+    def forward_batch(self, X: np.ndarray, rowwise: bool = False) -> np.ndarray:
+        """Embed the rows of X; rowwise=True makes each row independent of the others."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"expected an N x {self.d} matrix, got shape {X.shape}")
-        z = X @ self.w.T + self.b
+        z = (row_products(X, self.w) if rowwise else X @ self.w.T) + self.b
         return np.where(z > 0.0, z, self.leaky_slope * z)
 
     def decode(self, h: np.ndarray) -> np.ndarray:
@@ -241,7 +244,10 @@ def _grad_batch_gram(
     """grad_batch specialised to all ordered pairs of one batch.
 
     Same gradients as grad_batch on the full index product, but dense
-    matrix products instead of scatter-adds.
+    matrix products instead of scatter-adds. targets_b (T, the mapped rows)
+    feeds the pair and the novelty term. With m, k < nb the pair term uses
+    ||HH^T - TT^T||^2 = ||H^TH||^2 - 2||T^TH||^2 + ||T^TT||^2 and R @ H =
+    H(H^TH) - T(T^TH); otherwise it forms the nb x nb residual R.
     """
     nb = Xb.shape[0]
     Z = Xb @ model.w.T + model.b
@@ -251,16 +257,23 @@ def _grad_batch_gram(
     dH = np.zeros_like(H)
     loss_pair = 0.0
     if config.use_pair_loss:
-        R = H @ H.T - targets_b @ targets_b.T
-        loss_pair = float(np.mean(R * R))
-        dH += (4.0 / (nb * nb)) * (R @ H)
+        T = targets_b
+        if max(model.m, T.shape[1]) < nb:
+            HtH, TtH, TtT = H.T @ H, T.T @ H, T.T @ T
+            loss_pair = float(np.sum(HtH * HtH) - 2.0 * np.sum(TtH * TtH) + np.sum(TtT * TtT))
+            loss_pair /= nb * nb
+            dH += (4.0 / (nb * nb)) * (H @ HtH - T @ TtH)
+        else:
+            R = H @ H.T - T @ T.T
+            loss_pair = float(np.mean(R * R))
+            dH += (4.0 / (nb * nb)) * (R @ H)
 
     loss_aux = 0.0
     ddec_w = ddec_b = None
     lam = config.aux_weight
     if config.use_aux_loss:
         if config.task == "anomaly":
-            res = H - apply(model.random_map, Xb)
+            res = H - targets_b
             loss_aux = float(np.mean(res * res))
             dH += (2.0 * lam / (model.m * nb)) * res
         else:
@@ -310,7 +323,8 @@ def train(
         raise ValueError("no loss enabled")
 
     model = init_model(d, config.m, config, random_map, seed=child_seed(config.seed, 0))
-    targets = apply(random_map, X) if config.use_pair_loss else None
+    novelty = config.use_aux_loss and config.task == "anomaly"
+    targets = apply(random_map, X) if config.use_pair_loss or novelty else None
     shuffle_rng = stream(child_seed(config.seed, 1))
 
     lr = config.learning_rate

@@ -57,14 +57,21 @@ def reconstruction_loss(model, x) -> float:
     return float(np.mean(res * res))
 
 
-def novelty_loss(model, x) -> float:
-    """Mean squared deviation of the embedding from the mapped input."""
+def novelty_rows(model, X) -> np.ndarray:
+    """Novelty of each row of an N x D matrix: the one scoring code path. A row's
+    value is bit-identical whatever batch it sits in (see mappings.row_products)."""
     if model.m != model.random_map.out_dim:
         raise ValueError(
             f"novelty loss needs m == mapping out_dim, got {model.m} vs {model.random_map.out_dim}"
         )
-    res = model.forward(x) - apply(model.random_map, np.asarray(x, dtype=np.float64))
-    return float(np.mean(res * res))
+    X = np.asarray(X, dtype=np.float64)
+    res = model.forward_batch(X, rowwise=True) - apply(model.random_map, X, rowwise=True)
+    return np.mean(res * res, axis=1)
+
+
+def novelty_loss(model, x) -> float:
+    """Mean squared deviation of the embedding from the mapped input."""
+    return float(novelty_rows(model, np.asarray(x, dtype=np.float64)[None, ...])[0])
 
 
 def batch_objective(model, X, batch: PairBatch, config) -> float:

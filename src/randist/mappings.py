@@ -134,8 +134,15 @@ def identity_map(d: int) -> RandomMap:
     return RandomMap(kind=IDENTITY, in_dim=d, out_dim=d, seed=0)
 
 
-def apply(mapping: RandomMap, X: np.ndarray) -> np.ndarray:
-    """Map rows of X (or a single vector) through the frozen projection."""
+def row_products(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X @ W.T with one vector-matrix product per row, so that a row's bits do
+    not depend on the batch it sits in (BLAS blocks X @ W.T over the rows)."""
+    return (np.ascontiguousarray(X)[:, None, :] @ W.T)[:, 0, :]
+
+
+def apply(mapping: RandomMap, X: np.ndarray, rowwise: bool = False) -> np.ndarray:
+    """Map rows of X (or a single vector) through the frozen projection;
+    rowwise=True makes each output row independent of the others (row_products)."""
     X = np.asarray(X, dtype=np.float64)
     single = X.ndim == 1
     if single:
@@ -144,14 +151,15 @@ def apply(mapping: RandomMap, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input has {X.shape[-1] if X.ndim else 0} columns, mapping expects {mapping.in_dim}"
         )
+    dot = row_products if rowwise else (lambda A, W: A @ W.T)
     if mapping.kind == IDENTITY:
         out = X
     elif mapping.kind == GAUSSIAN_RP:
-        out = (X @ mapping.weights.T) / math.sqrt(mapping.out_dim)
+        out = dot(X, mapping.weights) / math.sqrt(mapping.out_dim)
     elif mapping.kind == SPARSE_RP:
-        out = X @ mapping.weights.T
+        out = dot(X, mapping.weights)
     elif mapping.kind == RFF:
-        out = math.sqrt(2.0 / mapping.out_dim) * np.cos(X @ mapping.weights.T + mapping.offsets)
+        out = math.sqrt(2.0 / mapping.out_dim) * np.cos(dot(X, mapping.weights) + mapping.offsets)
     else:
         raise ValueError(f"unknown mapping kind {mapping.kind!r}")
     return out[0] if single else out

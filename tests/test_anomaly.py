@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randist.anomaly import (
     BoostConfig,
@@ -12,9 +14,9 @@ from randist.anomaly import (
     score_rows,
 )
 from randist.data import standardize, synth_anomaly
-from randist.encoder import TrainConfig, train
+from randist.encoder import EncoderModel, TrainConfig, train
 from randist.losses import novelty_loss
-from randist.mappings import rff
+from randist.mappings import gaussian_rp, identity_map, rff, sparse_rp
 from randist.metrics import auc_pr, auc_roc
 from randist.rng import child_seed
 
@@ -48,6 +50,36 @@ class TestAnomalyScore:
         model, _ = train(X, cfg, mapping)
         scores = score_rows(model, X[:25])
         for r in range(25):
+            assert scores[r] == anomaly_score(model, X[r])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        d=st.integers(min_value=1, max_value=120),
+        m=st.integers(min_value=1, max_value=70),
+        kind=st.sampled_from(["rff", "sparse_rp", "gaussian_rp", "identity"]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_row_scores_do_not_depend_on_the_batch(self, n, d, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        mapping = {
+            "rff": lambda: rff(d, m, bandwidth=float(rng.uniform(0.5, 3.0)), seed=seed),
+            "sparse_rp": lambda: sparse_rp(d, m, seed=seed),
+            "gaussian_rp": lambda: gaussian_rp(d, m, seed=seed),
+            "identity": lambda: identity_map(d),
+        }[kind]()
+        m = mapping.out_dim
+        model = EncoderModel(
+            w=rng.normal(0.0, 1.0 / np.sqrt(d), size=(m, d)),
+            b=rng.normal(0.0, 0.1, size=m),
+            leaky_slope=0.01,
+            random_map=mapping,
+        )
+        X = rng.standard_normal((n, d))
+        s = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        scores = score_rows(model, X)
+        np.testing.assert_array_equal(scores[s], score_rows(model, X[s]))
+        for r in range(n):
             assert scores[r] == anomaly_score(model, X[r])
 
 

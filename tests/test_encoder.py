@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import randist.encoder
 from randist.data import standardize, synth_blobs
 from randist.encoder import (
     EncoderModel,
@@ -225,6 +228,51 @@ class TestGradients:
                 )
             assert gt == pytest.approx(ft, abs=1e-12)
 
+    @pytest.mark.parametrize("task,k", [("anomaly", 3), ("clustering", 3), ("clustering", 5)])
+    def test_feature_gram_path_equals_generic_path(self, task, k):
+        # m, k < nb selects the trace-identity form of the pair term
+        rng = stream(19)
+        X = rng.standard_normal((12, 4))
+        mapping = gaussian_rp(4, k, seed=1)
+        config = TrainConfig(m=3, epochs=1, task=task, batch_size=8, seed=0)
+        model = init_model(4, 3, config, mapping, seed=2)
+        idx = np.array([9, 2, 7, 0, 11, 4, 5, 1])
+        targets = apply(mapping, X)
+        generic, (gt, gr, ga) = grad_batch(model, X, _full_product_batch(idx, targets), config)
+        fast, (ft, fr, fa) = _grad_batch_gram(model, X[idx], targets[idx], config)
+        np.testing.assert_allclose(generic.dw, fast.dw, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(generic.db, fast.db, rtol=1e-12, atol=1e-14)
+        if task == "clustering":
+            np.testing.assert_allclose(generic.ddecoder_w, fast.ddecoder_w, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(generic.ddecoder_b, fast.ddecoder_b, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose([ft, fr, fa], [gt, gr, ga], rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nb=st.integers(min_value=2, max_value=24),
+        m=st.integers(min_value=1, max_value=30),
+        k=st.integers(min_value=1, max_value=30),
+        task=st.sampled_from(["anomaly", "clustering"]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_step_matches_generic_path_at_any_shape(self, nb, m, k, task, seed):
+        if task == "anomaly":
+            k = m  # the novelty term compares the embedding with the mapped row
+        rng = stream(seed)
+        X = rng.standard_normal((nb, 5))
+        mapping = gaussian_rp(5, k, seed=seed + 1)
+        config = TrainConfig(m=m, epochs=1, task=task, batch_size=nb, seed=0)
+        model = init_model(5, m, config, mapping, seed=seed + 2)
+        idx = np.arange(nb)
+        targets = apply(mapping, X)
+        generic, (gt, gr, ga) = grad_batch(model, X, _full_product_batch(idx, targets), config)
+        fast, (ft, fr, fa) = _grad_batch_gram(model, X, targets, config)
+        np.testing.assert_allclose(fast.dw, generic.dw, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(fast.db, generic.db, rtol=1e-12, atol=1e-14)
+        if task == "clustering":
+            np.testing.assert_allclose(fast.ddecoder_w, generic.ddecoder_w, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose([ft, fr, fa], [gt, gr, ga], rtol=1e-12, atol=1e-14)
+
     def test_zero_everything_gives_zero_gradient(self):
         # identity map so the mapped zero input is zero as well
         mapping = identity_map(3)
@@ -343,6 +391,24 @@ class TestTrain:
         y = np.array([pairwise_target(mapping, X[a], X[b]) for a, b in zip(i, j)])
         batch = PairBatch(i=i, j=j, y=y)
         assert batch_objective(model, X, batch, config) == 0.0
+
+    @pytest.mark.parametrize(
+        "task,use_pair,calls",
+        [("anomaly", True, 1), ("anomaly", False, 1), ("clustering", True, 1), ("clustering", False, 0)],
+    )
+    def test_maps_training_rows_once(self, monkeypatch, task, use_pair, calls):
+        seen = []
+        real_apply = randist.encoder.apply
+
+        def counting_apply(*args, **kwargs):
+            seen.append(args[1].shape)
+            return real_apply(*args, **kwargs)
+
+        monkeypatch.setattr(randist.encoder, "apply", counting_apply)
+        X, _ = self._blob_matrix(k=2, per=30, d=6, seed=21)
+        cfg = TrainConfig(m=4, epochs=3, task=task, batch_size=16, use_pair_loss=use_pair, seed=22)
+        train(X, cfg, gaussian_rp(6, 4, seed=23))
+        assert seen == [X.shape] * calls
 
     def test_needs_two_rows(self):
         cfg = TrainConfig(m=2, epochs=1, task="anomaly", batch_size=2, seed=0)
