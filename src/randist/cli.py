@@ -142,12 +142,8 @@ def _resolve(task: str, file_values: dict, cli_values: dict) -> RunConfig:
     for key, value in _TASK_DEFAULTS.get(task, {}).items():
         if getattr(cfg, key) is None:
             setattr(cfg, key, value)
-    if task == "anomaly":
-        if cfg.k is None:
-            cfg.k = cfg.m
-    elif task == "cluster":
-        if cfg.k is None:
-            cfg.k = cfg.m
+    if task in ("anomaly", "cluster") and cfg.k is None:
+        cfg.k = cfg.m
     return cfg
 
 
@@ -236,14 +232,8 @@ def _write_csv_atomic(path, header: list, rows) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
-def _label_selector(cfg: RunConfig):
-    if cfg.label_column is None:
-        return None
-    return cfg.label_column
-
-
 def _cmd_anomaly(cfg: RunConfig) -> int:
-    data = load_csv(cfg.input, label_column=_label_selector(cfg), has_header=cfg.has_header)
+    data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     boost = BoostConfig(
         train=TrainConfig(
             m=cfg.m,
@@ -294,7 +284,7 @@ def _cmd_anomaly(cfg: RunConfig) -> int:
 
 
 def _cmd_cluster(cfg: RunConfig) -> int:
-    data = load_csv(cfg.input, label_column=_label_selector(cfg), has_header=cfg.has_header)
+    data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     train_cfg = TrainConfig(
         m=cfg.m,
         epochs=cfg.epochs,
@@ -346,7 +336,7 @@ def _cmd_cluster(cfg: RunConfig) -> int:
 def _cmd_project(cfg: RunConfig) -> int:
     if not cfg.out_matrix:
         raise ConfigError("invalid configuration:\nproject needs out_matrix")
-    data = load_csv(cfg.input, label_column=_label_selector(cfg), has_header=cfg.has_header)
+    data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     X = standardize_dataset(data)[0].features if cfg.standardize else data.features
     t0 = time.perf_counter()
     if cfg.source == "identity":

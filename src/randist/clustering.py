@@ -32,23 +32,24 @@ def embed(model: EncoderModel, data) -> np.ndarray:
     return model.forward_batch(X)
 
 
-def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _sq_dists(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
+    # x2 is np.sum(X * X, axis=1), computed once per kmeans call
     d2 = (
-        np.sum(X * X, axis=1)[:, None]
+        x2[:, None]
         + np.sum(C * C, axis=1)[None, :]
         - 2.0 * (X @ C.T)
     )
     return np.maximum(d2, 0.0)
 
 
-def _plusplus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plusplus_init(X: np.ndarray, x2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     # greedy k-means++: draw a few D^2-weighted candidates per step and
     # keep the one that shrinks the potential most
     n = X.shape[0]
     trials = 2 + int(math.log(k)) if k > 1 else 1
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(0, n)]
-    closest = _sq_dists(X, centroids[:1]).ravel()
+    closest = _sq_dists(X, x2, centroids[:1]).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:  # all remaining points coincide with a centroid
@@ -57,7 +58,7 @@ def _plusplus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             candidates = rng.choice(n, size=trials, p=closest / total)
         best_pick, best_closest, best_total = None, None, np.inf
         for pick in candidates:
-            cand_closest = np.minimum(closest, _sq_dists(X, X[pick : pick + 1]).ravel())
+            cand_closest = np.minimum(closest, _sq_dists(X, x2, X[pick : pick + 1]).ravel())
             cand_total = cand_closest.sum()
             if cand_total < best_total:
                 best_pick, best_closest, best_total = pick, cand_closest, cand_total
@@ -81,12 +82,13 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeans
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     rng = stream(seed)
-    centroids = _plusplus_init(X, k, rng)
+    x2 = np.sum(X * X, axis=1)
+    centroids = _plusplus_init(X, x2, k, rng)
     assignments = np.full(n, -1, dtype=np.int64)
     point_d2 = np.zeros(n)
     iterations = 0
     for _ in range(max_iters):
-        d2 = _sq_dists(X, centroids)
+        d2 = _sq_dists(X, x2, centroids)
         new_assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(n), new_assign]
         for empty in np.setdiff1d(np.arange(k), new_assign):
@@ -102,7 +104,7 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeans
             centroids[c] = X[assignments == c].mean(axis=0)
     else:
         # out of iterations: make the reported state self-consistent
-        d2 = _sq_dists(X, centroids)
+        d2 = _sq_dists(X, x2, centroids)
         assignments = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(n), assignments]
     inertia = float(point_d2.sum())

@@ -8,6 +8,7 @@ contains them.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -79,6 +80,22 @@ def _parse_cell(cell: str, row: int, col_name: str) -> float:
     return value
 
 
+def _is_label(value: float) -> bool:
+    # a finite float that converts to int64 without truncation or overflow
+    return value.is_integer() and -(2.0**63) <= value < 2.0**63
+
+
+def _raise_row_error(cells: list, row: int, header: Optional[list], label_idx: Optional[int]):
+    """Raise the DataError for the first bad cell of a row, checking cell by cell."""
+    for c, cell in enumerate(cells):
+        col_name = repr(header[c]) if header is not None and c < len(header) else str(c)
+        value = _parse_cell(cell.strip(), row, col_name)
+        if c == label_idx and not _is_label(value):
+            if value != int(value):
+                raise DataError(f"label cell {cell!r} at row {row} is not an integer")
+            raise DataError(f"label cell {cell!r} at row {row} is outside the int64 range")
+
+
 def load_csv(
     path,
     label_column: Union[str, int, None] = None,
@@ -88,27 +105,32 @@ def load_csv(
 
     `label_column` selects the label column by header name or 0-based index;
     when given, that column is extracted into integer labels. Rows keep
-    their file order. Error messages name the offending row (1-based file
-    line) and column.
+    their file order. Every cell goes through Python's `float()` after
+    stripping whitespace; rows are parsed as they are read, so memory
+    tracks the float table rather than the text. Error messages name the
+    offending row (1-based file line) and column.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            return _read_table(csv.reader(fh), path, label_column, has_header)
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from err
 
+
+def _read_table(reader, path, label_column, has_header: bool) -> Dataset:
     header: Optional[list] = None
     first_data_line = 1
     if has_header:
-        if not rows:
+        header_cells = next(reader, None)
+        if header_cells is None:
             raise DataError(f"{path} is empty")
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
+        header = [c.strip() for c in header_cells]
         first_data_line = 2
-    if not rows:
+    first = next(reader, None)
+    if first is None:
         raise DataError(f"{path} has no data rows")
 
-    width = len(rows[0])
+    width = len(first)
     label_idx: Optional[int] = None
     if label_column is not None:
         if isinstance(label_column, str) and not label_column.lstrip("-").isdigit():
@@ -122,30 +144,23 @@ def load_csv(
             if not 0 <= label_idx < width:
                 raise DataError(f"label column index {label_idx} out of range for {width} columns")
 
-    def col_name(idx: int) -> str:
-        if header is not None:
-            return repr(header[idx])
-        return str(idx)
-
-    features = np.empty((len(rows), width - (0 if label_idx is None else 1)))
-    labels = np.empty(len(rows), dtype=np.int64) if label_idx is not None else None
-    for r, cells in enumerate(rows):
-        line = first_data_line + r
-        if len(cells) != width:
+    rows = []
+    for line, cells in enumerate(itertools.chain([first], reader), start=first_data_line):
+        if len(cells) != width:  # fromiter below would truncate a long row
             raise DataError(f"ragged row {line}: expected {width} cells, got {len(cells)}")
-        c_out = 0
-        for c, cell in enumerate(cells):
-            value = _parse_cell(cell.strip(), line, col_name(c))
-            if c == label_idx:
-                if value != int(value):
-                    raise DataError(
-                        f"label cell {cell!r} at row {line} is not an integer"
-                    )
-                labels[r] = int(value)
-            else:
-                features[r, c_out] = value
-                c_out += 1
+        try:
+            values = np.fromiter(map(float, map(str.strip, cells)), np.float64, width)
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all() or (
+            label_idx is not None and not _is_label(values[label_idx])
+        ):
+            _raise_row_error(cells, line, header, label_idx)
+        rows.append(values)
 
+    table = np.stack(rows)
+    labels = None if label_idx is None else table[:, label_idx].astype(np.int64)
+    features = table if label_idx is None else np.delete(table, label_idx, axis=1)
     names = None
     if header is not None:
         names = [h for i, h in enumerate(header) if i != label_idx]

@@ -193,6 +193,14 @@ class TestConfigHandling:
         )
         assert code == EXIT_IO
 
+    def test_huge_label_is_input_error(self, capsys, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("a,b,label\n1,2,0\n3,4,1e30\n")
+        code, _, err = _run(capsys, ["anomaly", "--input", str(p), "--label-column", "label"])
+        assert code == EXIT_IO
+        assert "label cell '1e30' at row 3 is outside the int64 range" in err
+        assert "Traceback" not in err
+
     def test_mismatched_dims_rejected(self, capsys, anomaly_csv):
         code, _, err = _run(
             capsys,

@@ -84,6 +84,127 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.features, data.features)
         np.testing.assert_array_equal(back.labels, data.labels)
 
+    def test_padded_underscored_and_quoted_cells(self, tmp_path):
+        # every cell goes through float() after strip(), as before streaming
+        p = tmp_path / "t.csv"
+        p.write_text('a,b,y\n 1 ,\t2.5\t, 3 \n"1.5",1_000,  -0 \n\x1c7\u3000,"-2e1",\t4\n')
+        data = load_csv(p, label_column="y")
+        np.testing.assert_array_equal(data.features, [[1.0, 2.5], [1.5, 1000.0], [7.0, -20.0]])
+        np.testing.assert_array_equal(data.labels, [3, 0, 4])
+
+    @pytest.mark.parametrize(
+        "cell", ["1e30", "-1e30", "9223372036854775808", "9223372036854775807"]
+    )
+    def test_label_outside_int64(self, tmp_path, cell):
+        # 2**63 - 1 has no float64 of its own and rounds up to 2**63
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,y\n1,0\n2,{cell}\n")
+        with pytest.raises(DataError, match=rf"^label cell '{cell}' at row 3 is outside the int64 range$"):
+            load_csv(p, label_column="y")
+
+    def test_int64_min_label_accepted(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\n1,-9223372036854775808\n")
+        np.testing.assert_array_equal(load_csv(p, label_column="y").labels, [-(2**63)])
+
+    @pytest.mark.parametrize(
+        "text,kwargs,message",
+        [
+            ("a,b\n1,x\n", {}, "non-numeric cell 'x' at row 2, column 'b'"),
+            ("1,x\n", {"has_header": False}, "non-numeric cell 'x' at row 1, column 1"),
+            ("a,b\n1,2\n3\n", {}, "ragged row 3: expected 2 cells, got 1"),
+            ("a,b\n1,2\n3,4,5\n", {}, "ragged row 3: expected 2 cells, got 3"),
+            ("a,b\n1,2\n\n3,4\n", {}, "ragged row 3: expected 2 cells, got 0"),
+            ("a,b\n1, \n", {}, "non-numeric cell '' at row 2, column 'b'"),
+            ("a,y\n1,0\nnan,1\n", {"label_column": "y"}, "non-finite cell 'nan' at row 3, column 'a'"),
+            ("a,y\n1, -inf\n", {"label_column": "y"}, "non-finite cell '-inf' at row 2, column 'y'"),
+            ("a,y\n1, 0.5 \n", {"label_column": "y"}, "label cell ' 0.5 ' at row 2 is not an integer"),
+            # the first bad cell of a row is the one reported
+            ("y,a\n1,2\n0.5,x\n", {"label_column": "y"}, "label cell '0.5' at row 3 is not an integer"),
+            ("a,b\n1,2\n", {"label_column": "z"}, "label column 'z' not found in header ['a', 'b']"),
+            ("1,2\n", {"label_column": "z", "has_header": False},
+             "label column given by name but file has no header"),
+            ("1,2\n", {"label_column": 2, "has_header": False},
+             "label column index 2 out of range for 2 columns"),
+        ],
+    )
+    def test_error_messages(self, tmp_path, text, kwargs, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_csv(p, **kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a,b\n1,2,3\n", "feature_names must have length 3, got 2"),
+            ("a,b\n1,2,x\n", "non-numeric cell 'x' at row 2, column 2"),
+        ],
+    )
+    def test_header_shorter_than_rows(self, tmp_path, text, message):
+        # a column without a header name is named by its index
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_csv(p)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text,has_header,what",
+        [("", True, "is empty"), ("a,b\n", True, "has no data rows"), ("", False, "has no data rows")],
+    )
+    def test_empty_inputs(self, tmp_path, text, has_header, what):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_csv(p, has_header=has_header)
+        assert str(err.value) == f"{p} {what}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["", " ", "\t", "\x1c", "\u3000"]),
+                    st.one_of(
+                        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                        st.integers(-(10**6), 10**6).map(lambda i: f"{i:_}"),
+                    ),
+                    st.sampled_from(["", " ", "\t", "\x1f"]),
+                    st.booleans(),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_matches_cell_by_cell_reference(self, tmp_path_factory, grid):
+        # reference: the loader's rule spelled out per cell, float(cell.strip())
+        lines = [
+            ",".join(f'"{pre}{num}{post}"' if quote else pre + num + post for pre, num, post, quote in row)
+            for row in grid
+        ]
+        p = tmp_path_factory.mktemp("grid") / "t.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = np.array([[float(f"{pre}{num}{post}".strip()) for pre, num, post, _ in row] for row in grid])
+        data = load_csv(p, has_header=False)
+        assert data.features.tobytes() == expected.tobytes()
+
+    def test_roundtrip_exact_wide(self, tmp_path):
+        rng = stream(4)
+        X = rng.normal(0, 1e3, size=(60, 400)) * 10.0 ** rng.integers(-300, 300, size=(60, 400))
+        labels = rng.integers(-(2**40), 2**40, 60)
+        data = Dataset(X, labels=labels)
+        p = tmp_path / "rt.csv"
+        write_csv(data, p)
+        back = load_csv(p, label_column="label")
+        assert back.features.tobytes() == data.features.tobytes()
+        assert back.labels.tobytes() == data.labels.tobytes()
+        assert back.feature_names == [f"c{i}" for i in range(400)]
+
 
 class TestDataset:
     def test_label_length_mismatch(self):
