@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -22,7 +23,7 @@ from ._version import __version__
 from . import checks
 from .anomaly import ABLATIONS, SOURCES, BoostConfig, run_anomaly
 from .clustering import run_clustering
-from .data import load_csv, standardize as standardize_dataset
+from .data import _is_label, load_csv, standardize as standardize_dataset
 from .encoder import TrainConfig
 from .errors import ConfigError, DataError, ModelFileError, NumericError
 from .mappings import apply as apply_map, identity_map, rff, sparse_rp
@@ -391,10 +392,17 @@ def _read_eval_columns(cfg: RunConfig) -> tuple:
     scores, labels = [], []
     for r, cells in enumerate(rows, start=2 if cfg.has_header else 1):
         try:
-            scores.append(float(cells[s_idx]))
-            labels.append(int(float(cells[l_idx])))
+            score, label = float(cells[s_idx]), float(cells[l_idx])
         except (ValueError, IndexError) as err:
             raise DataError(f"bad row {r} in {cfg.input}: {err}") from None
+        if not math.isfinite(score):
+            raise DataError(f"bad row {r} in {cfg.input}: score {cells[s_idx]!r} is not finite")
+        if not _is_label(label):  # load_csv's rule: integral and inside int64
+            raise DataError(
+                f"bad row {r} in {cfg.input}: label {cells[l_idx]!r} is not an int64 integer"
+            )
+        scores.append(score)
+        labels.append(int(label))
     return np.asarray(scores), np.asarray(labels)
 
 

@@ -7,7 +7,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ def embed(model: EncoderModel, data) -> np.ndarray:
 
 
 def _sq_dists(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # x2 is np.sum(X * X, axis=1), computed once per kmeans call
+    # x2 is np.sum(X * X, axis=1), computed once per K-means input
     d2 = (
         x2[:, None]
         + np.sum(C * C, axis=1)[None, :]
@@ -56,15 +56,16 @@ def _plusplus_init(X: np.ndarray, x2: np.ndarray, k: int, rng: np.random.Generat
             candidates = rng.integers(0, n, size=trials)
         else:
             candidates = rng.choice(n, size=trials, p=closest / total)
-        best_pick, best_closest, best_total = None, None, np.inf
-        for pick in candidates:
-            cand_closest = np.minimum(closest, _sq_dists(X, x2, X[pick : pick + 1]).ravel())
-            cand_total = cand_closest.sum()
-            if cand_total < best_total:
-                best_pick, best_closest, best_total = pick, cand_closest, cand_total
-        centroids[c] = X[best_pick]
-        closest = best_closest
+        cand_closest = np.minimum(closest[:, None], _sq_dists(X, x2, X[candidates]))
+        best = int(np.argmin(cand_closest.sum(axis=0)))  # the first lowest total wins
+        centroids[c] = X[candidates[best]]
+        closest = cand_closest[:, best]
     return centroids
+
+
+class _Rows(NamedTuple):  # a K-means input and its squared row norms, shared by restarts
+    X: np.ndarray
+    x2: np.ndarray
 
 
 def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeansResult:
@@ -73,16 +74,18 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeans
     Empty clusters are reseeded to the point currently farthest from its
     centroid, so every cluster id stays populated.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
+    if not isinstance(X, _Rows):
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
+        X = _Rows(X, np.sum(X * X, axis=1))
+    X, x2 = X
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     rng = stream(seed)
-    x2 = np.sum(X * X, axis=1)
     centroids = _plusplus_init(X, x2, k, rng)
     assignments = np.full(n, -1, dtype=np.int64)
     point_d2 = np.zeros(n)
@@ -100,8 +103,8 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeans
             break
         assignments = new_assign
         iterations += 1
-        for c in range(k):
-            centroids[c] = X[assignments == c].mean(axis=0)
+        onehot = np.arange(k)[:, None] == assignments
+        centroids = (onehot @ X) / onehot.sum(axis=1)[:, None]
     else:
         # out of iterations: make the reported state self-consistent
         d2 = _sq_dists(X, x2, centroids)
@@ -195,9 +198,10 @@ def run_clustering(
 
     k = int(np.unique(data.labels).size)
     seeds = [child_seed(cfg.seed, 20_000 + r) for r in range(restarts)]
+    rows = _Rows(H, np.sum(H * H, axis=1))
 
     def one_restart(seed: int) -> KMeansResult:
-        return kmeans(H, k, max_iters=kmeans_max_iters, seed=seed)
+        return kmeans(rows, k, max_iters=kmeans_max_iters, seed=seed)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

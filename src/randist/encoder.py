@@ -8,7 +8,10 @@ and makes the near-convergence gradient noisy enough to escape at the
 fixed learning rate. The mapped training rows are computed once per call
 to `train`; the pair targets and the novelty term both read them. The pair
 term takes the exact form that is cheaper at the batch's shape: the nb x nb
-Gram residual when m or k >= nb, the m x m feature Grams otherwise.
+Gram residual when m or k >= nb, the m x m feature Grams otherwise. With the
+pair loss on and n rows <= k mapping width, `train` forms the n x n target
+Gram once and each nb x nb step reads its block; n <= k bounds that Gram by
+the n x k mapped rows it is made from (8n^2 bytes, 8 MB at n = 1000).
 """
 from __future__ import annotations
 
@@ -55,6 +58,8 @@ class TrainConfig:
             problems.append(f"task must be one of {TASKS}, got {self.task!r}")
         if self.seed < 0:
             problems.append(f"seed must be non-negative, got {self.seed}")
+        if not 0.0 <= self.leaky_slope <= 1.0:  # also rejects nan
+            problems.append(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -96,8 +101,7 @@ class EncoderModel:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.d,):
             raise ValueError(f"expected input of length {self.d}, got shape {x.shape}")
-        z = self.w @ x + self.b
-        return np.where(z > 0.0, z, self.leaky_slope * z)
+        return _leaky(self.w @ x + self.b, self.leaky_slope)[0]
 
     def forward_batch(self, X: np.ndarray, rowwise: bool = False) -> np.ndarray:
         """Embed the rows of X; rowwise=True makes each row independent of the others."""
@@ -105,7 +109,7 @@ class EncoderModel:
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"expected an N x {self.d} matrix, got shape {X.shape}")
         z = (row_products(X, self.w) if rowwise else X @ self.w.T) + self.b
-        return np.where(z > 0.0, z, self.leaky_slope * z)
+        return _leaky(z, self.leaky_slope)[0]
 
     def decode(self, h: np.ndarray) -> np.ndarray:
         if not self.has_decoder:
@@ -129,6 +133,13 @@ class Gradients:
     db: np.ndarray
     ddecoder_w: Optional[np.ndarray] = None
     ddecoder_b: Optional[np.ndarray] = None
+
+
+def _leaky(Z: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
+    # leaky ReLU H = Z * S and its derivative S, branch-free; for slope in [0, 1]
+    # (1 - slope) + slope == 1, so H is np.where(Z > 0, Z, slope * Z) bit for bit
+    S = (Z > 0.0) * (1.0 - slope) + slope
+    return Z * S, S
 
 
 def forward(model: EncoderModel, x: np.ndarray) -> np.ndarray:
@@ -188,8 +199,7 @@ def grad_batch(
     il, jl = inv[:n_pairs], inv[n_pairs:]
     Xu = X[uniq]
     Z = Xu @ model.w.T + model.b
-    S = np.where(Z > 0.0, 1.0, model.leaky_slope)
-    H = Z * S
+    H, S = _leaky(Z, model.leaky_slope)
 
     dH = np.zeros_like(H)
     loss_pair = 0.0
@@ -240,6 +250,7 @@ def _grad_batch_gram(
     Xb: np.ndarray,
     targets_b: Optional[np.ndarray],
     config: TrainConfig,
+    gram_b: Optional[np.ndarray] = None,
 ) -> tuple[Gradients, tuple[float, float, float]]:
     """grad_batch specialised to all ordered pairs of one batch.
 
@@ -247,12 +258,11 @@ def _grad_batch_gram(
     matrix products instead of scatter-adds. targets_b (T, the mapped rows)
     feeds the pair and the novelty term. With m, k < nb the pair term uses
     ||HH^T - TT^T||^2 = ||H^TH||^2 - 2||T^TH||^2 + ||T^TT||^2 and R @ H =
-    H(H^TH) - T(T^TH); otherwise it forms the nb x nb residual R.
+    H(H^TH) - T(T^TH); otherwise the nb x nb residual R, with TT^T = gram_b if given.
     """
     nb = Xb.shape[0]
     Z = Xb @ model.w.T + model.b
-    S = np.where(Z > 0.0, 1.0, model.leaky_slope)
-    H = Z * S
+    H, S = _leaky(Z, model.leaky_slope)
 
     dH = np.zeros_like(H)
     loss_pair = 0.0
@@ -264,7 +274,7 @@ def _grad_batch_gram(
             loss_pair /= nb * nb
             dH += (4.0 / (nb * nb)) * (H @ HtH - T @ TtH)
         else:
-            R = H @ H.T - T @ T.T
+            R = H @ H.T - (T @ T.T if gram_b is None else gram_b)
             loss_pair = float(np.mean(R * R))
             dH += (4.0 / (nb * nb)) * (R @ H)
 
@@ -325,6 +335,7 @@ def train(
     model = init_model(d, config.m, config, random_map, seed=child_seed(config.seed, 0))
     novelty = config.use_aux_loss and config.task == "anomaly"
     targets = apply(random_map, X) if config.use_pair_loss or novelty else None
+    gram = targets @ targets.T if config.use_pair_loss and n <= targets.shape[1] else None
     shuffle_rng = stream(child_seed(config.seed, 1))
 
     lr = config.learning_rate
@@ -339,10 +350,10 @@ def train(
             idx = perm[start : start + config.batch_size]
             if idx.size < 2:
                 continue
+            targets_b = None if targets is None else targets[idx]
+            gram_b = None if gram is None else gram[np.ix_(idx, idx)]
             try:
-                grads, losses = _grad_batch_gram(
-                    model, X[idx], None if targets is None else targets[idx], config
-                )
+                grads, losses = _grad_batch_gram(model, X[idx], targets_b, config, gram_b)
             except NumericError as err:
                 raise NumericError(f"training diverged at epoch {epoch}: {err}") from err
             model.w -= lr * grads.dw

@@ -109,7 +109,10 @@ def _take_arrays(payload: bytes, specs: list, path) -> tuple[dict, bytes]:
     return out, payload[offset:]
 
 
-def _model_from_record(header: dict, arrays: dict) -> EncoderModel:
+def _model_from_record(header: dict, arrays: dict, path) -> EncoderModel:
+    slope = float(header["leaky_slope"])
+    if not 0.0 <= slope <= 1.0:  # also rejects nan
+        raise ModelFileError(f"{path} has leaky_slope {slope}, outside [0, 1]")
     mh = header["map"]
     mapping = RandomMap(
         kind=mh["kind"],
@@ -124,7 +127,7 @@ def _model_from_record(header: dict, arrays: dict) -> EncoderModel:
     return EncoderModel(
         w=arrays["w"],
         b=arrays["b"],
-        leaky_slope=float(header["leaky_slope"]),
+        leaky_slope=slope,
         random_map=mapping,
         decoder_w=arrays.get("decoder_w"),
         decoder_b=arrays.get("decoder_b"),
@@ -144,7 +147,7 @@ def load_model(path) -> EncoderModel:
     arrays, rest = _take_arrays(payload, header["model"]["arrays"], path)
     if rest:
         raise ModelFileError(f"{path} has {len(rest)} unexpected trailing payload bytes")
-    return _model_from_record(header["model"], arrays)
+    return _model_from_record(header["model"], arrays, path)
 
 
 def save_ensemble(path, models: list) -> None:
@@ -165,7 +168,7 @@ def load_ensemble(path) -> list:
     models = []
     for record in header["models"]:
         arrays, payload = _take_arrays(payload, record["arrays"], path)
-        models.append(_model_from_record(record, arrays))
+        models.append(_model_from_record(record, arrays, path))
     if payload:
         raise ModelFileError(f"{path} has {len(payload)} unexpected trailing payload bytes")
     return models

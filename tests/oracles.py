@@ -135,3 +135,58 @@ def fd_gradient(objective, model, h: float = 1e-5) -> np.ndarray:
         grad[p] = (f_up - f_down) / (2.0 * h)
     set_params(model, theta)
     return grad
+
+
+def kmeans_loop(X, k: int, max_iters: int = 300, seed: int = 0):
+    """Greedy k-means++ and Lloyd's iterations, one candidate and one cluster at a time.
+
+    The package's K-means before it batched the seeding candidates and the
+    centroid update; returns (assignments, inertia).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    x2 = np.sum(X * X, axis=1)
+
+    def sq_dists(C):
+        return np.maximum(x2[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T), 0.0)
+
+    rng = np.random.default_rng(seed)
+    trials = 2 + int(math.log(k)) if k > 1 else 1
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(0, n)]
+    closest = sq_dists(centroids[:1]).ravel()
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            candidates = rng.integers(0, n, size=trials)
+        else:
+            candidates = rng.choice(n, size=trials, p=closest / total)
+        best_pick, best_closest, best_total = None, None, np.inf
+        for pick in candidates:
+            cand_closest = np.minimum(closest, sq_dists(X[pick : pick + 1]).ravel())
+            cand_total = cand_closest.sum()
+            if cand_total < best_total:
+                best_pick, best_closest, best_total = pick, cand_closest, cand_total
+        centroids[c] = X[best_pick]
+        closest = best_closest
+
+    assignments = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iters):
+        d2 = sq_dists(centroids)
+        new_assign = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(n), new_assign]
+        for empty in np.setdiff1d(np.arange(k), new_assign):
+            farthest = int(np.argmax(point_d2))
+            centroids[empty] = X[farthest]
+            new_assign[farthest] = empty
+            point_d2[farthest] = 0.0
+        if np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+        for c in range(k):
+            centroids[c] = X[assignments == c].mean(axis=0)
+    else:
+        d2 = sq_dists(centroids)
+        assignments = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(n), assignments]
+    return assignments, float(point_d2.sum())

@@ -201,6 +201,34 @@ class TestConfigHandling:
         assert "label cell '1e30' at row 3 is outside the int64 range" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("slope", ["nan", "-3", "2.5"])
+    def test_leaky_slope_outside_unit_interval(self, capsys, blob_csv, slope):
+        code, _, err = _run(
+            capsys,
+            ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "8",
+             "--epochs", "2", "--restarts", "1", "--leaky-slope", slope],
+        )
+        assert code == EXIT_CONFIG
+        assert "leaky_slope must be in [0, 1]" in err
+
+    def test_eval_rejects_fractional_label(self, capsys, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n0.1,0\n0.9,1\n0.4,0.5\n")
+        code, _, err = _run(
+            capsys, ["eval", "--input", str(p), "--score-column", "score", "--label-column", "label"]
+        )
+        assert code == EXIT_IO
+        assert "bad row 4" in err and "'0.5' is not an int64 integer" in err
+
+    def test_eval_rejects_non_finite_score(self, capsys, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n0.1,0\nnan,1\n0.4,0\n")
+        code, _, err = _run(
+            capsys, ["eval", "--input", str(p), "--score-column", "score", "--label-column", "label"]
+        )
+        assert code == EXIT_IO
+        assert "bad row 3" in err and "score 'nan' is not finite" in err
+
     def test_mismatched_dims_rejected(self, capsys, anomaly_csv):
         code, _, err = _run(
             capsys,

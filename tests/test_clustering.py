@@ -8,6 +8,8 @@ from randist.mappings import identity_map
 from randist.metrics import nmi, pairwise_f
 from randist.rng import stream
 
+from oracles import kmeans_loop
+
 
 class TestEmbed:
     def _model(self, d, m, seed):
@@ -85,6 +87,25 @@ class TestKmeans:
         for seed in range(6):
             result = kmeans(X, 3, seed=seed)
             assert set(result.assignments.tolist()) == {0, 1, 2}
+
+    def test_matches_loop_reference(self):
+        # random, blob-shaped and rounded (tied) data; some runs stop at max_iters
+        for case in range(40):
+            rng = stream(case)
+            k = int(rng.integers(1, 9))
+            n = int(rng.integers(k, 120))
+            d = int(rng.integers(1, 12))
+            if case % 3 == 0:
+                X = rng.standard_normal((n, d))
+            elif case % 3 == 1:
+                X = synth_blobs(k, max(1, n // k), d, seed=case).features
+            else:
+                X = np.round(rng.standard_normal((n, d)), 1)
+            iters = int(rng.integers(1, 20)) if case % 4 == 0 else 300
+            result = kmeans(X, k, max_iters=iters, seed=case)
+            assignments, inertia = kmeans_loop(X, k, max_iters=iters, seed=case)
+            np.testing.assert_array_equal(result.assignments, assignments)
+            assert result.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12)
 
     def test_result_fields(self):
         X = synth_blobs(2, 10, 3, seed=5).features

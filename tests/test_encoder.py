@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import randist.encoder
 from randist.data import standardize, synth_blobs
 from randist.encoder import (
+    _leaky,
     EncoderModel,
     TrainConfig,
     _grad_batch_gram,
@@ -58,11 +59,38 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), -3.0, -1e-300, 1.0 + 2**-52, 2.5])
+    def test_leaky_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match=r"leaky_slope must be in \[0, 1\]"):
+            TrainConfig(m=1, epochs=1, leaky_slope=slope)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.3, 1.0])
+    def test_leaky_slope_inside_unit_interval(self, slope):
+        assert TrainConfig(m=1, epochs=1, leaky_slope=slope).leaky_slope == slope
+
     def test_lists_all_problems(self):
         with pytest.raises(ValueError) as err:
             TrainConfig(m=0, epochs=0, batch_size=1)
         message = str(err.value)
         assert "m must" in message and "epochs must" in message and "batch_size" in message
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+
+
+class TestLeaky:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        slope=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        z=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), min_size=1, max_size=40),
+    )
+    def test_equals_where_bit_for_bit(self, slope, z):
+        Z = np.array(z)
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            H, S = _leaky(Z, slope)
+            expected = np.where(Z > 0, Z, slope * Z)
+        np.testing.assert_array_equal(H.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(S, np.where(Z > 0, 1.0, slope))
 
 
 class TestInitModel:
@@ -409,6 +437,42 @@ class TestTrain:
         cfg = TrainConfig(m=4, epochs=3, task=task, batch_size=16, use_pair_loss=use_pair, seed=22)
         train(X, cfg, gaussian_rp(6, 4, seed=23))
         assert seen == [X.shape] * calls
+
+    @pytest.mark.parametrize(
+        "task,n,k,m,cached",
+        [
+            ("clustering", 40, 48, 12, True),
+            ("clustering", 40, 40, 40, True),
+            ("clustering", 60, 48, 12, False),
+            ("anomaly", 20, 24, 24, True),
+            ("anomaly", 30, 24, 24, False),
+        ],
+    )
+    def test_target_gram_cache_matches_per_batch_product(self, monkeypatch, task, n, k, m, cached):
+        X = stream(24).standard_normal((n, 6))
+        mapping = rff(6, k, data=X, seed=25)
+        cfg = TrainConfig(m=m, epochs=6, task=task, batch_size=16, seed=26)
+        model, trace = train(X, cfg, mapping)
+
+        seen = []
+        real_step = randist.encoder._grad_batch_gram
+
+        def per_batch_step(model, Xb, targets_b, config, gram_b=None):
+            seen.append(gram_b is not None)
+            return real_step(model, Xb, targets_b, config)
+
+        monkeypatch.setattr(randist.encoder, "_grad_batch_gram", per_batch_step)
+        ref_model, ref_trace = train(X, cfg, mapping)
+        assert set(seen) == {cached}  # the n x n Gram is formed iff n <= k
+        for got, want in [
+            (trace.total, ref_trace.total),
+            (trace.pair, ref_trace.pair),
+            (trace.aux, ref_trace.aux),
+            (model.w, ref_model.w),
+            (model.b, ref_model.b),
+            (model.forward_batch(X), ref_model.forward_batch(X)),
+        ]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_needs_two_rows(self):
         cfg = TrainConfig(m=2, epochs=1, task="anomaly", batch_size=2, seed=0)

@@ -57,6 +57,17 @@ def test_roundtrip_decoder(tmp_path):
     np.testing.assert_array_equal(model.decode(h), loaded.decode(h))
 
 
+@pytest.mark.parametrize("slope", [float("nan"), -3.0, 2.5])
+def test_leaky_slope_outside_unit_interval_rejected(tmp_path, slope):
+    model = _model(gaussian_rp(5, 4, seed=1))
+    model.leaky_slope = slope
+    for save, load in [(save_model, load_model), (lambda p, m: save_ensemble(p, [m]), load_ensemble)]:
+        path = tmp_path / "m.rdst"
+        save(path, model)
+        with pytest.raises(ModelFileError, match="leaky_slope"):
+            load(path)
+
+
 def test_corrupted_payload_byte_fails_checksum(tmp_path):
     model = _model(gaussian_rp(5, 4, seed=4))
     path = tmp_path / "m.rdst"
