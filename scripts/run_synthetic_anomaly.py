@@ -9,6 +9,7 @@ import sys
 import time
 
 from randist import BoostConfig, TrainConfig, run_anomaly, synth_anomaly
+from randist.anomaly import ABLATIONS, SOURCES
 
 
 def main(argv=None):
@@ -20,7 +21,7 @@ def main(argv=None):
     parser.add_argument("--epochs", type=int, default=200)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--data-seed", type=int, default=7)
-    parser.add_argument("--source", choices=["rff", "srp", "identity"], default="rff")
+    parser.add_argument("--source", choices=SOURCES, default="rff")
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
@@ -34,7 +35,7 @@ def main(argv=None):
         )
 
     print(f"{'variant':<14} {'auc_roc':>8} {'auc_pr':>8} {'seconds':>8}")
-    for ablation in ("none", "no_pair_loss", "no_aux_loss", "no_boosting"):
+    for ablation in ABLATIONS:
         t0 = time.perf_counter()
         result = run_anomaly(
             data, config(), ablation=ablation, source=args.source, workers=args.workers

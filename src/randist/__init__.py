@@ -14,13 +14,7 @@ from .data import (
     write_csv,
 )
 from .encoder import EncoderModel, Gradients, LossTrace, TrainConfig, grad_batch, init_model, train
-from .losses import (
-    PairBatch,
-    batch_objective,
-    distance_prediction_loss,
-    novelty_loss,
-    reconstruction_loss,
-)
+from .losses import novelty_loss
 from .mappings import (
     JlAudit,
     RandomMap,
@@ -71,11 +65,7 @@ __all__ = [
     "pairwise_target",
     "rbf_kernel",
     "jl_audit",
-    "PairBatch",
-    "distance_prediction_loss",
-    "reconstruction_loss",
     "novelty_loss",
-    "batch_objective",
     "EncoderModel",
     "TrainConfig",
     "LossTrace",

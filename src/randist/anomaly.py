@@ -18,14 +18,29 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, standardize as standardize_dataset
-from .encoder import EncoderModel, LossTrace, TrainConfig, train
+from .encoder import LOSS_ABLATIONS, EncoderModel, LossTrace, TrainConfig, ablate, train
 from .losses import novelty_loss, novelty_rows
 from .mappings import RandomMap, identity_map, rff, sparse_rp
 from .metrics import auc_pr, auc_roc
 from .rng import child_seed
 
-ABLATIONS = ("none", "no_pair_loss", "no_aux_loss", "no_boosting")
+ABLATIONS = LOSS_ABLATIONS + ("no_boosting",)
 SOURCES = ("rff", "srp", "identity")
+
+
+def build_map(
+    source: str, d: int, k: int, X: np.ndarray, seed: int,
+    bandwidth: Optional[float] = None, density: Optional[float] = None,
+) -> RandomMap:
+    """The frozen mapping of a source in SOURCES: rff (median-heuristic bandwidth
+    on X when None), srp, or identity (which ignores k and has width d)."""
+    if source == "rff":
+        return rff(d, k, bandwidth=bandwidth, data=X, seed=seed)
+    if source == "srp":
+        return sparse_rp(d, k, density=density, seed=seed)
+    if source == "identity":
+        return identity_map(d)
+    raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
 
 
 @dataclass
@@ -86,15 +101,6 @@ def score_rows(model: EncoderModel, X: np.ndarray) -> np.ndarray:
     return novelty_rows(model, X)
 
 
-def _build_map(d: int, config: BoostConfig, seed: int, X: np.ndarray) -> RandomMap:
-    k = config.train.m  # novelty scoring requires M == K
-    if config.source == "rff":
-        return rff(d, k, bandwidth=config.bandwidth, data=X, seed=seed)
-    if config.source == "srp":
-        return sparse_rp(d, k, density=config.density, seed=seed)
-    return identity_map(d)
-
-
 def removal_count(fraction: float, n: int) -> int:
     """Rows dropped in one filtering round: floor(fraction * n), at least 1."""
     if fraction <= 0.0:
@@ -113,7 +119,9 @@ def boost_train_member(
     """
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
-    mapping = _build_map(d, config, seed=child_seed(member_seed, 0), X=X)
+    mapping = build_map(
+        config.source, d, config.train.m, X, child_seed(member_seed, 0), config.bandwidth, config.density
+    )
     if config.train.m != mapping.out_dim:
         raise ValueError(
             f"anomaly scoring needs m == mapping out_dim, got {config.train.m} vs "
@@ -190,8 +198,6 @@ def run_anomaly(
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
-    if source not in SOURCES:
-        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
     if config is None:
         config = BoostConfig(train=TrainConfig.anomaly_defaults())
 
@@ -199,15 +205,10 @@ def run_anomaly(
     if standardize:
         X = standardize_dataset(data)[0].features
 
-    train_cfg = config.train
-    m = X.shape[1] if source == "identity" else train_cfg.m
-    use_pair = train_cfg.use_pair_loss and ablation != "no_pair_loss"
-    use_aux = train_cfg.use_aux_loss and ablation != "no_aux_loss"
-    if not (use_pair or use_aux):
-        raise ValueError("no loss enabled: ablation removed the only active loss")
+    m = X.shape[1] if source == "identity" else config.train.m
     cfg = replace(
         config,
-        train=replace(train_cfg, m=m, use_pair_loss=use_pair, use_aux_loss=use_aux),
+        train=ablate(replace(config.train, m=m), "none" if ablation == "no_boosting" else ablation),
         filter_rounds=0 if ablation == "no_boosting" else config.filter_rounds,
         source=source,
     )

@@ -21,12 +21,12 @@ import numpy as np
 
 from ._version import __version__
 from . import checks
-from .anomaly import ABLATIONS, SOURCES, BoostConfig, run_anomaly
+from .anomaly import ABLATIONS, SOURCES, BoostConfig, build_map, run_anomaly
 from .clustering import run_clustering
 from .data import _is_label, load_csv, standardize as standardize_dataset
-from .encoder import TrainConfig
+from .encoder import LOSS_ABLATIONS, TrainConfig
 from .errors import ConfigError, DataError, ModelFileError, NumericError
-from .mappings import apply as apply_map, identity_map, rff, sparse_rp
+from .mappings import apply as apply_map
 from .metrics import auc_pr, auc_roc
 from .persist import save_ensemble, save_model
 from .report import format_report, write_text_atomic
@@ -155,19 +155,18 @@ def _validate(cfg: RunConfig) -> None:
         problems.append("input file is required")
     if cfg.source not in SOURCES:
         problems.append(f"source must be one of {SOURCES}, got {cfg.source!r}")
-    if task == "anomaly" and cfg.ablation not in ABLATIONS:
-        problems.append(f"ablation must be one of {ABLATIONS}, got {cfg.ablation!r}")
-    if task == "cluster" and cfg.ablation not in ("none", "no_pair_loss", "no_aux_loss"):
-        problems.append(f"clustering ablation must be none/no_pair_loss/no_aux_loss, got {cfg.ablation!r}")
     if task in ("anomaly", "cluster"):
+        ablations = ABLATIONS if task == "anomaly" else LOSS_ABLATIONS
+        if cfg.ablation not in ablations:
+            problems.append(f"ablation must be one of {ablations}, got {cfg.ablation!r}")
         if cfg.epochs is not None and cfg.epochs < 1:
             problems.append(f"epochs must be >= 1, got {cfg.epochs}")
         if cfg.batch_size < 2:
             problems.append(f"batch_size must be >= 2, got {cfg.batch_size}")
-        if cfg.learning_rate <= 0:
-            problems.append(f"learning_rate must be positive, got {cfg.learning_rate}")
-        if cfg.aux_weight < 0:
-            problems.append(f"aux_weight must be >= 0, got {cfg.aux_weight}")
+        if not (cfg.learning_rate > 0 and math.isfinite(cfg.learning_rate)):
+            problems.append(f"learning_rate must be positive and finite, got {cfg.learning_rate}")
+        if not (cfg.aux_weight >= 0 and math.isfinite(cfg.aux_weight)):
+            problems.append(f"aux_weight must be >= 0 and finite, got {cfg.aux_weight}")
     if task == "anomaly":
         if cfg.m is not None and cfg.k is not None and cfg.m != cfg.k and cfg.source != "identity":
             problems.append(f"anomaly scoring requires m == k, got m={cfg.m}, k={cfg.k}")
@@ -184,8 +183,8 @@ def _validate(cfg: RunConfig) -> None:
             problems.append(f"kmeans_max_iters must be >= 1, got {cfg.kmeans_max_iters}")
     if task == "project" and (cfg.k is None or cfg.k < 1) and cfg.source != "identity":
         problems.append(f"projection dimension k must be >= 1, got {cfg.k}")
-    if cfg.bandwidth is not None and cfg.bandwidth <= 0:
-        problems.append(f"bandwidth must be positive, got {cfg.bandwidth}")
+    if cfg.bandwidth is not None and not (cfg.bandwidth > 0 and math.isfinite(cfg.bandwidth)):
+        problems.append(f"bandwidth must be positive and finite, got {cfg.bandwidth}")
     if cfg.density is not None and not 0.0 < cfg.density <= 1.0:
         problems.append(f"density must be in (0, 1], got {cfg.density}")
     if cfg.seed < 0:
@@ -340,13 +339,8 @@ def _cmd_project(cfg: RunConfig) -> int:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     X = standardize_dataset(data)[0].features if cfg.standardize else data.features
     t0 = time.perf_counter()
-    if cfg.source == "identity":
-        mapping = identity_map(data.d)
-        cfg.k = data.d
-    elif cfg.source == "srp":
-        mapping = sparse_rp(data.d, cfg.k, density=cfg.density, seed=cfg.seed)
-    else:
-        mapping = rff(data.d, cfg.k, bandwidth=cfg.bandwidth, data=X, seed=cfg.seed)
+    mapping = build_map(cfg.source, data.d, cfg.k, X, cfg.seed, cfg.bandwidth, cfg.density)
+    cfg.k = mapping.out_dim  # identity: the data width
     projected = apply_map(mapping, X)
     out = _echo_config(cfg)
     out["data.rows"] = data.n

@@ -6,14 +6,14 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .anomaly import build_map
 from .data import Dataset, standardize as standardize_dataset
-from .encoder import EncoderModel, LossTrace, TrainConfig, train
-from .mappings import identity_map, rff, sparse_rp
+from .encoder import EncoderModel, LossTrace, TrainConfig, ablate, train
 from .metrics import nmi, pairwise_f
 from .rng import child_seed, stream
 
@@ -156,36 +156,21 @@ def run_clustering(
     """
     if data.labels is None:
         raise ValueError("clustering evaluation needs ground-truth labels")
-    if ablation not in ("none", "no_pair_loss", "no_aux_loss"):
-        raise ValueError(f"unknown clustering ablation {ablation!r}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if config is None:
         config = TrainConfig.clustering_defaults()
     if config.task != "clustering":
         raise ValueError(f"clustering pipeline needs task='clustering', got {config.task!r}")
+    cfg = ablate(config, ablation)
 
     X = data.features
     if standardize:
         X = standardize_dataset(data)[0].features
     d = X.shape[1]
 
-    use_pair = config.use_pair_loss and ablation != "no_pair_loss"
-    use_aux = config.use_aux_loss and ablation != "no_aux_loss"
-    if not (use_pair or use_aux):
-        raise ValueError("no loss enabled: ablation removed the only active loss")
-    cfg = replace(config, use_pair_loss=use_pair, use_aux_loss=use_aux)
-
     k_map = map_dim if map_dim is not None else cfg.m
-    map_seed = child_seed(cfg.seed, 10_000)
-    if source == "rff":
-        mapping = rff(d, k_map, bandwidth=bandwidth, data=X, seed=map_seed)
-    elif source == "srp":
-        mapping = sparse_rp(d, k_map, density=density, seed=map_seed)
-    elif source == "identity":
-        mapping = identity_map(d)
-    else:
-        raise ValueError(f"unknown source {source!r}")
+    mapping = build_map(source, d, k_map, X, child_seed(cfg.seed, 10_000), bandwidth, density)
 
     t0 = time.perf_counter()
     model, trace = train(X, cfg, mapping)

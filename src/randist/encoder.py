@@ -1,32 +1,34 @@
 """The trainable representation: one affine layer plus leaky-ReLU, an
-optional linear decoder, analytic gradients and the SGD training loop.
+optional linear decoder, the one gradient kernel and the SGD training loop.
 
 Each SGD step regresses the full batch Gram: every ordered pair inside the
 shuffled batch, self-pairs included, so each embedding norm is anchored to
 its supervisory value. Subsampling pairs leaves the norms under-determined
 and makes the near-convergence gradient noisy enough to escape at the
-fixed learning rate. The mapped training rows are computed once per call
-to `train`; the pair targets and the novelty term both read them. The pair
-term takes the exact form that is cheaper at the batch's shape: the nb x nb
-Gram residual when m or k >= nb, the m x m feature Grams otherwise. With the
-pair loss on and n rows <= k mapping width, `train` forms the n x n target
-Gram once and each nb x nb step reads its block; n <= k bounds that Gram by
-the n x k mapped rows it is made from (8n^2 bytes, 8 MB at n = 1000).
+fixed learning rate. `grad_batch` is the only gradient code: dense products
+over one batch, exact for that objective. The mapped training rows are
+computed once per call to `train`; the pair targets and the novelty term
+both read them. The pair term takes the exact form that is cheaper at the
+batch's shape: the nb x nb Gram residual when m or k >= nb, the m x m
+feature Grams otherwise. With the pair loss on and n rows <= k mapping
+width, `train` forms the n x n target Gram once and each nb x nb step reads
+its block; n <= k bounds that Gram by the n x k mapped rows it is made from
+(8n^2 bytes, 8 MB at n = 1000).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import NumericError
-from .losses import PairBatch
 from .mappings import RandomMap, apply, row_products
 from .rng import child_seed, stream
 
 TASKS = ("anomaly", "clustering")
+LOSS_ABLATIONS = ("none", "no_pair_loss", "no_aux_loss")
 
 
 @dataclass
@@ -50,10 +52,10 @@ class TrainConfig:
             problems.append(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             problems.append(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            problems.append(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.aux_weight < 0:
-            problems.append(f"aux_weight must be >= 0, got {self.aux_weight}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            problems.append(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not (self.aux_weight >= 0 and math.isfinite(self.aux_weight)):
+            problems.append(f"aux_weight must be >= 0 and finite, got {self.aux_weight}")
         if self.task not in TASKS:
             problems.append(f"task must be one of {TASKS}, got {self.task!r}")
         if self.seed < 0:
@@ -74,6 +76,17 @@ class TrainConfig:
         args = dict(m=1024, epochs=1000, task="clustering")
         args.update(overrides)
         return cls(**args)
+
+
+def ablate(config: TrainConfig, ablation: str) -> TrainConfig:
+    """config with the loss that `ablation` (one of LOSS_ABLATIONS) names switched off."""
+    if ablation not in LOSS_ABLATIONS:
+        raise ValueError(f"ablation must be one of {LOSS_ABLATIONS}, got {ablation!r}")
+    use_pair = config.use_pair_loss and ablation != "no_pair_loss"
+    use_aux = config.use_aux_loss and ablation != "no_aux_loss"
+    if not (use_pair or use_aux):
+        raise ValueError("no loss enabled: ablation removed the only active loss")
+    return replace(config, use_pair_loss=use_pair, use_aux_loss=use_aux)
 
 
 @dataclass
@@ -142,14 +155,6 @@ def _leaky(Z: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
     return Z * S, S
 
 
-def forward(model: EncoderModel, x: np.ndarray) -> np.ndarray:
-    return model.forward(x)
-
-
-def decode(model: EncoderModel, h: np.ndarray) -> np.ndarray:
-    return model.decode(h)
-
-
 def init_model(
     d: int, m: int, config: TrainConfig, random_map: RandomMap, seed: int
 ) -> EncoderModel:
@@ -183,83 +188,25 @@ def init_model(
 
 
 def grad_batch(
-    model: EncoderModel, X: np.ndarray, pairs: PairBatch, config: TrainConfig
-) -> tuple[Gradients, tuple[float, float, float]]:
-    """Exact gradients of the batch objective, plus (total, pair, aux) losses.
-
-    The objective is the mean pair loss plus aux_weight times the mean
-    auxiliary loss over the distinct points of the batch. The leaky-ReLU
-    subgradient at exactly 0 uses the negative-side slope.
-    """
-    if not (config.use_pair_loss or config.use_aux_loss):
-        raise ValueError("no loss enabled")
-    X = np.asarray(X, dtype=np.float64)
-    uniq, inv = np.unique(np.concatenate([pairs.i, pairs.j]), return_inverse=True)
-    n_pairs = len(pairs)
-    il, jl = inv[:n_pairs], inv[n_pairs:]
-    Xu = X[uniq]
-    Z = Xu @ model.w.T + model.b
-    H, S = _leaky(Z, model.leaky_slope)
-
-    dH = np.zeros_like(H)
-    loss_pair = 0.0
-    if config.use_pair_loss:
-        r = np.sum(H[il] * H[jl], axis=1) - pairs.y
-        loss_pair = float(np.mean(r * r))
-        coef = (2.0 / n_pairs) * r[:, None]
-        np.add.at(dH, il, coef * H[jl])
-        np.add.at(dH, jl, coef * H[il])
-
-    loss_aux = 0.0
-    ddec_w = ddec_b = None
-    lam = config.aux_weight
-    n_u = uniq.size
-    if config.use_aux_loss:
-        if config.task == "anomaly":
-            res = H - apply(model.random_map, Xu)
-            loss_aux = float(np.mean(res * res))
-            dH += (2.0 * lam / (model.m * n_u)) * res
-        else:
-            res = H @ model.decoder_w.T + model.decoder_b - Xu
-            loss_aux = float(np.mean(res * res))
-            scale = 2.0 * lam / (model.d * n_u)
-            ddec_w = scale * (res.T @ H)
-            ddec_b = scale * res.sum(axis=0)
-            dH += scale * (res @ model.decoder_w)
-
-    dZ = dH * S
-    dw = dZ.T @ Xu
-    db = dZ.sum(axis=0)
-
-    total = 0.0
-    if config.use_pair_loss:
-        total += loss_pair
-    if config.use_aux_loss:
-        total += lam * loss_aux
-    if not math.isfinite(total):
-        raise NumericError(f"non-finite batch loss {total}")
-    return Gradients(dw=dw, db=db, ddecoder_w=ddec_w, ddecoder_b=ddec_b), (
-        total,
-        loss_pair,
-        loss_aux,
-    )
-
-
-def _grad_batch_gram(
     model: EncoderModel,
     Xb: np.ndarray,
     targets_b: Optional[np.ndarray],
     config: TrainConfig,
     gram_b: Optional[np.ndarray] = None,
 ) -> tuple[Gradients, tuple[float, float, float]]:
-    """grad_batch specialised to all ordered pairs of one batch.
+    """Exact gradients of one batch's objective, plus its (total, pair, aux) losses.
 
-    Same gradients as grad_batch on the full index product, but dense
-    matrix products instead of scatter-adds. targets_b (T, the mapped rows)
-    feeds the pair and the novelty term. With m, k < nb the pair term uses
-    ||HH^T - TT^T||^2 = ||H^TH||^2 - 2||T^TH||^2 + ||T^TT||^2 and R @ H =
-    H(H^TH) - T(T^TH); otherwise the nb x nb residual R, with TT^T = gram_b if given.
+    The objective is the pair loss, the mean over all nb^2 ordered pairs of
+    the batch rows Xb (self-pairs included) of (h_i.h_j - t_i.t_j)^2, plus
+    aux_weight times the mean auxiliary loss of the rows. targets_b (T, the
+    mapped rows) feeds the pair and the novelty term. With m, k < nb the pair
+    term uses ||HH^T - TT^T||^2 = ||H^TH||^2 - 2||T^TH||^2 + ||T^TT||^2 and
+    R @ H = H(H^TH) - T(T^TH); otherwise the nb x nb residual R, with
+    TT^T = gram_b if given. The leaky-ReLU subgradient at exactly 0 uses the
+    negative-side slope.
     """
+    if not (config.use_pair_loss or config.use_aux_loss):
+        raise ValueError("no loss enabled")
     nb = Xb.shape[0]
     Z = Xb @ model.w.T + model.b
     H, S = _leaky(Z, model.leaky_slope)
@@ -287,6 +234,8 @@ def _grad_batch_gram(
             loss_aux = float(np.mean(res * res))
             dH += (2.0 * lam / (model.m * nb)) * res
         else:
+            if not model.has_decoder:
+                raise ValueError("reconstruction loss needs a model with a decoder")
             res = H @ model.decoder_w.T + model.decoder_b - Xb
             loss_aux = float(np.mean(res * res))
             scale = 2.0 * lam / (model.d * nb)
@@ -298,18 +247,11 @@ def _grad_batch_gram(
     dw = dZ.T @ Xb
     db = dZ.sum(axis=0)
 
-    total = 0.0
-    if config.use_pair_loss:
-        total += loss_pair
-    if config.use_aux_loss:
-        total += lam * loss_aux
+    total = loss_pair + lam * loss_aux  # a disabled loss is 0.0 and lam is finite
     if not math.isfinite(total):
         raise NumericError(f"non-finite batch loss {total}")
-    return Gradients(dw=dw, db=db, ddecoder_w=ddec_w, ddecoder_b=ddec_b), (
-        total,
-        loss_pair,
-        loss_aux,
-    )
+    grads = Gradients(dw=dw, db=db, ddecoder_w=ddec_w, ddecoder_b=ddec_b)
+    return grads, (total, loss_pair, loss_aux)
 
 
 def train(
@@ -329,8 +271,6 @@ def train(
         raise ValueError(f"need at least 2 rows to form pairs, got {n}")
     if d != random_map.in_dim:
         raise ValueError(f"data has {d} columns, mapping expects {random_map.in_dim}")
-    if not (config.use_pair_loss or config.use_aux_loss):
-        raise ValueError("no loss enabled")
 
     model = init_model(d, config.m, config, random_map, seed=child_seed(config.seed, 0))
     novelty = config.use_aux_loss and config.task == "anomaly"
@@ -353,7 +293,7 @@ def train(
             targets_b = None if targets is None else targets[idx]
             gram_b = None if gram is None else gram[np.ix_(idx, idx)]
             try:
-                grads, losses = _grad_batch_gram(model, X[idx], targets_b, config, gram_b)
+                grads, losses = grad_batch(model, X[idx], targets_b, config, gram_b)
             except NumericError as err:
                 raise NumericError(f"training diverged at epoch {epoch}: {err}") from err
             model.w -= lr * grads.dw

@@ -112,8 +112,8 @@ def rff(
         if data is None:
             raise ValueError("rff needs an explicit bandwidth or data for the median heuristic")
         bandwidth = median_bandwidth(data, seed=child_seed(seed, 1))
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    if not (bandwidth > 0 and math.isfinite(bandwidth)):
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     rng = stream(seed)
     weights = rng.standard_normal((k, d)) / bandwidth
     offsets = rng.uniform(0.0, 2.0 * math.pi, size=k)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to check the fast implementations.
 
 Everything here is deliberately naive: plain Python loops over pairs,
-ranks and contingency cells, and central finite differences for
-gradients. None of it shares code with the package.
+ranks and contingency cells, a pair-by-pair objective and gradient, and
+central finite differences for gradients. None of it shares code with the
+package.
 """
 from __future__ import annotations
 
@@ -190,3 +191,64 @@ def kmeans_loop(X, k: int, max_iters: int = 300, seed: int = 0):
         assignments = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(n), assignments]
     return assignments, float(point_d2.sum())
+
+
+def _loop_embed(model, x):
+    z = model.w @ x + model.b
+    return np.where(z > 0, z, model.leaky_slope * z), np.where(z > 0, 1.0, model.leaky_slope)
+
+
+def batch_objective_loop(model, X, targets, config) -> tuple:
+    """(total, pair, aux) of one batch by plain loops over all ordered pairs of
+    its rows, self-pairs included; `targets` are the mapped rows of X."""
+    nb = len(X)
+    H = [_loop_embed(model, x)[0] for x in X]
+    pair = aux = 0.0
+    if config.use_pair_loss:
+        for i in range(nb):
+            for j in range(nb):
+                pair += (float(H[i] @ H[j]) - float(targets[i] @ targets[j])) ** 2
+        pair /= nb * nb
+    if config.use_aux_loss:
+        for i in range(nb):
+            if config.task == "anomaly":
+                res = H[i] - targets[i]
+            else:
+                res = model.decoder_w @ H[i] + model.decoder_b - X[i]
+            aux += float(np.mean(res * res))
+        aux /= nb
+    return pair + config.aux_weight * aux, pair, aux
+
+
+def batch_gradient_loop(model, X, targets, config) -> np.ndarray:
+    """Analytic gradient of batch_objective_loop's total, pair by pair and row
+    by row, flattened in flatten_params order."""
+    nb, lam = len(X), config.aux_weight
+    rows = [_loop_embed(model, x) for x in X]
+    dH = [np.zeros(model.w.shape[0]) for _ in range(nb)]
+    dw, db = np.zeros_like(model.w), np.zeros_like(model.b)
+    parts = [dw, db]
+    if model.decoder_w is not None:
+        parts += [np.zeros_like(model.decoder_w), np.zeros_like(model.decoder_b)]
+    if config.use_pair_loss:
+        for i in range(nb):
+            for j in range(nb):
+                r = float(rows[i][0] @ rows[j][0]) - float(targets[i] @ targets[j])
+                dH[i] += (2.0 * r / (nb * nb)) * rows[j][0]
+                dH[j] += (2.0 * r / (nb * nb)) * rows[i][0]
+    if config.use_aux_loss and config.task == "anomaly":
+        for i in range(nb):
+            dH[i] += (2.0 * lam / (len(targets[i]) * nb)) * (rows[i][0] - targets[i])
+    elif config.use_aux_loss:
+        ddw, ddb = parts[2], parts[3]
+        for i in range(nb):
+            res = model.decoder_w @ rows[i][0] + model.decoder_b - X[i]
+            coef = 2.0 * lam / (len(X[i]) * nb)
+            ddw += coef * np.outer(res, rows[i][0])
+            ddb += coef * res
+            dH[i] += coef * (model.decoder_w.T @ res)
+    for i in range(nb):
+        dz = dH[i] * rows[i][1]
+        dw += np.outer(dz, X[i])
+        db += dz
+    return np.concatenate([p.ravel() for p in parts])

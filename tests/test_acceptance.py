@@ -14,8 +14,7 @@ from randist.anomaly import BoostConfig, run_anomaly
 from randist.clustering import run_clustering
 from randist.data import load_csv, synth_anomaly, synth_blobs
 from randist.encoder import TrainConfig, grad_batch, init_model
-from randist.losses import PairBatch, batch_objective
-from randist.mappings import gaussian_rp, jl_audit, median_bandwidth, pairwise_target, rbf_kernel, rff
+from randist.mappings import apply, gaussian_rp, jl_audit, median_bandwidth, pairwise_target, rbf_kernel, rff
 from randist.metrics import auc_pr, auc_roc, nmi, pairwise_f
 from randist.report import format_report
 from randist.rng import stream
@@ -23,6 +22,7 @@ from randist.rng import stream
 from oracles import (
     auc_pr_bruteforce,
     auc_roc_bruteforce,
+    batch_objective_loop,
     fd_gradient,
     nmi_bruteforce,
     pairwise_f_bruteforce,
@@ -105,23 +105,22 @@ def test_criterion_1_gradient_correctness():
         rng = stream(1000 + seed)
         X = rng.standard_normal((n, d))
         mapping = gaussian_rp(d, m, seed=seed)
-        i = rng.integers(0, n, size=10)
-        j = rng.integers(0, n, size=10)
-        y = np.array([pairwise_target(mapping, X[a], X[b]) for a, b in zip(i, j)])
-        pairs = PairBatch(i=i, j=j, y=y)
+        targets = apply(mapping, X)
         for kw in configs:
             config = TrainConfig(m=m, epochs=1, batch_size=4, seed=seed, **kw)
             model = init_model(d, m, config, mapping, seed=seed + 1)
-            grads, _ = grad_batch(model, X, pairs, config)
-            flat = [grads.dw.ravel(), grads.db.ravel()]
-            if model.has_decoder:
-                flat += [grads.ddecoder_w.ravel(), grads.ddecoder_b.ravel()]
-            analytic = np.concatenate(flat)
-            numeric = fd_gradient(
-                lambda mod: batch_objective(mod, X, pairs, config), model, h=1e-5
-            )
-            scale = np.maximum(np.abs(numeric), 1e-3)
-            worst = max(worst, float(np.max(np.abs(analytic - numeric) / scale)))
+            # 8 rows > m = k = 4 take the m x m form of the pair term, 3 rows the nb x nb form
+            for Xb, Tb in ((X, targets), (X[:3], targets[:3])):
+                grads, _ = grad_batch(model, Xb, Tb, config)
+                flat = [grads.dw.ravel(), grads.db.ravel()]
+                if model.has_decoder:
+                    flat += [grads.ddecoder_w.ravel(), grads.ddecoder_b.ravel()]
+                analytic = np.concatenate(flat)
+                numeric = fd_gradient(
+                    lambda mod: batch_objective_loop(mod, Xb, Tb, config)[0], model, h=1e-5
+                )
+                scale = np.maximum(np.abs(numeric), 1e-3)
+                worst = max(worst, float(np.max(np.abs(analytic - numeric) / scale)))
     elapsed = time.perf_counter() - t0
     _report_line(
         1,

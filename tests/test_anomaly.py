@@ -7,6 +7,7 @@ from randist.anomaly import (
     BoostConfig,
     anomaly_score,
     boost_train_member,
+    build_map,
     ensemble_score,
     fit_ensemble,
     removal_count,
@@ -281,3 +282,21 @@ class TestBoostConfig:
         clu = TrainConfig(m=4, epochs=1, task="clustering", batch_size=2)
         with pytest.raises(ValueError, match="anomaly"):
             BoostConfig(train=clu)
+
+
+class TestBuildMap:
+    def test_each_source_is_its_constructor(self):
+        X = np.random.default_rng(0).standard_normal((20, 4))
+        got = build_map("rff", 4, 6, X, 3)
+        want = rff(4, 6, data=X, seed=3)
+        assert got.bandwidth == want.bandwidth
+        np.testing.assert_array_equal(got.weights, want.weights)
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        assert build_map("rff", 4, 6, X, 3, bandwidth=2.0).bandwidth == 2.0
+        got = build_map("srp", 4, 6, X, 3, density=0.5)
+        np.testing.assert_array_equal(got.weights, sparse_rp(4, 6, density=0.5, seed=3).weights)
+        assert build_map("identity", 4, 6, X, 3) == identity_map(4)  # k is the data width
+
+    def test_unknown_source(self):
+        with pytest.raises(ValueError, match="source must be one of"):
+            build_map("bogus", 4, 6, np.zeros((3, 4)), 0)

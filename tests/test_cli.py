@@ -211,6 +211,29 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "leaky_slope must be in [0, 1]" in err
 
+    @pytest.mark.parametrize(
+        "task,flag,value",
+        [
+            ("cluster", "--learning-rate", "nan"),
+            ("cluster", "--learning-rate", "inf"),
+            ("cluster", "--aux-weight", "nan"),
+            ("cluster", "--bandwidth", "nan"),
+            ("project", "--bandwidth", "nan"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, capsys, tmp_path, blob_csv, task, flag, value):
+        out = tmp_path / "proj.csv"
+        args = {
+            "cluster": ["--m", "8", "--epochs", "2", "--restarts", "1"],
+            "project": ["--k", "4", "--out-matrix", str(out)],
+        }[task]
+        code, _, err = _run(
+            capsys, [task, "--input", blob_csv, "--label-column", "label", *args, flag, value]
+        )
+        assert code == EXIT_CONFIG
+        assert f"{flag[2:].replace('-', '_')} must be" in err and "finite" in err
+        assert not out.exists()
+
     def test_eval_rejects_fractional_label(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("score,label\n0.1,0\n0.9,1\n0.4,0.5\n")

@@ -9,24 +9,16 @@ from randist.encoder import (
     _leaky,
     EncoderModel,
     TrainConfig,
-    _grad_batch_gram,
+    ablate,
     grad_batch,
     init_model,
     train,
 )
 from randist.errors import NumericError
-from randist.losses import PairBatch, batch_objective
-from randist.mappings import apply, gaussian_rp, identity_map, pairwise_target, rff
+from randist.mappings import apply, gaussian_rp, identity_map, rff
 from randist.rng import stream
 
-from oracles import fd_gradient
-
-
-def _full_product_batch(indices, targets):
-    i, j = np.meshgrid(indices, indices, indexing="ij")
-    i, j = i.ravel(), j.ravel()
-    y = np.sum(targets[i] * targets[j], axis=1)
-    return PairBatch(i=i, j=j, y=y)
+from oracles import batch_gradient_loop, batch_objective_loop, fd_gradient
 
 
 class TestTrainConfig:
@@ -59,6 +51,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(aux_weight=float("nan")),
+            dict(aux_weight=float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_rate_and_weight(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            TrainConfig(m=1, epochs=1, **kw)
+
     @pytest.mark.parametrize("slope", [float("nan"), float("inf"), -3.0, -1e-300, 1.0 + 2**-52, 2.5])
     def test_leaky_slope_outside_unit_interval(self, slope):
         with pytest.raises(ValueError, match=r"leaky_slope must be in \[0, 1\]"):
@@ -73,6 +79,21 @@ class TestTrainConfig:
             TrainConfig(m=0, epochs=0, batch_size=1)
         message = str(err.value)
         assert "m must" in message and "epochs must" in message and "batch_size" in message
+
+
+class TestAblate:
+    @pytest.mark.parametrize(
+        "ablation,pair,aux",
+        [("none", True, True), ("no_pair_loss", False, True), ("no_aux_loss", True, False)],
+    )
+    def test_switches_off_the_named_loss(self, ablation, pair, aux):
+        cfg = ablate(TrainConfig(m=3, epochs=2, aux_weight=0.5, seed=4), ablation)
+        assert (cfg.use_pair_loss, cfg.use_aux_loss) == (pair, aux)
+        assert (cfg.m, cfg.epochs, cfg.aux_weight, cfg.seed) == (3, 2, 0.5, 4)
+
+    def test_unknown_ablation(self):
+        with pytest.raises(ValueError, match="ablation must be one of"):
+            ablate(TrainConfig(m=3, epochs=1), "no_boosting")
 
 
 _EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
@@ -199,6 +220,7 @@ class TestForwardDecode:
 
 
 def _grad_case(seed, d=4, m=3, n=5, task="anomaly", use_pair=True, use_aux=True):
+    """A model, a batch of n rows and their mapped rows; m = k = 3."""
     rng = stream(seed)
     X = rng.standard_normal((n, d))
     mapping = gaussian_rp(d, m, seed=seed + 1)
@@ -207,10 +229,7 @@ def _grad_case(seed, d=4, m=3, n=5, task="anomaly", use_pair=True, use_aux=True)
         use_pair_loss=use_pair, use_aux_loss=use_aux, aux_weight=1.0, seed=seed,
     )
     model = init_model(d, m, config, mapping, seed=seed + 2)
-    idx = rng.integers(0, n, size=6)
-    jdx = rng.integers(0, n, size=6)
-    y = np.array([pairwise_target(mapping, X[a], X[b]) for a, b in zip(idx, jdx)])
-    return model, X, PairBatch(i=idx, j=jdx, y=y), config
+    return model, X, apply(mapping, X), config
 
 
 def _analytic_flat(grads, model):
@@ -220,6 +239,34 @@ def _analytic_flat(grads, model):
     return np.concatenate(parts)
 
 
+def _assert_matches_oracle(model, X, T, config, gram_b=None):
+    grads, losses = grad_batch(model, X, T, config, gram_b)
+    np.testing.assert_allclose(
+        _analytic_flat(grads, model), batch_gradient_loop(model, X, T, config), rtol=1e-12, atol=1e-14
+    )
+    np.testing.assert_allclose(losses, batch_objective_loop(model, X, T, config), rtol=1e-12, atol=1e-14)
+
+
+_STEP_SHAPES = dict(
+    nb=st.integers(min_value=2, max_value=24),
+    m=st.integers(min_value=1, max_value=30),
+    k=st.integers(min_value=1, max_value=30),
+    task=st.sampled_from(["anomaly", "clustering"]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+
+
+def _step_case(nb, m, k, task, seed):
+    """A random model and batch of nb rows on either side of the max(m, k) < nb switch."""
+    if task == "anomaly":
+        k = m  # the novelty term compares the embedding with the mapped row
+    X = stream(seed).standard_normal((nb, 5))
+    mapping = gaussian_rp(5, k, seed=seed + 1)
+    config = TrainConfig(m=m, epochs=1, task=task, batch_size=nb, seed=0)
+    model = init_model(5, m, config, mapping, seed=seed + 2)
+    return model, X, apply(mapping, X), config
+
+
 class TestGradients:
     @pytest.mark.parametrize(
         "task,use_pair,use_aux",
@@ -227,16 +274,19 @@ class TestGradients:
          ("anomaly", False, True), ("clustering", False, True)],
     )
     def test_matches_finite_differences(self, task, use_pair, use_aux):
-        model, X, batch, config = _grad_case(31, task=task, use_pair=use_pair, use_aux=use_aux)
-        grads, _ = grad_batch(model, X, batch, config)
-        analytic = _analytic_flat(grads, model)
-        numeric = fd_gradient(
-            lambda mod: batch_objective(mod, X, batch, config), model, h=1e-5
-        )
-        scale = np.maximum(np.abs(numeric), 1e-3)
-        assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+        # 3 rows <= m = k = 3 take the nb x nb form of the pair term, 5 rows the m x m form
+        for n in (3, 5):
+            model, X, T, config = _grad_case(31, n=n, task=task, use_pair=use_pair, use_aux=use_aux)
+            grads, _ = grad_batch(model, X, T, config)
+            analytic = _analytic_flat(grads, model)
+            numeric = fd_gradient(
+                lambda mod: batch_objective_loop(mod, X, T, config)[0], model, h=1e-5
+            )
+            scale = np.maximum(np.abs(numeric), 1e-3)
+            assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
 
     def test_gram_path_equals_generic_path(self):
+        # nb = 3 <= m = k = 3: the nb x nb residual, with and without a given target Gram
         for task in ("anomaly", "clustering"):
             rng = stream(17)
             X = rng.standard_normal((7, 4))
@@ -244,17 +294,9 @@ class TestGradients:
             config = TrainConfig(m=3, epochs=1, task=task, batch_size=4, seed=0)
             model = init_model(4, 3, config, mapping, seed=2)
             idx = np.array([5, 1, 4])
-            targets = apply(mapping, X)
-            batch = _full_product_batch(idx, targets)
-            generic, (gt, gr, ga) = grad_batch(model, X, batch, config)
-            fast, (ft, fr, fa) = _grad_batch_gram(model, X[idx], targets[idx], config)
-            np.testing.assert_allclose(generic.dw, fast.dw, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(generic.db, fast.db, rtol=1e-12, atol=1e-14)
-            if task == "clustering":
-                np.testing.assert_allclose(
-                    generic.ddecoder_w, fast.ddecoder_w, rtol=1e-12, atol=1e-14
-                )
-            assert gt == pytest.approx(ft, abs=1e-12)
+            targets = apply(mapping, X)[idx]
+            _assert_matches_oracle(model, X[idx], targets, config)
+            _assert_matches_oracle(model, X[idx], targets, config, gram_b=targets @ targets.T)
 
     @pytest.mark.parametrize("task,k", [("anomaly", 3), ("clustering", 3), ("clustering", 5)])
     def test_feature_gram_path_equals_generic_path(self, task, k):
@@ -265,41 +307,26 @@ class TestGradients:
         config = TrainConfig(m=3, epochs=1, task=task, batch_size=8, seed=0)
         model = init_model(4, 3, config, mapping, seed=2)
         idx = np.array([9, 2, 7, 0, 11, 4, 5, 1])
-        targets = apply(mapping, X)
-        generic, (gt, gr, ga) = grad_batch(model, X, _full_product_batch(idx, targets), config)
-        fast, (ft, fr, fa) = _grad_batch_gram(model, X[idx], targets[idx], config)
-        np.testing.assert_allclose(generic.dw, fast.dw, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(generic.db, fast.db, rtol=1e-12, atol=1e-14)
-        if task == "clustering":
-            np.testing.assert_allclose(generic.ddecoder_w, fast.ddecoder_w, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(generic.ddecoder_b, fast.ddecoder_b, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose([ft, fr, fa], [gt, gr, ga], rtol=1e-12, atol=1e-14)
+        _assert_matches_oracle(model, X[idx], apply(mapping, X)[idx], config)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        nb=st.integers(min_value=2, max_value=24),
-        m=st.integers(min_value=1, max_value=30),
-        k=st.integers(min_value=1, max_value=30),
-        task=st.sampled_from(["anomaly", "clustering"]),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
+    @given(**_STEP_SHAPES)
     def test_step_matches_generic_path_at_any_shape(self, nb, m, k, task, seed):
-        if task == "anomaly":
-            k = m  # the novelty term compares the embedding with the mapped row
-        rng = stream(seed)
-        X = rng.standard_normal((nb, 5))
-        mapping = gaussian_rp(5, k, seed=seed + 1)
-        config = TrainConfig(m=m, epochs=1, task=task, batch_size=nb, seed=0)
-        model = init_model(5, m, config, mapping, seed=seed + 2)
-        idx = np.arange(nb)
-        targets = apply(mapping, X)
-        generic, (gt, gr, ga) = grad_batch(model, X, _full_product_batch(idx, targets), config)
-        fast, (ft, fr, fa) = _grad_batch_gram(model, X, targets, config)
-        np.testing.assert_allclose(fast.dw, generic.dw, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(fast.db, generic.db, rtol=1e-12, atol=1e-14)
-        if task == "clustering":
-            np.testing.assert_allclose(fast.ddecoder_w, generic.ddecoder_w, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose([ft, fr, fa], [gt, gr, ga], rtol=1e-12, atol=1e-14)
+        _assert_matches_oracle(*_step_case(nb, m, k, task, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_STEP_SHAPES)
+    def test_batch_row_order_does_not_change_the_step(self, nb, m, k, task, seed):
+        # the objective is a sum over the batch's rows and pairs, so any
+        # permutation of the rows gives the same loss and gradients up to
+        # summation order (atol covers entries that cancel to ~1e-18)
+        model, X, T, config = _step_case(nb, m, k, task, seed)
+        perm = stream(seed + 3).permutation(nb)
+        grads, (total, _, _) = grad_batch(model, X, T, config)
+        p_grads, (p_total, _, _) = grad_batch(model, X[perm], T[perm], config)
+        np.testing.assert_allclose(p_total, total, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(p_grads.dw, grads.dw, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(p_grads.db, grads.db, rtol=1e-12, atol=1e-14)
 
     def test_zero_everything_gives_zero_gradient(self):
         # identity map so the mapped zero input is zero as well
@@ -307,17 +334,17 @@ class TestGradients:
         config = TrainConfig(m=3, epochs=1, task="anomaly", batch_size=2, seed=0)
         model = init_model(3, 3, config, mapping, seed=1)
         model.w = np.zeros((3, 3))
-        X = np.zeros((4, 3))
-        batch = PairBatch(i=[0, 1], j=[1, 2], y=[0.0, 0.0])
-        grads, (total, _, _) = grad_batch(model, X, batch, config)
-        assert total == 0.0
-        np.testing.assert_array_equal(grads.dw, 0.0)
-        np.testing.assert_array_equal(grads.db, 0.0)
+        for n in (3, 4):
+            X = np.zeros((n, 3))
+            grads, (total, _, _) = grad_batch(model, X, apply(mapping, X), config)
+            assert total == 0.0
+            np.testing.assert_array_equal(grads.dw, 0.0)
+            np.testing.assert_array_equal(grads.db, 0.0)
 
     def test_doubling_weight_doubles_aux_gradient(self):
         # with the pair loss off, gradients scale exactly with aux_weight
         for task in ("anomaly", "clustering"):
-            model, X, batch, _ = _grad_case(23, task=task)
+            model, X, T, _ = _grad_case(23, task=task)
             cfg1 = TrainConfig(
                 m=3, epochs=1, task=task, batch_size=4,
                 use_pair_loss=False, aux_weight=1.0, seed=0,
@@ -326,19 +353,19 @@ class TestGradients:
                 m=3, epochs=1, task=task, batch_size=4,
                 use_pair_loss=False, aux_weight=2.0, seed=0,
             )
-            g1, _ = grad_batch(model, X, batch, cfg1)
-            g2, _ = grad_batch(model, X, batch, cfg2)
+            g1, _ = grad_batch(model, X, T, cfg1)
+            g2, _ = grad_batch(model, X, T, cfg2)
             np.testing.assert_array_equal(g2.dw, 2.0 * g1.dw)
             np.testing.assert_array_equal(g2.db, 2.0 * g1.db)
 
     def test_no_loss_enabled(self):
-        model, X, batch, _ = _grad_case(5)
+        model, X, T, _ = _grad_case(5)
         config = TrainConfig(
             m=3, epochs=1, task="anomaly", batch_size=4,
             use_pair_loss=False, use_aux_loss=False, seed=0,
         )
         with pytest.raises(ValueError, match="no loss enabled"):
-            grad_batch(model, X, batch, config)
+            grad_batch(model, X, T, config)
 
 
 class TestTrain:
@@ -408,17 +435,15 @@ class TestTrain:
         assert np.all(np.isfinite(trace.total))
 
     def test_identity_map_exact_fit_is_zero_loss(self):
-        # W = I reproduces the identity mapping on positive data: zero pair loss
+        # W = I reproduces the identity mapping on positive data: zero pair and novelty loss
         X = np.abs(stream(20).standard_normal((12, 5))) + 0.1
         mapping = identity_map(5)
         config = TrainConfig(m=5, epochs=1, task="anomaly", batch_size=4, seed=0)
         model = init_model(5, 5, config, mapping, seed=1)
         model.w = np.eye(5)
-        pairs_i, pairs_j = np.meshgrid(np.arange(12), np.arange(12), indexing="ij")
-        i, j = pairs_i.ravel(), pairs_j.ravel()
-        y = np.array([pairwise_target(mapping, X[a], X[b]) for a, b in zip(i, j)])
-        batch = PairBatch(i=i, j=j, y=y)
-        assert batch_objective(model, X, batch, config) == 0.0
+        for n in (5, 12):  # the nb x nb and the m x m form of the pair term
+            _, losses = grad_batch(model, X[:n], apply(mapping, X[:n]), config)
+            assert losses == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "task,use_pair,calls",
@@ -455,13 +480,13 @@ class TestTrain:
         model, trace = train(X, cfg, mapping)
 
         seen = []
-        real_step = randist.encoder._grad_batch_gram
+        real_step = randist.encoder.grad_batch
 
         def per_batch_step(model, Xb, targets_b, config, gram_b=None):
             seen.append(gram_b is not None)
             return real_step(model, Xb, targets_b, config)
 
-        monkeypatch.setattr(randist.encoder, "_grad_batch_gram", per_batch_step)
+        monkeypatch.setattr(randist.encoder, "grad_batch", per_batch_step)
         ref_model, ref_trace = train(X, cfg, mapping)
         assert set(seen) == {cached}  # the n x n Gram is formed iff n <= k
         for got, want in [

@@ -1,18 +1,16 @@
+"""Value conventions of the training objective, read off the losses that
+`grad_batch` reports for one batch, and of the novelty evaluator."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randist.encoder import EncoderModel, TrainConfig, grad_batch, init_model
-from randist.losses import (
-    PairBatch,
-    batch_objective,
-    distance_prediction_loss,
-    novelty_loss,
-    reconstruction_loss,
-)
-from randist.mappings import gaussian_rp, identity_map, pairwise_target
+from randist.losses import novelty_loss
+from randist.mappings import apply, gaussian_rp, identity_map
 from randist.rng import stream
+
+from oracles import batch_objective_loop
 
 
 def _identity_model(d, slope=0.01, decoder=False):
@@ -32,52 +30,74 @@ def _random_model(d, m, seed, task="anomaly", use_aux=True):
     return init_model(d, m, config, mapping, seed=seed), config
 
 
+def _config(m, task="anomaly", **kw):
+    return TrainConfig(m=m, epochs=1, task=task, batch_size=4, seed=0, **kw)
+
+
+def _losses(model, X, targets, config, gram_b=None):
+    """(total, pair, aux) as the one gradient kernel reports them."""
+    return grad_batch(model, np.asarray(X, dtype=np.float64), targets, config, gram_b)[1]
+
+
 class TestDistancePredictionLoss:
+    """The pair term: raw squared error of each embedded dot product, averaged
+    over every ordered pair of the batch, self-pairs included."""
+
     def test_orthogonal_embeddings_zero_target(self):
-        model = _identity_model(2)
-        x_i, x_j = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert distance_prediction_loss(model, x_i, x_j, 0.0) == 0.0
+        X = np.eye(2)
+        _, pair, _ = _losses(_identity_model(2), X, X, _config(2, use_aux_loss=False))
+        assert pair == 0.0
 
     def test_two_vs_one(self):
-        model = _identity_model(2)
-        x_i, x_j = np.array([2.0, 0.0]), np.array([1.0, 0.0])
-        assert distance_prediction_loss(model, x_i, x_j, 1.0) == 1.0
+        # the off-diagonal embedded dot is 2 against a target of 1; the self-pairs
+        # match, so two of the four ordered pairs have squared error 1
+        X = np.array([[2.0, 0.0], [1.0, 0.0]])
+        gram = np.array([[4.0, 1.0], [1.0, 1.0]])
+        _, pair, _ = _losses(_identity_model(2), X, X, _config(2, use_aux_loss=False), gram)
+        assert pair == 0.5
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))
     def test_symmetric_and_nonnegative(self, seed):
         rng = stream(seed)
         model, _ = _random_model(3, 4, seed=7)
-        x_i, x_j = rng.standard_normal(3), rng.standard_normal(3)
-        y = float(rng.standard_normal())
-        a = distance_prediction_loss(model, x_i, x_j, y)
-        b = distance_prediction_loss(model, x_j, x_i, y)
-        assert a == b >= 0.0
+        X, T = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
+        config = _config(4, use_aux_loss=False)
+        a = _losses(model, X, T, config)[1]
+        b = _losses(model, X[::-1], T[::-1], config)[1]
+        assert a == pytest.approx(b, rel=1e-12) and a >= 0.0
 
 
 class TestReconstructionLoss:
+    """The clustering auxiliary term: squared error of the decoded embedding,
+    a mean over the D input coordinates and over the rows."""
+
+    def _recon(self, model, X):
+        config = _config(model.m, task="clustering", use_pair_loss=False)
+        return _losses(model, X, None, config)[2]
+
     def test_perfect_autoencoder(self):
         model = _identity_model(3, decoder=True)
-        x = np.array([0.5, 1.0, 2.0])  # all positive: identity region
-        assert reconstruction_loss(model, x) == 0.0
+        X = np.array([[0.5, 1.0, 2.0]])  # all positive: identity region
+        assert self._recon(model, X) == 0.0
 
     def test_zero_model_zero_input(self):
         model = _identity_model(2, decoder=True)
         model.w = np.zeros((2, 2))
         model.decoder_w = np.zeros((2, 2))
-        assert reconstruction_loss(model, np.zeros(2)) == 0.0
+        assert self._recon(model, np.zeros((1, 2))) == 0.0
 
     def test_zero_model_mean_convention(self):
         # reconstruction is the zero vector; mean over D of squares
         model = _identity_model(2, decoder=True)
         model.w = np.zeros((2, 2))
         model.decoder_w = np.zeros((2, 2))
-        assert reconstruction_loss(model, np.array([3.0, 4.0])) == 12.5
+        assert self._recon(model, np.array([[3.0, 4.0]])) == 12.5
 
     def test_requires_decoder(self):
         model = _identity_model(2)
         with pytest.raises(ValueError, match="decoder"):
-            reconstruction_loss(model, np.zeros(2))
+            self._recon(model, np.zeros((1, 2)))
 
 
 class TestNoveltyLoss:
@@ -108,104 +128,63 @@ class TestNoveltyLoss:
             novelty_loss(model, np.zeros(3))
 
 
-def _random_batch(n, rng, mapping, X):
-    i = rng.integers(0, n, size=6)
-    j = rng.integers(0, n, size=6)
-    y = np.array([pairwise_target(mapping, X[a], X[b]) for a, b in zip(i, j)])
-    return PairBatch(i=i, j=j, y=y)
+# 3 rows <= m = k = 4 take the nb x nb form of the pair term, 10 rows the m x m form
+_BATCH_ROWS = (3, 10)
 
 
 class TestBatchObjective:
+    """The total grad_batch reports: the pair term plus aux_weight times the
+    mean auxiliary loss of the batch rows."""
+
     def test_zero_weight_reduces_to_pair_loss(self):
         rng = stream(4)
-        X = rng.standard_normal((8, 3))
-        model, config = _random_model(3, 5, seed=5)
-        config = TrainConfig(
-            m=5, epochs=1, task="anomaly", batch_size=4, aux_weight=0.0, seed=0
-        )
-        batch = _random_batch(8, rng, model.random_map, X)
-        expected = np.mean(
-            [
-                distance_prediction_loss(model, X[a], X[b], y)
-                for a, b, y in zip(batch.i, batch.j, batch.y)
-            ]
-        )
-        assert batch_objective(model, X, batch, config) == pytest.approx(expected, abs=1e-15)
+        model, _ = _random_model(3, 5, seed=5)
+        config = _config(5, aux_weight=0.0)
+        for n in (3, 8):
+            X = rng.standard_normal((n, 3))
+            total, pair, aux = _losses(model, X, apply(model.random_map, X), config)
+            assert aux > 0.0 and total == pair
 
     def test_single_pair_both_losses_zero(self):
-        model = _identity_model(2)
         X = np.array([[1.0, 0.0], [2.0, 0.0]])
-        batch = PairBatch(i=[0], j=[1], y=[2.0])
-        config = TrainConfig(m=2, epochs=1, task="anomaly", batch_size=2, seed=0)
-        assert batch_objective(model, X, batch, config) == 0.0
+        assert _losses(_identity_model(2), X, X, _config(2)) == (0.0, 0.0, 0.0)
 
     def test_matches_direct_summation(self):
         rng = stream(6)
-        X = rng.standard_normal((10, 3))
         model, config = _random_model(3, 4, seed=9)
-        batch = _random_batch(10, rng, model.random_map, X)
-        got = batch_objective(model, X, batch, config)
-        # naive re-summation, separate code path
-        pair_sum = 0.0
-        for a, b, y in zip(batch.i, batch.j, batch.y):
-            hi = model.forward(X[a])
-            hj = model.forward(X[b])
-            pair_sum += (float(hi @ hj) - y) ** 2
-        aux_sum, distinct = 0.0, sorted(set(batch.i.tolist()) | set(batch.j.tolist()))
-        for p in distinct:
-            res = model.forward(X[p]) - model.random_map.weights @ X[p] / np.sqrt(4)
-            aux_sum += float(np.mean(res**2))
-        expected = pair_sum / len(batch) + config.aux_weight * aux_sum / len(distinct)
-        assert got == pytest.approx(expected, abs=1e-12)
+        for n in _BATCH_ROWS:
+            X = rng.standard_normal((n, 3))
+            targets = X @ model.random_map.weights.T / np.sqrt(4)  # the Gaussian map by hand
+            got = _losses(model, X, targets, config)[0]
+            # naive re-summation, separate code path
+            H = [model.forward(x) for x in X]
+            pair_sum = sum((float(H[a] @ H[b]) - float(targets[a] @ targets[b])) ** 2
+                           for a in range(n) for b in range(n))
+            aux_sum = sum(float(np.mean((H[a] - targets[a]) ** 2)) for a in range(n))
+            expected = pair_sum / n**2 + config.aux_weight * aux_sum / n
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_aux_weight(self):
         rng = stream(8)
-        X = rng.standard_normal((6, 3))
         model, _ = _random_model(3, 4, seed=2)
-        batch = _random_batch(6, rng, model.random_map, X)
-        values = [
-            batch_objective(
-                model,
-                X,
-                batch,
-                TrainConfig(m=4, epochs=1, task="anomaly", batch_size=4, aux_weight=lam, seed=0),
-            )
-            for lam in (0.0, 0.5, 1.0, 2.0)
-        ]
-        assert values == sorted(values)
+        for n in _BATCH_ROWS:
+            X = rng.standard_normal((n, 3))
+            T = apply(model.random_map, X)
+            values = [_losses(model, X, T, _config(4, aux_weight=lam))[0] for lam in (0.0, 0.5, 1.0, 2.0)]
+            assert values == sorted(values) and values[0] < values[-1]
 
     def test_no_loss_enabled(self):
-        model = _identity_model(2)
-        config = TrainConfig(
-            m=2, epochs=1, task="anomaly", batch_size=2,
-            use_pair_loss=False, use_aux_loss=False, seed=0,
-        )
+        config = _config(2, use_pair_loss=False, use_aux_loss=False)
         with pytest.raises(ValueError, match="no loss enabled"):
-            batch_objective(model, np.ones((2, 2)), PairBatch(i=[0], j=[1], y=[1.0]), config)
+            _losses(_identity_model(2), np.ones((2, 2)), np.ones((2, 2)), config)
 
     def test_shared_constants_with_grad_batch(self):
-        # the value grad_batch reports must be the evaluator's value
+        # the values grad_batch reports must be the loop oracle's values
         rng = stream(10)
-        X = rng.standard_normal((9, 4))
         for task in ("anomaly", "clustering"):
             model, config = _random_model(4, 4, seed=13, task=task)
-            batch = _random_batch(9, rng, model.random_map, X)
-            _, (total, _, _) = grad_batch(model, X, batch, config)
-            assert total == pytest.approx(batch_objective(model, X, batch, config), abs=1e-12)
-
-
-class TestPairBatch:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            PairBatch(i=[], j=[], y=[])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            PairBatch(i=[0, 1], j=[1], y=[0.0])
-
-    def test_rejects_non_finite_targets(self):
-        with pytest.raises(ValueError, match="finite"):
-            PairBatch(i=[0], j=[1], y=[np.nan])
-
-    def test_len(self):
-        assert len(PairBatch(i=[0, 1], j=[1, 0], y=[0.0, 0.0])) == 2
+            for n in _BATCH_ROWS:
+                X = rng.standard_normal((n, 4))
+                T = apply(model.random_map, X)
+                got = _losses(model, X, T, config)
+                np.testing.assert_allclose(got, batch_objective_loop(model, X, T, config), rtol=1e-12)

@@ -140,6 +140,11 @@ class TestRff:
         with pytest.raises(ValueError):
             rff(4, 8, bandwidth=0.0)
 
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf")])
+    def test_rejects_non_finite_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            rff(4, 8, bandwidth=bandwidth)
+
 
 class TestIdentity:
     def test_apply_is_input(self):
