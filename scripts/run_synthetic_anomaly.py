@@ -32,14 +32,13 @@ def main(argv=None):
         return BoostConfig(
             train=TrainConfig.anomaly_defaults(epochs=args.epochs, seed=args.seed),
             members=args.members,
+            source=args.source,
         )
 
     print(f"{'variant':<14} {'auc_roc':>8} {'auc_pr':>8} {'seconds':>8}")
     for ablation in ABLATIONS:
         t0 = time.perf_counter()
-        result = run_anomaly(
-            data, config(), ablation=ablation, source=args.source, workers=args.workers
-        )
+        result = run_anomaly(data, config(), ablation=ablation, workers=args.workers)
         label = "full" if ablation == "none" else ablation
         print(
             f"{label:<14} {result.auc_roc:>8.4f} {result.auc_pr:>8.4f} "

@@ -186,15 +186,15 @@ def run_anomaly(
     data: Dataset,
     config: Optional[BoostConfig] = None,
     ablation: str = "none",
-    source: str = "rff",
     standardize: bool = True,
     workers: int = 1,
 ) -> AnomalyResult:
-    """Full detector: configure per ablation/source, fit, score, evaluate.
+    """Full detector: configure per ablation, fit, score, evaluate.
 
-    Metrics are filled only when labels are present; scores never need
-    them. For the identity source the representation width is forced to
-    the data dimension so novelty scoring stays well-defined.
+    `config.source` selects the frozen mapping. Metrics are filled only
+    when labels are present; scores never need them. For the identity
+    source the representation width is forced to the data dimension so
+    novelty scoring stays well-defined.
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
@@ -205,12 +205,11 @@ def run_anomaly(
     if standardize:
         X = standardize_dataset(data)[0].features
 
-    m = X.shape[1] if source == "identity" else config.train.m
+    m = X.shape[1] if config.source == "identity" else config.train.m
     cfg = replace(
         config,
         train=ablate(replace(config.train, m=m), "none" if ablation == "no_boosting" else ablation),
         filter_rounds=0 if ablation == "no_boosting" else config.filter_rounds,
-        source=source,
     )
 
     t0 = time.perf_counter()

@@ -2,9 +2,12 @@
 
 Subcommands: anomaly, cluster, project, eval, selftest. Options come from
 an optional flat `key = value` config file plus command-line flags; a flag
-always wins over the file. The run report echoes every resolved option
-(including filled-in defaults) as sorted `key = value` lines, followed by
-metric, loss-trace and per-phase timing fields.
+always wins over the file. A subcommand's parser lists the options it
+takes, as flags and as config keys, with their types; the library configs
+(TrainConfig, BoostConfig) own the training defaults and their checks. The
+run report echoes every resolved option (including filled-in defaults) as
+sorted `key = value` lines, followed by metric, loss-trace and per-phase
+timing fields.
 """
 from __future__ import annotations
 
@@ -39,6 +42,9 @@ EXIT_NUMERIC = 4
 
 @dataclass
 class RunConfig:
+    """The resolved options of one run. A None training option is left to
+    the library config that owns its default (TrainConfig, BoostConfig)."""
+
     task: str = "anomaly"
     input: Optional[str] = None
     label_column: Optional[str] = None
@@ -50,13 +56,13 @@ class RunConfig:
     m: Optional[int] = None
     k: Optional[int] = None
     epochs: Optional[int] = None
-    batch_size: int = 192
-    learning_rate: float = 0.1
-    aux_weight: float = 1.0
-    leaky_slope: float = 0.01
-    members: int = 30
-    filter_fraction: float = 0.05
-    filter_rounds: int = 1
+    batch_size: Optional[int] = None
+    learning_rate: Optional[float] = None
+    aux_weight: Optional[float] = None
+    leaky_slope: Optional[float] = None
+    members: Optional[int] = None
+    filter_fraction: Optional[float] = None
+    filter_rounds: Optional[int] = None
     restarts: int = 30
     kmeans_max_iters: int = 300
     normalize_embeddings: bool = False
@@ -71,44 +77,35 @@ class RunConfig:
     out_model: Optional[str] = None
 
 
-_TASK_DEFAULTS = {
-    "anomaly": {"m": 50, "epochs": 200},
-    "cluster": {"m": 1024, "epochs": 1000},
-    "project": {"k": 50},
-}
-
-_FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
-_BOOL_KEYS = {"has_header", "standardize", "normalize_embeddings"}
-_INT_KEYS = {
-    "m", "k", "epochs", "batch_size", "members", "filter_rounds", "restarts",
-    "kmeans_max_iters", "seed", "workers",
-}
-_FLOAT_KEYS = {"learning_rate", "aux_weight", "leaky_slope", "filter_fraction", "bandwidth", "density"}
+def _task_options(parser: argparse.ArgumentParser, task: str) -> dict:
+    """The options that `task`'s subparser lists, as {dest: action}: the
+    config keys the task takes, their types, and what its report echoes."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[task]._actions if a.dest not in ("help", "config")}
 
 
-def _coerce(key: str, raw: str):
-    if key not in _FIELD_TYPES:
+def _coerce(key: str, raw: str, options: dict):
+    if key not in options:
         raise ConfigError(f"unknown config key {key!r}")
+    action = options[key]
     raw = raw.strip()
     if raw.lower() == "none":
         return None
     try:
-        if key in _BOOL_KEYS:
+        if isinstance(action, argparse.BooleanOptionalAction):
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        if action.type is not None:
+            return action.type(raw)
     except ValueError as err:
         raise ConfigError(f"config key {key!r}: {err}") from None
     return raw
 
 
-def _parse_config_file(path) -> dict:
+def _parse_config_file(path, options: dict) -> dict:
     values = {}
     problems = []
     try:
@@ -125,7 +122,7 @@ def _parse_config_file(path) -> dict:
             problems.append(f"line {lineno}: expected 'key = value', got {line!r}")
             continue
         try:
-            values[key.strip()] = _coerce(key.strip(), value)
+            values[key.strip()] = _coerce(key.strip(), value, options)
         except ConfigError as err:
             problems.append(f"line {lineno}: {err}")
     if problems:
@@ -134,94 +131,86 @@ def _parse_config_file(path) -> dict:
 
 
 def _resolve(task: str, file_values: dict, cli_values: dict) -> RunConfig:
+    """Flags over file values over defaults; a None value (`none` in a file) is unset."""
     cfg = RunConfig(task=task)
-    for key, value in file_values.items():
-        setattr(cfg, key, value)
-    for key, value in cli_values.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    for key, value in _TASK_DEFAULTS.get(task, {}).items():
-        if getattr(cfg, key) is None:
-            setattr(cfg, key, value)
-    if task in ("anomaly", "cluster") and cfg.k is None:
-        cfg.k = cfg.m
+    for values in (file_values, cli_values):
+        for key, value in values.items():
+            if value is not None:
+                setattr(cfg, key, value)
+    if task == "project" and cfg.k is None:
+        cfg.k = 50
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def _library_config(cfg: RunConfig, options: dict, problems: list):
+    """The TrainConfig of a cluster run, or the BoostConfig of an anomaly run.
+
+    It is built from the options given; the library fills in the others and
+    checks every value. Its problems join `problems`, and the values it
+    resolves are written back to cfg for the report.
+    """
+
+    def build(config_type, make, **fixed):
+        names = [f.name for f in fields(config_type) if f.name in options]
+        given = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
+        try:
+            config = make(**given, **fixed)
+        except ValueError as err:  # the library joins its problems with "; "
+            problems.extend(str(err).split("; "))
+            return None
+        for name in names:
+            setattr(cfg, name, getattr(config, name))
+        return config
+
+    defaults = TrainConfig.anomaly_defaults if cfg.task == "anomaly" else TrainConfig.clustering_defaults
+    train = build(TrainConfig, defaults)
+    if cfg.task == "cluster":
+        return train
+    # a stand-in for a failed TrainConfig lets BoostConfig list its own problems
+    return build(BoostConfig, BoostConfig, train=train or defaults())
+
+
+def _validate(cfg: RunConfig, options: dict):
+    """Check cfg before any input is read and return its library config (None
+    for project and eval). Every problem, the library's included, is raised
+    at once, one per line."""
     problems = []
     task = cfg.task
-    if task != "selftest" and not cfg.input:
+    library = None
+    if not cfg.input:
         problems.append("input file is required")
-    if cfg.source not in SOURCES:
+    if task in ("cluster", "project") and cfg.source not in SOURCES:  # BoostConfig checks anomaly's
         problems.append(f"source must be one of {SOURCES}, got {cfg.source!r}")
     if task in ("anomaly", "cluster"):
         ablations = ABLATIONS if task == "anomaly" else LOSS_ABLATIONS
         if cfg.ablation not in ablations:
             problems.append(f"ablation must be one of {ablations}, got {cfg.ablation!r}")
-        if cfg.epochs is not None and cfg.epochs < 1:
-            problems.append(f"epochs must be >= 1, got {cfg.epochs}")
-        if cfg.batch_size < 2:
-            problems.append(f"batch_size must be >= 2, got {cfg.batch_size}")
-        if not (cfg.learning_rate > 0 and math.isfinite(cfg.learning_rate)):
-            problems.append(f"learning_rate must be positive and finite, got {cfg.learning_rate}")
-        if not (cfg.aux_weight >= 0 and math.isfinite(cfg.aux_weight)):
-            problems.append(f"aux_weight must be >= 0 and finite, got {cfg.aux_weight}")
-    if task == "anomaly":
-        if cfg.m is not None and cfg.k is not None and cfg.m != cfg.k and cfg.source != "identity":
-            problems.append(f"anomaly scoring requires m == k, got m={cfg.m}, k={cfg.k}")
-        if cfg.members < 1:
-            problems.append(f"members must be >= 1, got {cfg.members}")
-        if not 0.0 <= cfg.filter_fraction < 0.5:
-            problems.append(f"filter_fraction must be in [0, 0.5), got {cfg.filter_fraction}")
-        if cfg.filter_rounds < 0:
-            problems.append(f"filter_rounds must be >= 0, got {cfg.filter_rounds}")
+        library = _library_config(cfg, options, problems)
+        if cfg.k is None:
+            cfg.k = cfg.m
+    if task == "anomaly" and cfg.m is not None and cfg.m != cfg.k and cfg.source != "identity":
+        problems.append(f"anomaly scoring requires m == k, got m={cfg.m}, k={cfg.k}")
     if task == "cluster":
         if cfg.restarts < 1:
             problems.append(f"restarts must be >= 1, got {cfg.restarts}")
         if cfg.kmeans_max_iters < 1:
             problems.append(f"kmeans_max_iters must be >= 1, got {cfg.kmeans_max_iters}")
-    if task == "project" and (cfg.k is None or cfg.k < 1) and cfg.source != "identity":
-        problems.append(f"projection dimension k must be >= 1, got {cfg.k}")
+    if task == "project":
+        if cfg.k < 1 and cfg.source != "identity":
+            problems.append(f"projection dimension k must be >= 1, got {cfg.k}")
+        if cfg.seed < 0:
+            problems.append(f"seed must be non-negative, got {cfg.seed}")
+        if not cfg.out_matrix:
+            problems.append("project needs out_matrix")
     if cfg.bandwidth is not None and not (cfg.bandwidth > 0 and math.isfinite(cfg.bandwidth)):
         problems.append(f"bandwidth must be positive and finite, got {cfg.bandwidth}")
     if cfg.density is not None and not 0.0 < cfg.density <= 1.0:
         problems.append(f"density must be in (0, 1], got {cfg.density}")
-    if cfg.seed < 0:
-        problems.append(f"seed must be non-negative, got {cfg.seed}")
     if cfg.workers < 1:
         problems.append(f"workers must be >= 1, got {cfg.workers}")
     if problems:
         raise ConfigError("invalid configuration:\n" + "\n".join(problems))
-
-
-_COMMON_ECHO = ("task", "input", "label_column", "has_header", "standardize", "seed", "workers", "out_report")
-_TASK_ECHO = {
-    "anomaly": _COMMON_ECHO + (
-        "source", "ablation", "m", "k", "epochs", "batch_size", "learning_rate",
-        "aux_weight", "leaky_slope", "members", "filter_fraction", "filter_rounds",
-        "bandwidth", "density", "out_scores", "out_model",
-    ),
-    "cluster": _COMMON_ECHO + (
-        "source", "ablation", "m", "k", "epochs", "batch_size", "learning_rate",
-        "aux_weight", "leaky_slope", "restarts", "kmeans_max_iters",
-        "normalize_embeddings", "bandwidth", "density", "out_assignments", "out_model",
-    ),
-    "project": _COMMON_ECHO + ("source", "k", "bandwidth", "density", "out_matrix"),
-    "eval": ("task", "input", "label_column", "score_column", "has_header", "out_report"),
-}
-
-
-def _echo_config(cfg: RunConfig) -> dict:
-    return {f"config.{name}": getattr(cfg, name) for name in _TASK_ECHO[cfg.task]}
-
-
-def _emit_report(cfg: RunConfig, fields_out: dict) -> None:
-    fields_out["version"] = __version__
-    text = format_report(fields_out)
-    if cfg.out_report:
-        write_text_atomic(cfg.out_report, text)
-    sys.stdout.write(text)
+    return library
 
 
 def _write_csv_atomic(path, header: list, rows) -> None:
@@ -232,35 +221,14 @@ def _write_csv_atomic(path, header: list, rows) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
-def _cmd_anomaly(cfg: RunConfig) -> int:
+def _cmd_anomaly(cfg: RunConfig, boost: BoostConfig) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
-    boost = BoostConfig(
-        train=TrainConfig(
-            m=cfg.m,
-            epochs=cfg.epochs,
-            task="anomaly",
-            batch_size=cfg.batch_size,
-            learning_rate=cfg.learning_rate,
-            aux_weight=cfg.aux_weight,
-            leaky_slope=cfg.leaky_slope,
-            seed=cfg.seed,
-        ),
-        members=cfg.members,
-        filter_fraction=cfg.filter_fraction,
-        filter_rounds=cfg.filter_rounds,
-        source=cfg.source,
-        bandwidth=cfg.bandwidth,
-        density=cfg.density,
-    )
     result = run_anomaly(
-        data, boost, ablation=cfg.ablation, source=cfg.source,
-        standardize=cfg.standardize, workers=cfg.workers,
+        data, boost, ablation=cfg.ablation, standardize=cfg.standardize, workers=cfg.workers
     )
     if cfg.source == "identity":
         cfg.m = cfg.k = data.d  # echo the forced width
-    out = _echo_config(cfg)
-    out["data.rows"] = data.n
-    out["data.columns"] = data.d
+    out = {"data.rows": data.n, "data.columns": data.d}
     if result.auc_roc is not None:
         out["metrics.auc_roc"] = result.auc_roc
         out["metrics.auc_pr"] = result.auc_pr
@@ -279,22 +247,11 @@ def _cmd_anomaly(cfg: RunConfig) -> int:
         _write_csv_atomic(cfg.out_scores, header, rows)
     if cfg.out_model:
         save_ensemble(cfg.out_model, [m.model for m in result.ensemble.members])
-    _emit_report(cfg, out)
-    return EXIT_OK
+    return out
 
 
-def _cmd_cluster(cfg: RunConfig) -> int:
+def _cmd_cluster(cfg: RunConfig, train_cfg: TrainConfig) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
-    train_cfg = TrainConfig(
-        m=cfg.m,
-        epochs=cfg.epochs,
-        task="clustering",
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        aux_weight=cfg.aux_weight,
-        leaky_slope=cfg.leaky_slope,
-        seed=cfg.seed,
-    )
     result = run_clustering(
         data,
         train_cfg,
@@ -309,9 +266,7 @@ def _cmd_cluster(cfg: RunConfig) -> int:
         map_dim=cfg.k,
         workers=cfg.workers,
     )
-    out = _echo_config(cfg)
-    out["data.rows"] = data.n
-    out["data.columns"] = data.d
+    out = {"data.rows": data.n, "data.columns": data.d}
     out["metrics.nmi_mean"] = result.nmi_mean
     out["metrics.nmi_std"] = result.nmi_std
     out["metrics.f_mean"] = result.f_mean
@@ -329,29 +284,23 @@ def _cmd_cluster(cfg: RunConfig) -> int:
         _write_csv_atomic(cfg.out_assignments, header, rows)
     if cfg.out_model:
         save_model(cfg.out_model, result.model)
-    _emit_report(cfg, out)
-    return EXIT_OK
+    return out
 
 
-def _cmd_project(cfg: RunConfig) -> int:
-    if not cfg.out_matrix:
-        raise ConfigError("invalid configuration:\nproject needs out_matrix")
+def _cmd_project(cfg: RunConfig, _: None) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     X = standardize_dataset(data)[0].features if cfg.standardize else data.features
     t0 = time.perf_counter()
     mapping = build_map(cfg.source, data.d, cfg.k, X, cfg.seed, cfg.bandwidth, cfg.density)
     cfg.k = mapping.out_dim  # identity: the data width
     projected = apply_map(mapping, X)
-    out = _echo_config(cfg)
-    out["data.rows"] = data.n
-    out["data.columns"] = data.d
+    out = {"data.rows": data.n, "data.columns": data.d}
     out["timing.project_seconds"] = time.perf_counter() - t0
     header = [f"p{i}" for i in range(projected.shape[1])]
     _write_csv_atomic(
         cfg.out_matrix, header, ([repr(float(v)) for v in row] for row in projected)
     )
-    _emit_report(cfg, out)
-    return EXIT_OK
+    return out
 
 
 def _read_eval_columns(cfg: RunConfig) -> tuple:
@@ -370,8 +319,6 @@ def _read_eval_columns(cfg: RunConfig) -> tuple:
         raise DataError(f"{cfg.input} has no data rows")
 
     def column_index(selector, what: str) -> int:
-        if selector is None:
-            raise ConfigError(f"invalid configuration:\neval needs {what}")
         if isinstance(selector, str) and not selector.lstrip("-").isdigit():
             if header is None or selector not in header:
                 raise DataError(f"{what} {selector!r} not found in header {header}")
@@ -391,34 +338,38 @@ def _read_eval_columns(cfg: RunConfig) -> tuple:
             raise DataError(f"bad row {r} in {cfg.input}: {err}") from None
         if not math.isfinite(score):
             raise DataError(f"bad row {r} in {cfg.input}: score {cells[s_idx]!r} is not finite")
-        if not _is_label(label):  # load_csv's rule: integral and inside int64
+        if not _is_label(label, cells[l_idx]):  # load_csv's rule
             raise DataError(
-                f"bad row {r} in {cfg.input}: label {cells[l_idx]!r} is not an int64 integer"
+                f"bad row {r} in {cfg.input}: label {cells[l_idx]!r} is not an int64 integer "
+                "that float64 holds exactly"
             )
         scores.append(score)
         labels.append(int(label))
     return np.asarray(scores), np.asarray(labels)
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
+def _cmd_eval(cfg: RunConfig, _: None) -> dict:
     scores, labels = _read_eval_columns(cfg)
-    out = _echo_config(cfg)
-    out["data.rows"] = scores.size
-    out["metrics.auc_roc"] = auc_roc(scores, labels)
-    out["metrics.auc_pr"] = auc_pr(scores, labels)
-    _emit_report(cfg, out)
-    return EXIT_OK
+    return {
+        "data.rows": scores.size,
+        "metrics.auc_roc": auc_roc(scores, labels),
+        "metrics.auc_pr": auc_pr(scores, labels),
+    }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file; flags override it")
     p.add_argument("--input", help="input CSV path")
     p.add_argument("--label-column", dest="label_column", help="label column name or 0-based index")
     p.add_argument("--has-header", dest="has_header", action=argparse.BooleanOptionalAction)
+    p.add_argument("--out-report", dest="out_report")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_io(p)
     p.add_argument("--standardize", action=argparse.BooleanOptionalAction)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--out-report", dest="out_report")
 
 
 def _add_train_common(p: argparse.ArgumentParser) -> None:
@@ -467,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-matrix", dest="out_matrix")
 
     p = sub.add_parser("eval", help="compute ranking metrics from a scores+labels CSV")
-    _add_common(p)
+    _add_io(p)
     p.add_argument("--score-column", dest="score_column")
 
     sub.add_parser("selftest", help="run the built-in invariant checks")
@@ -483,16 +434,21 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.task == "selftest":
         return EXIT_OK if checks.run_selftest() else EXIT_NUMERIC
-    cli_values = {
-        k: v for k, v in vars(args).items() if k in _FIELD_TYPES and k != "task"
-    }
-    file_values = _parse_config_file(args.config) if args.config else {}
-    cfg = _resolve(args.task, file_values, cli_values)
-    _validate(cfg)
-    return _COMMANDS[cfg.task](cfg)
+    options = _task_options(parser, args.task)
+    file_values = _parse_config_file(args.config, options) if args.config else {}
+    cfg = _resolve(args.task, file_values, {key: getattr(args, key) for key in options})
+    out = _COMMANDS[cfg.task](cfg, _validate(cfg, options))
+    out.update({f"config.{key}": getattr(cfg, key) for key in ("task", *options)})
+    out["version"] = __version__
+    text = format_report(out)
+    if cfg.out_report:
+        write_text_atomic(cfg.out_report, text)
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

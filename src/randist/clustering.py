@@ -158,6 +158,8 @@ def run_clustering(
         raise ValueError("clustering evaluation needs ground-truth labels")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if kmeans_max_iters < 1:
+        raise ValueError(f"kmeans_max_iters must be >= 1, got {kmeans_max_iters}")
     if config is None:
         config = TrainConfig.clustering_defaults()
     if config.task != "clustering":

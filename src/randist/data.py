@@ -80,9 +80,16 @@ def _parse_cell(cell: str, row: int, col_name: str) -> float:
     return value
 
 
-def _is_label(value: float) -> bool:
-    # a finite float that converts to int64 without truncation or overflow
-    return value.is_integer() and -(2.0**63) <= value < 2.0**63
+def _is_label(value: float, cell: str) -> bool:
+    # a finite float that converts to int64 without truncation or overflow and,
+    # from 2**53 on where float64 skips integers, equals the digits of its cell
+    if not (value.is_integer() and -(2.0**63) <= value < 2.0**63):
+        return False
+    if abs(value) < 2.0**53:
+        return True
+    from decimal import Decimal  # imported on this rare path only, to keep it off startup
+
+    return Decimal(cell.strip()) == Decimal(float(value))
 
 
 def _raise_row_error(cells: list, row: int, header: Optional[list], label_idx: Optional[int]):
@@ -90,9 +97,11 @@ def _raise_row_error(cells: list, row: int, header: Optional[list], label_idx: O
     for c, cell in enumerate(cells):
         col_name = repr(header[c]) if header is not None and c < len(header) else str(c)
         value = _parse_cell(cell.strip(), row, col_name)
-        if c == label_idx and not _is_label(value):
+        if c == label_idx and not _is_label(value, cell):
             if value != int(value):
                 raise DataError(f"label cell {cell!r} at row {row} is not an integer")
+            if -(2.0**63) <= value < 2.0**63:
+                raise DataError(f"label cell {cell!r} at row {row} has no exact float64 value")
             raise DataError(f"label cell {cell!r} at row {row} is outside the int64 range")
 
 
@@ -153,7 +162,7 @@ def _read_table(reader, path, label_column, has_header: bool) -> Dataset:
         except ValueError:
             values = None
         if values is None or not np.isfinite(values).all() or (
-            label_idx is not None and not _is_label(values[label_idx])
+            label_idx is not None and not _is_label(values[label_idx], cells[label_idx])
         ):
             _raise_row_error(cells, line, header, label_idx)
         rows.append(values)

@@ -212,16 +212,20 @@ class TestRunAnomaly:
     def test_identity_source_forces_k_to_d(self, toy):
         # raw-dot targets are large, so this source wants the wide batches
         data, _ = toy
-        cfg = BoostConfig(train=_small_cfg(epochs=5, batch_size=96), members=1, filter_rounds=0)
-        result = run_anomaly(data, cfg, source="identity")
+        cfg = BoostConfig(
+            train=_small_cfg(epochs=5, batch_size=96), members=1, filter_rounds=0, source="identity"
+        )
+        result = run_anomaly(data, cfg)
         member = result.ensemble.members[0]
         assert member.mapping.kind == "identity"
         assert member.model.m == data.d == member.mapping.out_dim
 
     def test_srp_source(self, toy):
         data, _ = toy
-        cfg = BoostConfig(train=_small_cfg(epochs=5, batch_size=96), members=1, filter_rounds=0)
-        result = run_anomaly(data, cfg, source="srp")
+        cfg = BoostConfig(
+            train=_small_cfg(epochs=5, batch_size=96), members=1, filter_rounds=0, source="srp"
+        )
+        result = run_anomaly(data, cfg)
         assert result.ensemble.members[0].mapping.kind == "sparse_rp"
         assert result.auc_roc is not None
 

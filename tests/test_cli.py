@@ -1,8 +1,16 @@
+import inspect
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from randist import cli
+from randist.anomaly import BoostConfig, run_anomaly
 from randist.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from randist.clustering import run_clustering
 from randist.data import load_csv, standardize, synth_anomaly, synth_blobs, write_csv
+from randist.encoder import TrainConfig
 from randist.metrics import auc_pr, auc_roc
 from randist.persist import load_ensemble, load_model
 from randist.report import parse_report, strip_volatile
@@ -173,6 +181,24 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "no_such_key" in err
 
+    def test_none_in_config_file_leaves_the_default(self, capsys, tmp_path, anomaly_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("learning_rate = none\nworkers = none\nablation = none\n")
+        code, report, _ = _run(
+            capsys, ["anomaly", "--config", str(cfg), "--input", anomaly_csv, *ANOMALY_ARGS]
+        )
+        assert code == EXIT_OK
+        assert report["config.learning_rate"] == "0.1"
+        assert report["config.workers"] == "1" and report["config.ablation"] == "none"
+
+    @pytest.mark.parametrize("line", ["task = cluster", "restarts = 3", "score_column = s"])
+    def test_config_key_of_another_subcommand_is_unknown(self, capsys, tmp_path, anomaly_csv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = _run(capsys, ["anomaly", "--config", str(cfg), "--input", anomaly_csv])
+        assert code == EXIT_CONFIG
+        assert f"line 1: unknown config key {line.split()[0]!r}" in err
+
     def test_all_validation_problems_reported_at_once(self, capsys, anomaly_csv):
         code, _, err = _run(
             capsys,
@@ -181,6 +207,21 @@ class TestConfigHandling:
         )
         assert code == EXIT_CONFIG
         assert "epochs" in err and "learning_rate" in err and "members" in err
+
+    @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--leaky-slope", "2"), ("--members", "0")])
+    def test_library_problem_found_before_input_is_read(self, capsys, tmp_path, flag, value):
+        code, _, err = _run(
+            capsys, ["anomaly", "--input", str(tmp_path / "missing.csv"), flag, value]
+        )
+        assert code == EXIT_CONFIG
+        assert f"{flag[2:].replace('-', '_')} must be" in err
+
+    @pytest.mark.parametrize("flag", ["--standardize", "--seed=1", "--workers=2"])
+    def test_eval_takes_no_training_options(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--input", "scores.csv", flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_input(self, capsys):
         code, _, err = _run(capsys, ["anomaly"])
@@ -243,6 +284,15 @@ class TestConfigHandling:
         assert code == EXIT_IO
         assert "bad row 4" in err and "'0.5' is not an int64 integer" in err
 
+    def test_eval_rejects_label_float64_cannot_hold(self, capsys, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n0.1,0\n0.9,9007199254740993\n")
+        code, _, err = _run(
+            capsys, ["eval", "--input", str(p), "--score-column", "score", "--label-column", "label"]
+        )
+        assert code == EXIT_IO
+        assert "bad row 3" in err and "'9007199254740993' is not an int64 integer" in err
+
     def test_eval_rejects_non_finite_score(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("score,label\n0.1,0\nnan,1\n0.4,0\n")
@@ -259,6 +309,61 @@ class TestConfigHandling:
         )
         assert code == EXIT_CONFIG
         assert "m == k" in err
+
+
+def _library_defaults(task: str) -> dict:
+    """The defaults the library owns for a task's options: its config
+    dataclasses' fields and its pipeline function's keyword defaults."""
+    if task == "anomaly":
+        boost = BoostConfig(train=TrainConfig.anomaly_defaults())
+        owners, pipeline = [asdict(boost.train), asdict(boost)], run_anomaly
+    else:
+        owners, pipeline = [asdict(TrainConfig.clustering_defaults())], run_clustering
+    defaults = {
+        name: p.default
+        for name, p in inspect.signature(pipeline).parameters.items()
+        if p.default is not inspect.Parameter.empty
+    }
+    for owner in owners:
+        defaults.update(owner)
+    return defaults
+
+
+class TestShippedConfigs:
+    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+    def _resolve(self, task, config_file=True):
+        options = cli._task_options(cli.build_parser(), task)
+        values = cli._parse_config_file(self.CONFIGS / f"{task}.cfg", options) if config_file else {}
+        cfg = cli._resolve(task, values, {"input": "data.csv"})
+        cli._validate(cfg, options)
+        return values, cfg, options
+
+    def test_every_config_is_covered(self):
+        assert sorted(p.stem for p in self.CONFIGS.glob("*.cfg")) == [
+            "anomaly", "cluster", "eval", "project"
+        ]
+
+    @pytest.mark.parametrize("task", ["anomaly", "cluster", "eval", "project"])
+    def test_config_resolves(self, task):
+        values, cfg, _ = self._resolve(task)
+        assert all(getattr(cfg, key) == value for key, value in values.items() if value is not None)
+
+    @pytest.mark.parametrize("task", ["anomaly", "cluster"])
+    def test_config_restates_library_defaults(self, task):
+        # `ablation = none` reads as unset, so its resolved value is compared
+        values, cfg, _ = self._resolve(task)
+        defaults = _library_defaults(task)
+        owned = sorted(set(values) & set(defaults))
+        assert {"m", "epochs", "learning_rate", "seed", "source", "ablation"} <= set(owned)
+        assert {key: getattr(cfg, key) for key in owned} == {key: defaults[key] for key in owned}
+
+    @pytest.mark.parametrize("task", ["anomaly", "cluster"])
+    def test_unset_options_take_library_defaults(self, task):
+        _, cfg, options = self._resolve(task, config_file=False)
+        defaults = _library_defaults(task)
+        owned = sorted(set(options) & set(defaults))
+        assert {key: getattr(cfg, key) for key in owned} == {key: defaults[key] for key in owned}
 
 
 class TestSelftest:

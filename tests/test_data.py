@@ -102,6 +102,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=rf"^label cell '{cell}' at row 3 is outside the int64 range$"):
             load_csv(p, label_column="y")
 
+    @pytest.mark.parametrize("cell", ["9007199254740993", "-9007199254740993", "100000000000000000.5"])
+    def test_label_float64_cannot_hold(self, tmp_path, cell):
+        # from 2**53 on float64 skips integers: 2**53 + 1 would read as 2**53
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,y\n1,0\n2,{cell}\n")
+        with pytest.raises(DataError, match=rf"^label cell '{cell}' at row 3 has no exact float64 value$"):
+            load_csv(p, label_column="y")
+
+    def test_large_exact_labels_accepted(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\n1,9007199254740992\n2, 1e18 \n3,-9007199254740994\n")
+        np.testing.assert_array_equal(
+            load_csv(p, label_column="y").labels, [2**53, 10**18, -(2**53) - 2]
+        )
+
     def test_int64_min_label_accepted(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,y\n1,-9223372036854775808\n")
