@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset, standardize as standardize_dataset
 from .encoder import LOSS_ABLATIONS, EncoderModel, LossTrace, TrainConfig, ablate, train
 from .losses import novelty_loss, novelty_rows
-from .mappings import RandomMap, identity_map, rff, sparse_rp
+from .mappings import MAX_BANDWIDTH_POINTS, RandomMap, identity_map, median_bandwidth, rff, sparse_rp
 from .metrics import auc_pr, auc_roc
 from .rng import child_seed
 
@@ -153,7 +153,14 @@ def boost_train_member(
 
 
 def fit_ensemble(X: np.ndarray, config: BoostConfig, workers: int = 1) -> Ensemble:
-    """Boost-train `members` independently seeded members."""
+    """Boost-train `members` independently seeded members.
+
+    Up to MAX_BANDWIDTH_POINTS rows the median heuristic takes no subsample,
+    so every rff member would compute the same bandwidth: it is computed once.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if config.source == "rff" and config.bandwidth is None and X.shape[0] <= MAX_BANDWIDTH_POINTS:
+        config = replace(config, bandwidth=median_bandwidth(X))
     seeds = [child_seed(config.train.seed, i) for i in range(config.members)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,5 +1,8 @@
 """Clustering on learned embeddings: Lloyd's K-means with k-means++ seeding
 and restart averaging of NMI / pairwise-F against ground-truth classes.
+
+When the embedding has no more rows than columns, the restarts share its
+Gram and run the same Lloyd steps in kernel form, on row weights.
 """
 from __future__ import annotations
 
@@ -42,30 +45,59 @@ def _sq_dists(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _plusplus_init(X: np.ndarray, x2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+class _Rows(NamedTuple):
+    """A K-means input shared by restarts: the rows, their squared norms and,
+    optionally, their Gram K = X X^T. With K, centroids are held as k x n row
+    weights A (centroids A X), and distances need only K (kernel k-means)."""
+
+    X: np.ndarray
+    x2: np.ndarray
+    K: Optional[np.ndarray] = None
+
+
+def _row_dists(rows: _Rows, idx) -> np.ndarray:
+    """Squared distances of every row to the rows idx."""
+    X, x2, K = rows
+    if K is None:
+        return _sq_dists(X, x2, X[idx])
+    return np.maximum(x2[:, None] + x2[idx][None, :] - 2.0 * K[:, idx], 0.0)
+
+
+def _centroid_dists(rows: _Rows, C: np.ndarray) -> np.ndarray:
+    """Squared distances of every row to the centroids C (row weights with K)."""
+    X, x2, K = rows
+    if K is None:
+        return _sq_dists(X, x2, C)
+    P = C @ K  # P[j, i] = c_j . x_i
+    return np.maximum(x2[:, None] + np.sum(C * P, axis=1)[None, :] - 2.0 * P.T, 0.0)
+
+
+def _at_rows(rows: _Rows, idx) -> np.ndarray:
+    """Centroids placed on the rows idx: their coordinates, or one-hot weights with K."""
+    if rows.K is None:
+        return rows.X[idx]
+    return (np.asarray(idx)[..., None] == np.arange(rows.X.shape[0])).astype(np.float64)
+
+
+def _plusplus_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
     # greedy k-means++: draw a few D^2-weighted candidates per step and
-    # keep the one that shrinks the potential most
-    n = X.shape[0]
+    # keep the one that shrinks the potential most; returns the picked rows
+    n = rows.X.shape[0]
     trials = 2 + int(math.log(k)) if k > 1 else 1
-    centroids = np.empty((k, X.shape[1]))
-    centroids[0] = X[rng.integers(0, n)]
-    closest = _sq_dists(X, x2, centroids[:1]).ravel()
+    picks = np.empty(k, dtype=np.int64)
+    picks[0] = rng.integers(0, n)
+    closest = _row_dists(rows, picks[:1]).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:  # all remaining points coincide with a centroid
             candidates = rng.integers(0, n, size=trials)
         else:
             candidates = rng.choice(n, size=trials, p=closest / total)
-        cand_closest = np.minimum(closest[:, None], _sq_dists(X, x2, X[candidates]))
+        cand_closest = np.minimum(closest[:, None], _row_dists(rows, candidates))
         best = int(np.argmin(cand_closest.sum(axis=0)))  # the first lowest total wins
-        centroids[c] = X[candidates[best]]
+        picks[c] = candidates[best]
         closest = cand_closest[:, best]
-    return centroids
-
-
-class _Rows(NamedTuple):  # a K-means input and its squared row norms, shared by restarts
-    X: np.ndarray
-    x2: np.ndarray
+    return picks
 
 
 def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeansResult:
@@ -74,29 +106,30 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeans
     Empty clusters are reseeded to the point currently farthest from its
     centroid, so every cluster id stays populated.
     """
-    if not isinstance(X, _Rows):
+    if isinstance(X, _Rows):
+        rows = X
+    else:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
-        X = _Rows(X, np.sum(X * X, axis=1))
-    X, x2 = X
-    n = X.shape[0]
+        rows = _Rows(X, np.sum(X * X, axis=1))
+    n = rows.X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     rng = stream(seed)
-    centroids = _plusplus_init(X, x2, k, rng)
+    centroids = _at_rows(rows, _plusplus_init(rows, k, rng))
     assignments = np.full(n, -1, dtype=np.int64)
     point_d2 = np.zeros(n)
     iterations = 0
     for _ in range(max_iters):
-        d2 = _sq_dists(X, x2, centroids)
+        d2 = _centroid_dists(rows, centroids)
         new_assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(n), new_assign]
         for empty in np.setdiff1d(np.arange(k), new_assign):
             farthest = int(np.argmax(point_d2))
-            centroids[empty] = X[farthest]
+            centroids[empty] = _at_rows(rows, farthest)
             new_assign[farthest] = empty
             point_d2[farthest] = 0.0
         if np.array_equal(new_assign, assignments):
@@ -104,12 +137,15 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeans
         assignments = new_assign
         iterations += 1
         onehot = np.arange(k)[:, None] == assignments
-        centroids = (onehot @ X) / onehot.sum(axis=1)[:, None]
+        members = onehot if rows.K is not None else onehot @ rows.X
+        centroids = members / onehot.sum(axis=1)[:, None]
     else:
         # out of iterations: make the reported state self-consistent
-        d2 = _sq_dists(X, x2, centroids)
+        d2 = _centroid_dists(rows, centroids)
         assignments = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(n), assignments]
+    if rows.K is not None:
+        centroids = centroids @ rows.X
     inertia = float(point_d2.sum())
     return KMeansResult(
         assignments=assignments, centroids=centroids, inertia=inertia, iterations_run=iterations
@@ -185,7 +221,9 @@ def run_clustering(
 
     k = int(np.unique(data.labels).size)
     seeds = [child_seed(cfg.seed, 20_000 + r) for r in range(restarts)]
-    rows = _Rows(H, np.sum(H * H, axis=1))
+    # with n <= m the n x n Gram is no larger than H (8n^2 bytes), and each
+    # restart's Lloyd step reads it once instead of reading H twice
+    rows = _Rows(H, np.sum(H * H, axis=1), H @ H.T if H.shape[0] <= H.shape[1] else None)
 
     def one_restart(seed: int) -> KMeansResult:
         return kmeans(rows, k, max_iters=kmeans_max_iters, seed=seed)

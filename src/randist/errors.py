@@ -14,4 +14,4 @@ class NumericError(RuntimeError):
 
 
 class ModelFileError(RuntimeError):
-    """Model file cannot be loaded: bad magic, version, truncation or checksum."""
+    """Model file cannot be loaded: bad magic, version, truncation, checksum or header."""

@@ -79,19 +79,33 @@ def sparse_rp(d: int, k: int, density: Optional[float] = None, seed: int = 0) ->
     )
 
 
-def median_bandwidth(X: np.ndarray, max_points: int = 1000, seed: int = 0) -> float:
+MAX_BANDWIDTH_POINTS = 1000  # median_bandwidth subsamples larger inputs
+
+
+def median_bandwidth(X: np.ndarray, max_points: int = MAX_BANDWIDTH_POINTS, seed: int = 0) -> float:
     """Median of pairwise distances over a uniform subsample of <= max_points rows."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     if n > max_points:
         idx = stream(seed).choice(n, size=max_points, replace=False)
         X = X[idx]
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    iu = np.triu_indices(X.shape[0], k=1)
-    if iu[0].size == 0:
+        n = max_points
+    if n < 2:
         return 1.0
-    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    sq = np.sum(X * X, axis=1)
+    G = X @ X.T
+    G *= 2.0
+    d2 = sq[:, None] + sq[None, :]
+    d2 -= G
+    d2 = d2[np.arange(n)[:, None] < np.arange(n)]  # the pairs i < j
+    # np.median's middle one or two, selected on the squared distances: sqrt
+    # is monotone, so only they need it. A nan sorts last and makes np.median nan.
+    half = d2.size // 2
+    d2.partition(half)
+    if np.isnan(d2[half:].max()):
+        return 1.0
+    mid = d2[half:half + 1] if d2.size % 2 else np.array([d2[:half].max(), d2[half]])
+    med = float(np.mean(np.sqrt(np.maximum(mid, 0.0))))
     return med if med > 0.0 else 1.0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from ._version import __version__
 from .encoder import EncoderModel
 from .errors import ModelFileError
-from .mappings import RandomMap
+from .mappings import IDENTITY, KINDS, RFF, RandomMap
 
 MAGIC = b"RDST"
 FORMAT_VERSION = 1
@@ -92,15 +93,36 @@ def _read_container(path) -> tuple[dict, bytes]:
         header = json.loads(blob[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ModelFileError(f"{path} has a malformed header: {err}") from err
+    if not isinstance(header, dict):
+        raise ModelFileError(f"{path} has a malformed header: not a JSON object")
     return header, blob[start + header_len : -32]
+
+
+def _field(record, key: str, path, types):
+    """record[key], which must be a JSON value of one of `types` (never a bool)."""
+    if not isinstance(record, dict) or key not in record:
+        raise ModelFileError(f"{path} has a malformed header: no {key!r} field")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ModelFileError(f"{path} has a malformed header: field {key!r} is {value!r}")
+    return value
 
 
 def _take_arrays(payload: bytes, specs: list, path) -> tuple[dict, bytes]:
     out = {}
     offset = 0
-    for name, shape in specs:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+    for spec in specs:
+        if not (isinstance(spec, list) and len(spec) == 2 and isinstance(spec[0], str)):
+            raise ModelFileError(f"{path} has a malformed header: array entry {spec!r}")
+        name, shape = spec
+        if name in out:
+            raise ModelFileError(f"{path} has a malformed header: array {name!r} appears twice")
+        if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+            raise ModelFileError(
+                f"{path} has a malformed header: array {name!r} has shape {shape!r}, "
+                "expected a list of non-negative ints"
+            )
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(payload):
             raise ModelFileError(f"{path} is truncated (array {name!r} incomplete)")
         a = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
@@ -109,20 +131,58 @@ def _take_arrays(payload: bytes, specs: list, path) -> tuple[dict, bytes]:
     return out, payload[offset:]
 
 
+def _check_shapes(arrays: dict, kind: str, in_dim: int, out_dim: int, path) -> None:
+    """The arrays a model of this map kind needs, in shapes that agree with each other."""
+    needed = {"w", "b"}
+    if kind != IDENTITY:
+        needed.add("map_weights")
+    if kind == RFF:
+        needed.add("map_offsets")
+    if "decoder_w" in arrays or "decoder_b" in arrays:
+        needed |= {"decoder_w", "decoder_b"}
+    missing = sorted(needed - arrays.keys())
+    if missing:
+        raise ModelFileError(f"{path} has no array {missing[0]!r}")
+    w = arrays["w"]
+    if w.ndim != 2 or w.shape[1] != in_dim:
+        raise ModelFileError(f"{path} has array 'w' of shape {list(w.shape)}, expected [m, {in_dim}]")
+    m = w.shape[0]
+    expected = {
+        "w": (m, in_dim),
+        "b": (m,),
+        "decoder_w": (in_dim, m),
+        "decoder_b": (in_dim,),
+        "map_weights": (out_dim, in_dim),
+        "map_offsets": (out_dim,),
+    }
+    for name, a in arrays.items():
+        if name not in expected:
+            raise ModelFileError(f"{path} has an unknown array {name!r}")
+        if a.shape != expected[name]:
+            raise ModelFileError(
+                f"{path} has array {name!r} of shape {list(a.shape)}, expected {list(expected[name])}"
+            )
+
+
 def _model_from_record(header: dict, arrays: dict, path) -> EncoderModel:
-    slope = float(header["leaky_slope"])
+    slope = float(_field(header, "leaky_slope", path, (int, float)))
     if not 0.0 <= slope <= 1.0:  # also rejects nan
         raise ModelFileError(f"{path} has leaky_slope {slope}, outside [0, 1]")
-    mh = header["map"]
+    mh = _field(header, "map", path, dict)
+    kind = _field(mh, "kind", path, str)
+    if kind not in KINDS:
+        raise ModelFileError(f"{path} has map kind {kind!r}, expected one of {KINDS}")
+    in_dim, out_dim, seed = (_field(mh, key, path, int) for key in ("in_dim", "out_dim", "seed"))
+    _check_shapes(arrays, kind, in_dim, out_dim, path)
     mapping = RandomMap(
-        kind=mh["kind"],
-        in_dim=int(mh["in_dim"]),
-        out_dim=int(mh["out_dim"]),
-        seed=int(mh["seed"]),
+        kind=kind,
+        in_dim=in_dim,
+        out_dim=out_dim,
+        seed=seed,
         weights=arrays.get("map_weights"),
         offsets=arrays.get("map_offsets"),
-        bandwidth=mh["bandwidth"],
-        density=mh["density"],
+        bandwidth=_field(mh, "bandwidth", path, (int, float, type(None))),
+        density=_field(mh, "density", path, (int, float, type(None))),
     )
     return EncoderModel(
         w=arrays["w"],
@@ -144,10 +204,11 @@ def load_model(path) -> EncoderModel:
     header, payload = _read_container(path)
     if header.get("format") != "randist-model":
         raise ModelFileError(f"{path} holds {header.get('format')!r}, expected a single model")
-    arrays, rest = _take_arrays(payload, header["model"]["arrays"], path)
+    record = _field(header, "model", path, dict)
+    arrays, rest = _take_arrays(payload, _field(record, "arrays", path, list), path)
     if rest:
         raise ModelFileError(f"{path} has {len(rest)} unexpected trailing payload bytes")
-    return _model_from_record(header["model"], arrays, path)
+    return _model_from_record(record, arrays, path)
 
 
 def save_ensemble(path, models: list) -> None:
@@ -166,8 +227,8 @@ def load_ensemble(path) -> list:
     if header.get("format") != "randist-ensemble":
         raise ModelFileError(f"{path} holds {header.get('format')!r}, expected an ensemble")
     models = []
-    for record in header["models"]:
-        arrays, payload = _take_arrays(payload, record["arrays"], path)
+    for record in _field(header, "models", path, list):
+        arrays, payload = _take_arrays(payload, _field(record, "arrays", path, list), path)
         models.append(_model_from_record(record, arrays, path))
     if payload:
         raise ModelFileError(f"{path} has {len(payload)} unexpected trailing payload bytes")

@@ -193,6 +193,23 @@ def kmeans_loop(X, k: int, max_iters: int = 300, seed: int = 0):
     return assignments, float(point_d2.sum())
 
 
+def median_bandwidth_reference(X, max_points: int = 1000, seed: int = 0) -> float:
+    """The package's median heuristic before it selected the middle pairs with
+    a partition: every pair's distance through triu_indices, then np.median."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n = X.shape[0]
+    if n > max_points:
+        idx = np.random.default_rng(seed).choice(n, size=max_points, replace=False)
+        X = X[idx]
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    iu = np.triu_indices(X.shape[0], k=1)
+    if iu[0].size == 0:
+        return 1.0
+    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    return med if med > 0.0 else 1.0
+
+
 def _loop_embed(model, x):
     z = model.w @ x + model.b
     return np.where(z > 0, z, model.leaky_slope * z), np.where(z > 0, 1.0, model.leaky_slope)

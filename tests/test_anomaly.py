@@ -17,9 +17,10 @@ from randist.anomaly import (
 from randist.data import standardize, synth_anomaly
 from randist.encoder import EncoderModel, TrainConfig, train
 from randist.losses import novelty_loss
-from randist.mappings import gaussian_rp, identity_map, rff, sparse_rp
+from randist import mappings
+from randist.mappings import MAX_BANDWIDTH_POINTS, gaussian_rp, identity_map, rff, sparse_rp
 from randist.metrics import auc_pr, auc_roc
-from randist.rng import child_seed
+from randist.rng import child_seed, stream
 
 
 def _small_cfg(n_rows=None, **overrides):
@@ -192,6 +193,40 @@ class TestEnsemble:
         seq = fit_ensemble(X, cfg, workers=1)
         par = fit_ensemble(X, cfg, workers=3)
         np.testing.assert_array_equal(ensemble_score(seq, X), ensemble_score(par, X))
+
+    @staticmethod
+    def _count_bandwidths(monkeypatch) -> list:
+        calls = []
+        real = mappings.median_bandwidth
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mappings, "median_bandwidth", counted)  # what rff calls
+        monkeypatch.setattr("randist.anomaly.median_bandwidth", counted)
+        return calls
+
+    def test_bandwidth_computed_once_up_to_max_points(self, toy, monkeypatch):
+        # with no subsample every member's median is the same: the ensemble
+        # computes it once, and each member equals the member trained alone
+        _, X = toy
+        cfg = BoostConfig(train=_small_cfg(epochs=2), members=3, filter_rounds=0)
+        calls = self._count_bandwidths(monkeypatch)
+        ens = fit_ensemble(X, cfg)
+        assert len(calls) == 1
+        for member in ens.members:
+            alone = boost_train_member(X, cfg, member.seed)
+            assert member.mapping.bandwidth == alone.mapping.bandwidth
+            np.testing.assert_array_equal(score_rows(member.model, X), score_rows(alone.model, X))
+
+    def test_each_member_subsamples_above_max_points(self, monkeypatch):
+        X = stream(4).standard_normal((MAX_BANDWIDTH_POINTS + 1, 3))
+        cfg = BoostConfig(train=_small_cfg(epochs=1), members=2, filter_rounds=0)
+        calls = self._count_bandwidths(monkeypatch)
+        ens = fit_ensemble(X, cfg)
+        assert len(calls) == 2
+        assert ens.members[0].mapping.bandwidth != ens.members[1].mapping.bandwidth
 
 
 class TestRunAnomaly:

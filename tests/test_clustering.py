@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from randist.clustering import KMeansResult, embed, kmeans, run_clustering
+from randist.clustering import KMeansResult, _Rows, embed, kmeans, run_clustering
 from randist.data import Dataset, synth_blobs
 from randist.encoder import EncoderModel, TrainConfig
 from randist.mappings import identity_map
 from randist.metrics import nmi, pairwise_f
-from randist.rng import stream
+from randist.rng import child_seed, stream
 
 from oracles import kmeans_loop
 
@@ -107,6 +107,44 @@ class TestKmeans:
             np.testing.assert_array_equal(result.assignments, assignments)
             assert result.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12)
 
+    def test_gram_path_matches_loop_reference(self):
+        # untied random and blob data with n <= d, where the pipeline shares
+        # the Gram; some runs stop at max_iters
+        for case in range(40):
+            rng = stream(500 + case)
+            k = int(rng.integers(1, 9))
+            d = int(rng.integers(20, 150))
+            n = int(rng.integers(k, d + 1))
+            if case % 2 == 0:
+                X = rng.standard_normal((n, d))
+            else:
+                X = synth_blobs(k, max(1, n // k), d, seed=case).features
+            iters = int(rng.integers(1, 6)) if case % 4 == 0 else 300
+            result = kmeans(_gram_rows(X), k, max_iters=iters, seed=case)
+            assignments, inertia = kmeans_loop(X, k, max_iters=iters, seed=case)
+            np.testing.assert_array_equal(result.assignments, assignments)
+            assert result.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12)
+            assert result.centroids.shape == (k, X.shape[1])
+
+    def test_gram_path_invariants_on_tied_data(self):
+        # rounded rows tie often, so assignments may differ from the Lloyd
+        # path's; the result must still be a consistent K-means state
+        for case in range(20):
+            rng = stream(600 + case)
+            k = int(rng.integers(2, 8))
+            d = int(rng.integers(10, 60))
+            X = np.round(rng.standard_normal((int(rng.integers(k, d + 1)), d)), 0)
+            rows = _gram_rows(X)
+            inertias = []
+            for iters in (1, 2, 4, 300):
+                result = kmeans(rows, k, max_iters=iters, seed=case)
+                assert set(result.assignments.tolist()) == set(range(k))
+                recomputed = float(np.sum((X - result.centroids[result.assignments]) ** 2))
+                assert result.inertia == pytest.approx(recomputed, rel=1e-9, abs=1e-9)
+                inertias.append(result.inertia)
+            for a, b in zip(inertias, inertias[1:]):
+                assert b <= a + 1e-9
+
     def test_result_fields(self):
         X = synth_blobs(2, 10, 3, seed=5).features
         result = kmeans(X, 2, seed=2)
@@ -114,6 +152,11 @@ class TestKmeans:
         assert result.centroids.shape == (2, 3)
         assert result.iterations_run >= 1
         assert np.all(result.assignments >= 0) and np.all(result.assignments < 2)
+
+
+def _gram_rows(X: np.ndarray) -> _Rows:
+    """A K-means input carrying its Gram, as run_clustering builds it for n <= m."""
+    return _Rows(X, np.sum(X * X, axis=1), X @ X.T)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +218,22 @@ class TestRunClustering:
         a = run_clustering(blob_data, self._cfg(), restarts=4, workers=1)
         b = run_clustering(blob_data, self._cfg(), restarts=4, workers=4)
         np.testing.assert_array_equal(a.nmi_values, b.nmi_values)
+
+    def test_shared_gram_matches_lloyd_restarts(self, blob_data):
+        # 180 rows at m = 192: the restarts share the Gram of the embedding,
+        # yet give the NMI of plain K-means on the same embedding and seeds
+        cfg = self._cfg(m=192, epochs=20)
+        result = run_clustering(blob_data, cfg, restarts=4)
+        assert result.embeddings.shape[0] <= result.embeddings.shape[1]
+        lloyd = [
+            kmeans(result.embeddings, 3, seed=child_seed(cfg.seed, 20_000 + r)).assignments
+            for r in range(4)
+        ]
+        np.testing.assert_array_equal(result.nmi_values, [nmi(blob_data.labels, a) for a in lloyd])
+        np.testing.assert_array_equal(result.assignments, lloyd[0])
+        threaded = run_clustering(blob_data, cfg, restarts=4, workers=4)
+        np.testing.assert_array_equal(threaded.nmi_values, result.nmi_values)
+        np.testing.assert_array_equal(threaded.assignments, result.assignments)
 
     def test_normalize_embeddings_flag(self, blob_data):
         result = run_clustering(blob_data, self._cfg(), restarts=2, normalize_embeddings=True)

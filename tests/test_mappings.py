@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from randist.mappings import (
+    MAX_BANDWIDTH_POINTS,
     apply,
     gaussian_rp,
     identity_map,
@@ -16,6 +17,8 @@ from randist.mappings import (
     sparse_rp,
 )
 from randist.rng import stream
+
+from oracles import median_bandwidth_reference
 
 
 class TestGaussianRp:
@@ -292,3 +295,37 @@ class TestMedianBandwidth:
     def test_subsamples_large_inputs(self):
         X = stream(18).standard_normal((3000, 2))
         assert median_bandwidth(X, max_points=100, seed=2) > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_small_inputs_match_reference(self, n):
+        # n(n-1)/2 pairs: 0, 1, 3, 6, 10, 15, 21, so odd and even counts
+        X = stream(20 + n).standard_normal((n, 3))
+        assert median_bandwidth(X) == median_bandwidth_reference(X)
+
+    def test_equal_rows_fall_back(self):
+        X = np.tile(stream(21).standard_normal(5), (40, 1))
+        assert median_bandwidth(X) == median_bandwidth_reference(X) == 1.0
+
+    def test_matches_reference(self):
+        # random, rounded (tied) and duplicated rows, odd and even pair
+        # counts, with and without a subsample
+        for case in range(60):
+            rng = stream(100 + case)
+            n = int(rng.integers(2, 300))
+            X = rng.standard_normal((n, int(rng.integers(1, 20))))
+            if case % 3 == 1:
+                X = np.round(X)
+            elif case % 3 == 2:
+                X = X[rng.integers(0, n, size=n)]
+            max_points = int(rng.integers(2, n + 1)) if case % 4 == 0 else MAX_BANDWIDTH_POINTS
+            got = median_bandwidth(X, max_points=max_points, seed=case)
+            assert got == median_bandwidth_reference(X, max_points=max_points, seed=case)
+
+    def test_matches_reference_above_max_points(self):
+        X = stream(22).standard_normal((MAX_BANDWIDTH_POINTS + 57, 4))
+        assert median_bandwidth(X, seed=3) == median_bandwidth_reference(X, seed=3)
+
+    def test_nan_falls_back_like_reference(self):
+        X = stream(23).standard_normal((30, 2))
+        X[4, 1] = np.nan
+        assert median_bandwidth(X) == median_bandwidth_reference(X) == 1.0

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -134,3 +135,66 @@ def test_wrong_container_kind(tmp_path):
     save_ensemble(bundle, [model])
     with pytest.raises(ModelFileError, match="expected a single model"):
         load_model(bundle)
+
+
+def _rewrite_header(path, edit, drop_payload_bytes=0) -> None:
+    """Apply `edit` to the file's header JSON, drop the payload's last bytes
+    if asked, and checksum the file again."""
+    blob = path.read_bytes()
+    magic, version, header_len = struct.unpack_from("<4sII", blob)
+    header = json.loads(blob[12 : 12 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header).encode("utf-8")
+    body = struct.pack("<4sII", magic, version, len(header_bytes)) + header_bytes
+    body += blob[12 + header_len : len(blob) - 32 - drop_payload_bytes]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _set_shape(name, shape):
+    def edit(header):
+        for spec in header["model"]["arrays"]:
+            if spec[0] == name:
+                spec[1] = shape
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "mapping, edit, match",
+    [
+        (None, lambda h: h["model"].pop("leaky_slope"), "no 'leaky_slope' field"),
+        (None, lambda h: h["model"].update(leaky_slope="x"), "field 'leaky_slope' is 'x'"),
+        (None, lambda h: h["model"]["map"].update(kind="bogus"), "map kind 'bogus'"),
+        (None, lambda h: h["model"]["map"].pop("in_dim"), "no 'in_dim' field"),
+        (None, lambda h: h["model"].pop("arrays"), "no 'arrays' field"),
+        (None, _set_shape("w", [-1, 5]), r"array 'w' has shape \[-1, 5\]"),
+        (None, _set_shape("w", [5, 4]), r"array 'w' of shape \[5, 4\], expected \[m, 5\]"),
+        (None, _set_shape("b", [2, 2]), r"array 'b' of shape \[2, 2\], expected \[4\]"),
+        (None, _set_shape("map_weights", [5, 4]), r"'map_weights' of shape \[5, 4\], expected \[4, 5\]"),
+        ("decoder", _set_shape("decoder_w", [4, 6]), r"'decoder_w' of shape \[4, 6\], expected \[6, 4\]"),
+    ],
+    ids=[
+        "no_slope", "text_slope", "bogus_kind", "no_in_dim", "no_arrays", "negative_shape",
+        "w_shape", "b_shape", "map_weights_shape", "decoder_shape",
+    ],
+)
+def test_malformed_header_is_a_model_file_error(tmp_path, mapping, edit, match):
+    # each file passes its checksum; the header names the wrong thing
+    if mapping == "decoder":
+        model = _model(gaussian_rp(6, 4, seed=2), task="clustering")
+    else:
+        model = _model(gaussian_rp(5, 4, seed=1))
+    path = tmp_path / "m.rdst"
+    save_model(path, model)
+    _rewrite_header(path, edit)
+    with pytest.raises(ModelFileError, match=match) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+
+
+def test_rff_model_without_offsets_rejected(tmp_path):
+    path = tmp_path / "m.rdst"
+    save_model(path, _model(rff(5, 4, bandwidth=1.5, seed=1)))
+    _rewrite_header(path, lambda h: h["model"]["arrays"].remove(["map_offsets", [4]]), 4 * 8)
+    with pytest.raises(ModelFileError, match="no array 'map_offsets'"):
+        load_model(path)
