@@ -19,7 +19,9 @@ import numpy as np
 
 from .data import Dataset, standardize as standardize_dataset
 from .encoder import LOSS_ABLATIONS, EncoderModel, LossTrace, TrainConfig, ablate, train
-from .losses import novelty_loss, novelty_rows
+# a row's anomaly score is its novelty value (higher is more anomalous). The
+# pipeline calls score_rows through this module's global: perfbench wraps it here.
+from .losses import novelty_loss as anomaly_score, novelty_rows as score_rows
 from .mappings import MAX_BANDWIDTH_POINTS, RandomMap, identity_map, median_bandwidth, rff, sparse_rp
 from .metrics import auc_pr, auc_roc
 from .rng import child_seed
@@ -85,20 +87,6 @@ class Ensemble:
     @property
     def seeds(self) -> list:
         return [m.seed for m in self.members]
-
-
-def anomaly_score(model: EncoderModel, x: np.ndarray) -> float:
-    """The novelty value of x; higher means more anomalous."""
-    return novelty_loss(model, x)
-
-
-def score_rows(model: EncoderModel, X: np.ndarray) -> np.ndarray:
-    """Anomaly scores of the rows of X in one batched pass.
-
-    anomaly_score runs the same code on a 1-row matrix, and that code is
-    row-invariant, so each score equals anomaly_score of its row bit-exactly.
-    """
-    return novelty_rows(model, X)
 
 
 def removal_count(fraction: float, n: int) -> int:

@@ -369,7 +369,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _add_io(p)
     p.add_argument("--standardize", action=argparse.BooleanOptionalAction)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
 
 
 def _add_train_common(p: argparse.ArgumentParser) -> None:
@@ -384,6 +383,7 @@ def _add_train_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--leaky-slope", dest="leaky_slope", type=float)
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--density", type=float)
+    p.add_argument("--workers", type=int)
     p.add_argument("--out-model", dest="out_model")
 
 

@@ -1,8 +1,11 @@
 """Clustering on learned embeddings: Lloyd's K-means with k-means++ seeding
 and restart averaging of NMI / pairwise-F against ground-truth classes.
 
-When the embedding has no more rows than columns, the restarts share its
-Gram and run the same Lloyd steps in kernel form, on row weights.
+Centroids are k x n row weights A (centroids A X): one-hot rows from
+seeding and empty-cluster repair, member means after each update. When the
+embedding has no more rows than columns, the restarts share its Gram K and
+read the centroid products from it (kernel k-means); otherwise they are
+formed from the centroids' coordinates.
 """
 from __future__ import annotations
 
@@ -35,48 +38,40 @@ def embed(model: EncoderModel, data) -> np.ndarray:
     return model.forward_batch(X)
 
 
-def _sq_dists(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # x2 is np.sum(X * X, axis=1), computed once per K-means input
-    d2 = (
-        x2[:, None]
-        + np.sum(C * C, axis=1)[None, :]
-        - 2.0 * (X @ C.T)
-    )
-    return np.maximum(d2, 0.0)
-
-
 class _Rows(NamedTuple):
     """A K-means input shared by restarts: the rows, their squared norms and,
-    optionally, their Gram K = X X^T. With K, centroids are held as k x n row
-    weights A (centroids A X), and distances need only K (kernel k-means)."""
+    optionally, their Gram K = X X^T (kernel k-means: products with the
+    centroids are then read from K instead of formed from X)."""
 
     X: np.ndarray
     x2: np.ndarray
     K: Optional[np.ndarray] = None
 
 
+def _dists(x2: np.ndarray, P: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Squared distances from the rows' and centroids' squared norms and the
+    n x k products P[i, j] = x_i . c_j. P is overwritten: scaling it in place
+    saves an n x k temporary per call."""
+    P *= 2.0
+    d2 = x2[:, None] + c2[None, :]
+    d2 -= P
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def _row_dists(rows: _Rows, idx) -> np.ndarray:
     """Squared distances of every row to the rows idx."""
     X, x2, K = rows
-    if K is None:
-        return _sq_dists(X, x2, X[idx])
-    return np.maximum(x2[:, None] + x2[idx][None, :] - 2.0 * K[:, idx], 0.0)
+    return _dists(x2, X @ X[idx].T if K is None else K[:, idx], x2[idx])
 
 
-def _centroid_dists(rows: _Rows, C: np.ndarray) -> np.ndarray:
-    """Squared distances of every row to the centroids C (row weights with K)."""
+def _centroid_dists(rows: _Rows, A: np.ndarray) -> np.ndarray:
+    """Squared distances of every row to the centroids A X (A: k x n row weights)."""
     X, x2, K = rows
     if K is None:
-        return _sq_dists(X, x2, C)
-    P = C @ K  # P[j, i] = c_j . x_i
-    return np.maximum(x2[:, None] + np.sum(C * P, axis=1)[None, :] - 2.0 * P.T, 0.0)
-
-
-def _at_rows(rows: _Rows, idx) -> np.ndarray:
-    """Centroids placed on the rows idx: their coordinates, or one-hot weights with K."""
-    if rows.K is None:
-        return rows.X[idx]
-    return (np.asarray(idx)[..., None] == np.arange(rows.X.shape[0])).astype(np.float64)
+        C = A @ X
+        return _dists(x2, X @ C.T, np.sum(C * C, axis=1))
+    P = A @ K  # P[j, i] = c_j . x_i
+    return _dists(x2, P.T, np.sum(A * P, axis=1))
 
 
 def _plusplus_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,17 +114,18 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeans
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     rng = stream(seed)
-    centroids = _at_rows(rows, _plusplus_init(rows, k, rng))
+    ids = np.arange(n)
+    A = (_plusplus_init(rows, k, rng)[:, None] == ids).astype(np.float64)  # one-hot rows
     assignments = np.full(n, -1, dtype=np.int64)
     point_d2 = np.zeros(n)
     iterations = 0
     for _ in range(max_iters):
-        d2 = _centroid_dists(rows, centroids)
+        d2 = _centroid_dists(rows, A)
         new_assign = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(n), new_assign]
-        for empty in np.setdiff1d(np.arange(k), new_assign):
+        point_d2 = d2[ids, new_assign]
+        for empty in np.flatnonzero(np.bincount(new_assign, minlength=k) == 0):
             farthest = int(np.argmax(point_d2))
-            centroids[empty] = _at_rows(rows, farthest)
+            A[empty] = ids == farthest
             new_assign[farthest] = empty
             point_d2[farthest] = 0.0
         if np.array_equal(new_assign, assignments):
@@ -137,18 +133,15 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeans
         assignments = new_assign
         iterations += 1
         onehot = np.arange(k)[:, None] == assignments
-        members = onehot if rows.K is not None else onehot @ rows.X
-        centroids = members / onehot.sum(axis=1)[:, None]
+        A = onehot / onehot.sum(axis=1)[:, None]
     else:
         # out of iterations: make the reported state self-consistent
-        d2 = _centroid_dists(rows, centroids)
+        d2 = _centroid_dists(rows, A)
         assignments = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(n), assignments]
-    if rows.K is not None:
-        centroids = centroids @ rows.X
+        point_d2 = d2[ids, assignments]
     inertia = float(point_d2.sum())
     return KMeansResult(
-        assignments=assignments, centroids=centroids, inertia=inertia, iterations_run=iterations
+        assignments=assignments, centroids=A @ rows.X, inertia=inertia, iterations_run=iterations
     )
 
 

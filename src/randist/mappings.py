@@ -83,8 +83,11 @@ MAX_BANDWIDTH_POINTS = 1000  # median_bandwidth subsamples larger inputs
 
 
 def median_bandwidth(X: np.ndarray, max_points: int = MAX_BANDWIDTH_POINTS, seed: int = 0) -> float:
-    """Median of pairwise distances over a uniform subsample of <= max_points rows."""
+    """Median of pairwise distances over a uniform subsample of <= max_points rows.
+    Raises ValueError when X holds a nan or an inf, subsampled or not."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if not np.isfinite(X).all():
+        raise ValueError("median_bandwidth needs finite rows, got a nan or an inf")
     n = X.shape[0]
     if n > max_points:
         idx = stream(seed).choice(n, size=max_points, replace=False)
@@ -99,11 +102,9 @@ def median_bandwidth(X: np.ndarray, max_points: int = MAX_BANDWIDTH_POINTS, seed
     d2 -= G
     d2 = d2[np.arange(n)[:, None] < np.arange(n)]  # the pairs i < j
     # np.median's middle one or two, selected on the squared distances: sqrt
-    # is monotone, so only they need it. A nan sorts last and makes np.median nan.
+    # is monotone, so only they need it.
     half = d2.size // 2
     d2.partition(half)
-    if np.isnan(d2[half:].max()):
-        return 1.0
     mid = d2[half:half + 1] if d2.size % 2 else np.array([d2[:half].max(), d2[half]])
     med = float(np.mean(np.sqrt(np.maximum(mid, 0.0))))
     return med if med > 0.0 else 1.0

@@ -216,10 +216,19 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert f"{flag[2:].replace('-', '_')} must be" in err
 
-    @pytest.mark.parametrize("flag", ["--standardize", "--seed=1", "--workers=2"])
-    def test_eval_takes_no_training_options(self, capsys, flag):
+    @pytest.mark.parametrize(
+        "task, flag",
+        [
+            ("eval", "--standardize"),
+            ("eval", "--seed=1"),
+            ("eval", "--workers=2"),
+            ("project", "--workers=2"),
+        ],
+        ids=["--standardize", "--seed=1", "--workers=2", "project---workers=2"],
+    )
+    def test_eval_takes_no_training_options(self, capsys, task, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--input", "scores.csv", flag])
+            main([task, "--input", "scores.csv", flag])
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
 

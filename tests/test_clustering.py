@@ -81,11 +81,13 @@ class TestKmeans:
         np.testing.assert_array_equal(a.assignments, b.assignments)
         assert a.inertia == b.inertia
 
-    def test_empty_cluster_repair_keeps_all_ids(self):
+    @pytest.mark.parametrize("form", ["plain", "gram"])
+    def test_empty_cluster_repair_keeps_all_ids(self, form):
         # heavy duplication provokes empty clusters during Lloyd updates
         X = np.array([[0.0], [0.0], [0.0], [0.0], [0.0], [10.0], [10.0]])
+        rows = X if form == "plain" else _gram_rows(X)
         for seed in range(6):
-            result = kmeans(X, 3, seed=seed)
+            result = kmeans(rows, 3, seed=seed)
             assert set(result.assignments.tolist()) == {0, 1, 2}
 
     def test_matches_loop_reference(self):
@@ -126,15 +128,16 @@ class TestKmeans:
             assert result.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12)
             assert result.centroids.shape == (k, X.shape[1])
 
-    def test_gram_path_invariants_on_tied_data(self):
-        # rounded rows tie often, so assignments may differ from the Lloyd
-        # path's; the result must still be a consistent K-means state
+    @pytest.mark.parametrize("form", ["plain", "gram"])
+    def test_invariants_on_tied_data(self, form):
+        # rounded rows tie often, so the two forms' assignments may differ;
+        # each result must still be a consistent K-means state
         for case in range(20):
             rng = stream(600 + case)
             k = int(rng.integers(2, 8))
             d = int(rng.integers(10, 60))
             X = np.round(rng.standard_normal((int(rng.integers(k, d + 1)), d)), 0)
-            rows = _gram_rows(X)
+            rows = X if form == "plain" else _gram_rows(X)
             inertias = []
             for iters in (1, 2, 4, 300):
                 result = kmeans(rows, k, max_iters=iters, seed=case)

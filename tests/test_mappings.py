@@ -135,6 +135,12 @@ class TestRff:
         assert m.bandwidth == median_bandwidth(X)
         assert m.bandwidth > 0
 
+    def test_median_heuristic_rejects_nan_data(self):
+        X = stream(3).standard_normal((30, 5))
+        X[7, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            rff(5, 16, data=X, seed=2)
+
     def test_needs_bandwidth_or_data(self):
         with pytest.raises(ValueError, match="bandwidth or data"):
             rff(4, 8)
@@ -325,7 +331,11 @@ class TestMedianBandwidth:
         X = stream(22).standard_normal((MAX_BANDWIDTH_POINTS + 57, 4))
         assert median_bandwidth(X, seed=3) == median_bandwidth_reference(X, seed=3)
 
-    def test_nan_falls_back_like_reference(self):
-        X = stream(23).standard_normal((30, 2))
-        X[4, 1] = np.nan
-        assert median_bandwidth(X) == median_bandwidth_reference(X) == 1.0
+    def test_non_finite_input_raises(self):
+        # checked on every row, also those a subsample of 2 would leave out
+        for bad in (np.nan, np.inf):
+            X = stream(23).standard_normal((30, 2))
+            X[4, 1] = bad
+            for max_points in (MAX_BANDWIDTH_POINTS, 2):
+                with pytest.raises(ValueError, match="finite"):
+                    median_bandwidth(X, max_points=max_points)
