@@ -264,7 +264,6 @@ def _cmd_cluster(cfg: RunConfig, train_cfg: TrainConfig) -> dict:
         bandwidth=cfg.bandwidth,
         density=cfg.density,
         map_dim=cfg.k,
-        workers=cfg.workers,
     )
     out = {"data.rows": data.n, "data.columns": data.d}
     out["metrics.nmi_mean"] = result.nmi_mean
@@ -383,7 +382,6 @@ def _add_train_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--leaky-slope", dest="leaky_slope", type=float)
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--density", type=float)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out-model", dest="out_model")
 
 
@@ -398,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", type=int)
     p.add_argument("--filter-fraction", dest="filter_fraction", type=float)
     p.add_argument("--filter-rounds", dest="filter_rounds", type=int)
+    p.add_argument("--workers", type=int)
     p.add_argument("--out-scores", dest="out_scores")
 
     p = sub.add_parser("cluster", help="learn an embedding and K-means it against labels")

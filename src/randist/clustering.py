@@ -5,13 +5,16 @@ Centroids are k x n row weights A (centroids A X): one-hot rows from
 seeding and empty-cluster repair, member means after each update. When the
 embedding has no more rows than columns, the restarts share its Gram K and
 read the centroid products from it (kernel k-means); otherwise they are
-formed from the centroids' coordinates.
+formed from the centroids' coordinates. The restarts run in lockstep: each
+Lloyd round forms the centroid products of every restart still running
+from one product over their stacked row weights, so the rows or their
+Gram are read once per round. Each restart keeps its own random stream,
+seeding, repair and convergence test; `kmeans` is the one-restart call.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -64,14 +67,22 @@ def _row_dists(rows: _Rows, idx) -> np.ndarray:
     return _dists(x2, X @ X[idx].T if K is None else K[:, idx], x2[idx])
 
 
-def _centroid_dists(rows: _Rows, A: np.ndarray) -> np.ndarray:
-    """Squared distances of every row to the centroids A X (A: k x n row weights)."""
+def _centroid_dists(rows: _Rows, As: list):
+    """Squared distances of every row to each restart's centroids A X (A: k x n
+    row weights), one n x k matrix per restart in turn. The centroid products
+    of all restarts come from one product over their stacked row weights, so
+    the rows (or their Gram) are read once per round, not once per restart."""
     X, x2, K = rows
+    k = As[0].shape[0]
+    A = np.vstack(As)
     if K is None:
         C = A @ X
-        return _dists(x2, X @ C.T, np.sum(C * C, axis=1))
-    P = A @ K  # P[j, i] = c_j . x_i
-    return _dists(x2, P.T, np.sum(A * P, axis=1))
+        P, c2 = (X @ C.T).T, np.sum(C * C, axis=1)
+    else:
+        P = A @ K
+        c2 = np.sum(A * P, axis=1)
+    for j in range(0, A.shape[0], k):  # P[j, i] = c_j . x_i
+        yield _dists(x2, P[j : j + k].T, c2[j : j + k])
 
 
 def _plusplus_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,41 +119,77 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeans
         if X.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
         rows = _Rows(X, np.sum(X * X, axis=1))
+    return _lloyd(rows, k, max_iters, [seed])[0].result(rows.X)
+
+
+class _Restart:
+    """The state of one K-means restart: row weights A, assignments and the
+    rows' squared distances to their centroids."""
+
+    def __init__(self, rows: _Rows, k: int, seed: int):
+        n = rows.X.shape[0]
+        self.ids = np.arange(n)
+        self.A = (_plusplus_init(rows, k, stream(seed))[:, None] == self.ids).astype(np.float64)
+        self.assignments = np.full(n, -1, dtype=np.int64)
+        self.point_d2 = np.zeros(n)
+        self.iterations = 0
+
+    def step(self, d2: np.ndarray) -> bool:
+        """One Lloyd round from the distances to the current centroids; True
+        when the assignments did not change (the restart has converged)."""
+        ids, k = self.ids, self.A.shape[0]
+        new_assign = np.argmin(d2, axis=1)
+        point_d2 = d2[ids, new_assign]
+        for empty in np.flatnonzero(np.bincount(new_assign, minlength=k) == 0):
+            farthest = int(np.argmax(point_d2))
+            self.A[empty] = ids == farthest
+            new_assign[farthest] = empty
+            point_d2[farthest] = 0.0
+        self.point_d2 = point_d2
+        if np.array_equal(new_assign, self.assignments):
+            return True
+        self.assignments = new_assign
+        self.iterations += 1
+        onehot = np.arange(k)[:, None] == new_assign
+        self.A = onehot / onehot.sum(axis=1)[:, None]
+        return False
+
+    def settle(self, d2: np.ndarray) -> None:
+        """Out of iterations: make the reported state self-consistent."""
+        self.assignments = np.argmin(d2, axis=1)
+        self.point_d2 = d2[self.ids, self.assignments]
+
+    def result(self, X: np.ndarray) -> KMeansResult:
+        return KMeansResult(
+            assignments=self.assignments,
+            centroids=self.A @ X,
+            inertia=float(self.point_d2.sum()),
+            iterations_run=self.iterations,
+        )
+
+
+def _lloyd(rows: _Rows, k: int, max_iters: int, seeds: list) -> list:
+    """One K-means restart per seed, run in lockstep: each round forms the
+    distances of every restart still running from one shared product (see
+    `_centroid_dists`); seeding, repair and convergence stay per restart.
+    Returns the final restart states; `result` forms a restart's centroids,
+    which the clustering pipeline never reads."""
     n = rows.X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    rng = stream(seed)
-    ids = np.arange(n)
-    A = (_plusplus_init(rows, k, rng)[:, None] == ids).astype(np.float64)  # one-hot rows
-    assignments = np.full(n, -1, dtype=np.int64)
-    point_d2 = np.zeros(n)
-    iterations = 0
+    restarts = [_Restart(rows, k, seed) for seed in seeds]
+    running = restarts
     for _ in range(max_iters):
-        d2 = _centroid_dists(rows, A)
-        new_assign = np.argmin(d2, axis=1)
-        point_d2 = d2[ids, new_assign]
-        for empty in np.flatnonzero(np.bincount(new_assign, minlength=k) == 0):
-            farthest = int(np.argmax(point_d2))
-            A[empty] = ids == farthest
-            new_assign[farthest] = empty
-            point_d2[farthest] = 0.0
-        if np.array_equal(new_assign, assignments):
+        dists = _centroid_dists(rows, [r.A for r in running])
+        running = [r for r, d2 in zip(running, dists) if not r.step(d2)]
+        if not running:
             break
-        assignments = new_assign
-        iterations += 1
-        onehot = np.arange(k)[:, None] == assignments
-        A = onehot / onehot.sum(axis=1)[:, None]
     else:
-        # out of iterations: make the reported state self-consistent
-        d2 = _centroid_dists(rows, A)
-        assignments = np.argmin(d2, axis=1)
-        point_d2 = d2[ids, assignments]
-    inertia = float(point_d2.sum())
-    return KMeansResult(
-        assignments=assignments, centroids=A @ rows.X, inertia=inertia, iterations_run=iterations
-    )
+        for r, d2 in zip(running, _centroid_dists(rows, [r.A for r in running])):
+            r.settle(d2)
+    return restarts
 
 
 @dataclass
@@ -173,7 +220,6 @@ def run_clustering(
     bandwidth: Optional[float] = None,
     density: Optional[float] = None,
     map_dim: Optional[int] = None,
-    workers: int = 1,
 ) -> ClusteringResult:
     """Train the representation, embed, and K-means with restart averaging.
 
@@ -215,20 +261,13 @@ def run_clustering(
     k = int(np.unique(data.labels).size)
     seeds = [child_seed(cfg.seed, 20_000 + r) for r in range(restarts)]
     # with n <= m the n x n Gram is no larger than H (8n^2 bytes), and each
-    # restart's Lloyd step reads it once instead of reading H twice
+    # Lloyd round reads it once instead of reading H twice
     rows = _Rows(H, np.sum(H * H, axis=1), H @ H.T if H.shape[0] <= H.shape[1] else None)
 
-    def one_restart(seed: int) -> KMeansResult:
-        return kmeans(rows, k, max_iters=kmeans_max_iters, seed=seed)
+    assignments = [r.assignments for r in _lloyd(rows, k, kmeans_max_iters, seeds)]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_restart, seeds))
-    else:
-        results = [one_restart(s) for s in seeds]
-
-    nmi_values = np.array([nmi(data.labels, r.assignments) for r in results])
-    f_values = np.array([pairwise_f(data.labels, r.assignments) for r in results])
+    nmi_values = np.array([nmi(data.labels, a) for a in assignments])
+    f_values = np.array([pairwise_f(data.labels, a) for a in assignments])
     return ClusteringResult(
         nmi_mean=float(nmi_values.mean()),
         nmi_std=float(nmi_values.std()),
@@ -239,7 +278,7 @@ def run_clustering(
         model=model,
         trace=trace,
         embeddings=H,
-        assignments=results[0].assignments,
+        assignments=assignments[0],
         train_seconds=t1 - t0,
         cluster_seconds=time.perf_counter() - t1,
     )

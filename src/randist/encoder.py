@@ -12,8 +12,9 @@ both read them. The pair term takes the exact form that is cheaper at the
 batch's shape: the nb x nb Gram residual when m or k >= nb, the m x m
 feature Grams otherwise. With the pair loss on and n rows <= k mapping
 width, `train` forms the n x n target Gram once and each nb x nb step reads
-its block; n <= k bounds that Gram by the n x k mapped rows it is made from
-(8n^2 bytes, 8 MB at n = 1000).
+its block, gathering mapped rows only for the novelty term; n <= k bounds
+that Gram by the n x k mapped rows it is made from (8n^2 bytes, 8 MB at
+n = 1000).
 """
 from __future__ import annotations
 
@@ -150,9 +151,12 @@ class Gradients:
 
 def _leaky(Z: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
     # leaky ReLU H = Z * S and its derivative S, branch-free; for slope in [0, 1]
-    # (1 - slope) + slope == 1, so H is np.where(Z > 0, Z, slope * Z) bit for bit
-    S = (Z > 0.0) * (1.0 - slope) + slope
-    return Z * S, S
+    # (1 - slope) + slope == 1, so H is np.where(Z > 0, Z, slope * Z) bit for bit.
+    # Z is overwritten with H: every caller passes a fresh pre-activation.
+    S = (Z > 0.0) * (1.0 - slope)
+    S += slope
+    Z *= S
+    return Z, S
 
 
 def init_model(
@@ -199,53 +203,69 @@ def grad_batch(
     The objective is the pair loss, the mean over all nb^2 ordered pairs of
     the batch rows Xb (self-pairs included) of (h_i.h_j - t_i.t_j)^2, plus
     aux_weight times the mean auxiliary loss of the rows. targets_b (T, the
-    mapped rows) feeds the pair and the novelty term. With m, k < nb the pair
-    term uses ||HH^T - TT^T||^2 = ||H^TH||^2 - 2||T^TH||^2 + ||T^TT||^2 and
-    R @ H = H(H^TH) - T(T^TH); otherwise the nb x nb residual R, with
-    TT^T = gram_b if given. The leaky-ReLU subgradient at exactly 0 uses the
-    negative-side slope.
+    mapped rows) feeds the novelty term and, unless gram_b (TT^T) is given,
+    the pair term; it may be None when neither reads it. With gram_b, or with
+    m or k >= nb, the pair term uses the nb x nb residual R; otherwise
+    ||HH^T - TT^T||^2 = ||H^TH||^2 - 2||T^TH||^2 + ||T^TT||^2 and
+    R @ H = H(H^TH) - T(T^TH). The leaky-ReLU subgradient at exactly 0 uses
+    the negative-side slope.
     """
     if not (config.use_pair_loss or config.use_aux_loss):
         raise ValueError("no loss enabled")
     nb = Xb.shape[0]
-    Z = Xb @ model.w.T + model.b
+    Z = Xb @ model.w.T
+    Z += model.b
     H, S = _leaky(Z, model.leaky_slope)
 
-    dH = np.zeros_like(H)
+    # each term of dH is formed in an array of its own and scaled in place;
+    # the first one becomes dH
+    dH = None
     loss_pair = 0.0
     if config.use_pair_loss:
         T = targets_b
-        if max(model.m, T.shape[1]) < nb:
+        if gram_b is None and max(model.m, T.shape[1]) < nb:
             HtH, TtH, TtT = H.T @ H, T.T @ H, T.T @ T
             loss_pair = float(np.sum(HtH * HtH) - 2.0 * np.sum(TtH * TtH) + np.sum(TtT * TtT))
             loss_pair /= nb * nb
-            dH += (4.0 / (nb * nb)) * (H @ HtH - T @ TtH)
+            dH = H @ HtH
+            dH -= T @ TtH
         else:
-            R = H @ H.T - (T @ T.T if gram_b is None else gram_b)
+            R = H @ H.T
+            R -= T @ T.T if gram_b is None else gram_b
             loss_pair = float(np.mean(R * R))
-            dH += (4.0 / (nb * nb)) * (R @ H)
+            dH = R @ H
+        dH *= 4.0 / (nb * nb)
 
     loss_aux = 0.0
     ddec_w = ddec_b = None
     lam = config.aux_weight
     if config.use_aux_loss:
         if config.task == "anomaly":
-            res = H - targets_b
-            loss_aux = float(np.mean(res * res))
-            dH += (2.0 * lam / (model.m * nb)) * res
+            term = H - targets_b
+            loss_aux = float(np.mean(term * term))
+            term *= 2.0 * lam / (model.m * nb)
         else:
             if not model.has_decoder:
                 raise ValueError("reconstruction loss needs a model with a decoder")
-            res = H @ model.decoder_w.T + model.decoder_b - Xb
+            res = H @ model.decoder_w.T
+            res += model.decoder_b
+            res -= Xb
             loss_aux = float(np.mean(res * res))
             scale = 2.0 * lam / (model.d * nb)
-            ddec_w = scale * (res.T @ H)
-            ddec_b = scale * res.sum(axis=0)
-            dH += scale * (res @ model.decoder_w)
+            ddec_w = res.T @ H
+            ddec_w *= scale
+            ddec_b = res.sum(axis=0)
+            ddec_b *= scale
+            term = res @ model.decoder_w
+            term *= scale
+        if dH is None:
+            dH = term
+        else:
+            dH += term
 
-    dZ = dH * S
-    dw = dZ.T @ Xb
-    db = dZ.sum(axis=0)
+    dH *= S  # dZ
+    dw = dH.T @ Xb
+    db = dH.sum(axis=0)
 
     total = loss_pair + lam * loss_aux  # a disabled loss is 0.0 and lam is finite
     if not math.isfinite(total):
@@ -276,6 +296,8 @@ def train(
     novelty = config.use_aux_loss and config.task == "anomaly"
     targets = apply(random_map, X) if config.use_pair_loss or novelty else None
     gram = targets @ targets.T if config.use_pair_loss and n <= targets.shape[1] else None
+    # with the pair term served by the Gram, only the novelty term reads the rows
+    batch_targets = targets if gram is None or novelty else None
     shuffle_rng = stream(child_seed(config.seed, 1))
 
     lr = config.learning_rate
@@ -290,7 +312,7 @@ def train(
             idx = perm[start : start + config.batch_size]
             if idx.size < 2:
                 continue
-            targets_b = None if targets is None else targets[idx]
+            targets_b = None if batch_targets is None else batch_targets[idx]
             gram_b = None if gram is None else gram[np.ix_(idx, idx)]
             try:
                 grads, losses = grad_batch(model, X[idx], targets_b, config, gram_b)

@@ -191,11 +191,18 @@ class TestConfigHandling:
         assert report["config.learning_rate"] == "0.1"
         assert report["config.workers"] == "1" and report["config.ablation"] == "none"
 
-    @pytest.mark.parametrize("line", ["task = cluster", "restarts = 3", "score_column = s"])
-    def test_config_key_of_another_subcommand_is_unknown(self, capsys, tmp_path, anomaly_csv, line):
+    @pytest.mark.parametrize(
+        "task, line",
+        [("anomaly", "task = cluster"), ("anomaly", "restarts = 3"),
+         ("anomaly", "score_column = s"), ("cluster", "workers = 2")],
+        ids=["task = cluster", "restarts = 3", "score_column = s", "cluster-workers = 2"],
+    )
+    def test_config_key_of_another_subcommand_is_unknown(
+        self, capsys, tmp_path, anomaly_csv, task, line
+    ):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        code, _, err = _run(capsys, ["anomaly", "--config", str(cfg), "--input", anomaly_csv])
+        code, _, err = _run(capsys, [task, "--config", str(cfg), "--input", anomaly_csv])
         assert code == EXIT_CONFIG
         assert f"line 1: unknown config key {line.split()[0]!r}" in err
 

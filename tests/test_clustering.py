@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from randist.clustering import KMeansResult, _Rows, embed, kmeans, run_clustering
+import randist.clustering
+from randist.clustering import KMeansResult, _lloyd, _Rows, embed, kmeans, run_clustering
 from randist.data import Dataset, synth_blobs
 from randist.encoder import EncoderModel, TrainConfig
 from randist.mappings import identity_map
@@ -90,43 +91,46 @@ class TestKmeans:
             result = kmeans(rows, 3, seed=seed)
             assert set(result.assignments.tolist()) == {0, 1, 2}
 
+    @pytest.mark.parametrize("form", ["plain", "gram"])
+    def test_repair_on_last_iteration_reports_reseeded_row(self, form, monkeypatch):
+        # seeded at rows -2, 0 and 10, round 2 leaves the cluster seeded at 0
+        # empty (0 joins -1.175, both 4.9s join 5.875); the repair reseeds it
+        # at the farthest row, 10, and max_iters=2 stops right after it
+        X = np.array([-2.0] + [-1.01] * 5 + [0.0] + [4.9] * 2 + [5.05] * 5 + [10.0])[:, None]
+        rows = _Rows(X, np.sum(X * X, axis=1)) if form == "plain" else _gram_rows(X)
+        real_init = randist.clustering._plusplus_init
+        forced = []  # one flag per seeding call, in call order: force the picks?
+
+        def init(rows, k, rng):
+            return np.array([0, 6, 14]) if forced.pop(0) else real_init(rows, k, rng)
+
+        monkeypatch.setattr(randist.clustering, "_plusplus_init", init)
+        forced[:] = [False, False]
+        others = [kmeans(rows, 3, max_iters=2, seed=s) for s in (4, 5)]
+        forced[:] = [True]
+        alone = kmeans(rows, 3, max_iters=2, seed=0)
+        forced[:] = [False, True, False]
+        lockstep = [r.result(X) for r in _lloyd(rows, 3, 2, [4, 0, 5])]
+        for got in (alone, lockstep[1]):
+            assert got.iterations_run == 2
+            assert got.centroids[1, 0] == 10.0  # the reseeded row, bit for bit
+            assert got.assignments[14] == 1 and np.sum(got.assignments == 1) == 1
+            np.testing.assert_array_equal(got.assignments, alone.assignments)
+            assert got.inertia == alone.inertia
+        # the other restarts ran on through the repair round, unaffected by it
+        for got, want in zip((lockstep[0], lockstep[2]), others):
+            assert got.iterations_run == want.iterations_run >= 1
+            np.testing.assert_array_equal(got.assignments, want.assignments)
+            np.testing.assert_array_equal(got.centroids, want.centroids)
+
     def test_matches_loop_reference(self):
         # random, blob-shaped and rounded (tied) data; some runs stop at max_iters
-        for case in range(40):
-            rng = stream(case)
-            k = int(rng.integers(1, 9))
-            n = int(rng.integers(k, 120))
-            d = int(rng.integers(1, 12))
-            if case % 3 == 0:
-                X = rng.standard_normal((n, d))
-            elif case % 3 == 1:
-                X = synth_blobs(k, max(1, n // k), d, seed=case).features
-            else:
-                X = np.round(rng.standard_normal((n, d)), 1)
-            iters = int(rng.integers(1, 20)) if case % 4 == 0 else 300
-            result = kmeans(X, k, max_iters=iters, seed=case)
-            assignments, inertia = kmeans_loop(X, k, max_iters=iters, seed=case)
-            np.testing.assert_array_equal(result.assignments, assignments)
-            assert result.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12)
+        _check_restarts_against_loop(_plain_case, 0)
 
     def test_gram_path_matches_loop_reference(self):
         # untied random and blob data with n <= d, where the pipeline shares
         # the Gram; some runs stop at max_iters
-        for case in range(40):
-            rng = stream(500 + case)
-            k = int(rng.integers(1, 9))
-            d = int(rng.integers(20, 150))
-            n = int(rng.integers(k, d + 1))
-            if case % 2 == 0:
-                X = rng.standard_normal((n, d))
-            else:
-                X = synth_blobs(k, max(1, n // k), d, seed=case).features
-            iters = int(rng.integers(1, 6)) if case % 4 == 0 else 300
-            result = kmeans(_gram_rows(X), k, max_iters=iters, seed=case)
-            assignments, inertia = kmeans_loop(X, k, max_iters=iters, seed=case)
-            np.testing.assert_array_equal(result.assignments, assignments)
-            assert result.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12)
-            assert result.centroids.shape == (k, X.shape[1])
+        _check_restarts_against_loop(_gram_case, 500)
 
     @pytest.mark.parametrize("form", ["plain", "gram"])
     def test_invariants_on_tied_data(self, form):
@@ -160,6 +164,57 @@ class TestKmeans:
 def _gram_rows(X: np.ndarray) -> _Rows:
     """A K-means input carrying its Gram, as run_clustering builds it for n <= m."""
     return _Rows(X, np.sum(X * X, axis=1), X @ X.T)
+
+
+def _plain_case(case, rng):
+    k = int(rng.integers(1, 9))
+    n = int(rng.integers(k, 120))
+    d = int(rng.integers(1, 12))
+    if case % 3 == 0:
+        X = rng.standard_normal((n, d))
+    elif case % 3 == 1:
+        X = synth_blobs(k, max(1, n // k), d, seed=case).features
+    else:
+        X = np.round(rng.standard_normal((n, d)), 1)
+    iters = int(rng.integers(1, 20)) if case % 4 == 0 else 300
+    return X, _Rows(X, np.sum(X * X, axis=1)), k, iters
+
+
+def _gram_case(case, rng):
+    k = int(rng.integers(1, 9))
+    d = int(rng.integers(20, 150))
+    n = int(rng.integers(k, d + 1))
+    if case % 2 == 0:
+        X = rng.standard_normal((n, d))
+    else:
+        X = synth_blobs(k, max(1, n // k), d, seed=case).features
+    iters = int(rng.integers(1, 6)) if case % 4 == 0 else 300
+    return X, _gram_rows(X), k, iters
+
+
+def _check_restarts_against_loop(make_case, first):
+    """Each case runs three seeds one at a time through `kmeans` and together
+    in one lockstep call; every restart must match the loop reference for
+    its seed, and a lockstep restart its one-seed run (assignments,
+    iterations, inertia)."""
+    stop_rounds_differ = cut_off = False
+    for case in range(40):
+        X, rows, k, iters = make_case(first + case, stream(first + case))
+        seeds = [first + case, 7_000 + case, 9_000 + case]
+        alone = [kmeans(X if rows.K is None else rows, k, max_iters=iters, seed=s) for s in seeds]
+        lockstep = [r.result(X) for r in _lloyd(rows, k, iters, seeds)]
+        for seed, one, got in zip(seeds, alone, lockstep):
+            assignments, inertia = kmeans_loop(X, k, max_iters=iters, seed=seed)
+            np.testing.assert_array_equal(got.assignments, assignments)
+            assert got.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12)
+            np.testing.assert_array_equal(got.assignments, one.assignments)
+            assert got.iterations_run == one.iterations_run
+            assert got.inertia == pytest.approx(one.inertia, rel=1e-12, abs=0.0)
+            assert got.centroids.shape == (k, X.shape[1])
+        counts = {r.iterations_run for r in lockstep}
+        stop_rounds_differ |= len(counts) > 1
+        cut_off |= iters in counts and len(counts) > 1
+    assert stop_rounds_differ and cut_off  # the sweep covers both
 
 
 @pytest.fixture(scope="module")
@@ -217,10 +272,12 @@ class TestRunClustering:
         assert a.nmi_mean == b.nmi_mean and a.f_mean == b.f_mean
         np.testing.assert_array_equal(a.assignments, b.assignments)
 
-    def test_workers_do_not_change_result(self, blob_data):
-        a = run_clustering(blob_data, self._cfg(), restarts=4, workers=1)
-        b = run_clustering(blob_data, self._cfg(), restarts=4, workers=4)
-        np.testing.assert_array_equal(a.nmi_values, b.nmi_values)
+    def test_more_restarts_leave_the_first_ones(self, blob_data):
+        # restarts run in lockstep, yet each depends only on its own seed
+        a = run_clustering(blob_data, self._cfg(), restarts=2)
+        b = run_clustering(blob_data, self._cfg(), restarts=4)
+        np.testing.assert_array_equal(a.nmi_values, b.nmi_values[:2])
+        np.testing.assert_array_equal(a.assignments, b.assignments)
 
     def test_shared_gram_matches_lloyd_restarts(self, blob_data):
         # 180 rows at m = 192: the restarts share the Gram of the embedding,
@@ -234,9 +291,6 @@ class TestRunClustering:
         ]
         np.testing.assert_array_equal(result.nmi_values, [nmi(blob_data.labels, a) for a in lloyd])
         np.testing.assert_array_equal(result.assignments, lloyd[0])
-        threaded = run_clustering(blob_data, cfg, restarts=4, workers=4)
-        np.testing.assert_array_equal(threaded.nmi_values, result.nmi_values)
-        np.testing.assert_array_equal(threaded.assignments, result.assignments)
 
     def test_normalize_embeddings_flag(self, blob_data):
         result = run_clustering(blob_data, self._cfg(), restarts=2, normalize_embeddings=True)

@@ -108,7 +108,7 @@ class TestLeaky:
     def test_equals_where_bit_for_bit(self, slope, z):
         Z = np.array(z)
         with np.errstate(invalid="ignore"):  # 0 * inf
-            H, S = _leaky(Z, slope)
+            H, S = _leaky(Z.copy(), slope)  # _leaky overwrites its argument with H
             expected = np.where(Z > 0, Z, slope * Z)
         np.testing.assert_array_equal(H.view(np.int64), expected.view(np.int64))
         np.testing.assert_array_equal(S, np.where(Z > 0, 1.0, slope))
@@ -479,16 +479,20 @@ class TestTrain:
         cfg = TrainConfig(m=m, epochs=6, task=task, batch_size=16, seed=26)
         model, trace = train(X, cfg, mapping)
 
-        seen = []
+        seen, gathered = [], []
         real_step = randist.encoder.grad_batch
 
         def per_batch_step(model, Xb, targets_b, config, gram_b=None):
             seen.append(gram_b is not None)
-            return real_step(model, Xb, targets_b, config)
+            gathered.append(targets_b is not None)
+            T = apply(mapping, Xb) if targets_b is None else targets_b
+            return real_step(model, Xb, T, config)
 
         monkeypatch.setattr(randist.encoder, "grad_batch", per_batch_step)
         ref_model, ref_trace = train(X, cfg, mapping)
         assert set(seen) == {cached}  # the n x n Gram is formed iff n <= k
+        # with the Gram, only the novelty term reads a batch's mapped rows
+        assert set(gathered) == {task == "anomaly" or not cached}
         for got, want in [
             (trace.total, ref_trace.total),
             (trace.pair, ref_trace.pair),
