@@ -22,7 +22,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--data-seed", type=int, default=7)
     parser.add_argument("--source", choices=SOURCES, default="rff")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     data = synth_anomaly(args.n_normal, args.n_anomaly, args.dim, seed=args.data_seed)
@@ -38,7 +37,7 @@ def main(argv=None):
     print(f"{'variant':<14} {'auc_roc':>8} {'auc_pr':>8} {'seconds':>8}")
     for ablation in ABLATIONS:
         t0 = time.perf_counter()
-        result = run_anomaly(data, config(), ablation=ablation, workers=args.workers)
+        result = run_anomaly(data, config(), ablation=ablation)
         label = "full" if ablation == "none" else ablation
         print(
             f"{label:<14} {result.auc_roc:>8.4f} {result.auc_pr:>8.4f} "

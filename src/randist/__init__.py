@@ -14,17 +14,12 @@ from .data import (
     write_csv,
 )
 from .encoder import EncoderModel, Gradients, LossTrace, TrainConfig, grad_batch, init_model, train
-from .losses import novelty_loss
 from .mappings import (
-    JlAudit,
     RandomMap,
     apply,
     gaussian_rp,
     identity_map,
-    jl_audit,
     median_bandwidth,
-    pairwise_target,
-    rbf_kernel,
     rff,
     sparse_rp,
 )
@@ -32,7 +27,6 @@ from .anomaly import (
     AnomalyResult,
     BoostConfig,
     Ensemble,
-    anomaly_score,
     boost_train_member,
     ensemble_score,
     fit_ensemble,
@@ -55,17 +49,12 @@ __all__ = [
     "synth_blobs",
     "synth_anomaly",
     "RandomMap",
-    "JlAudit",
     "gaussian_rp",
     "sparse_rp",
     "rff",
     "identity_map",
     "median_bandwidth",
     "apply",
-    "pairwise_target",
-    "rbf_kernel",
-    "jl_audit",
-    "novelty_loss",
     "EncoderModel",
     "TrainConfig",
     "LossTrace",
@@ -76,7 +65,6 @@ __all__ = [
     "BoostConfig",
     "Ensemble",
     "AnomalyResult",
-    "anomaly_score",
     "score_rows",
     "boost_train_member",
     "fit_ensemble",

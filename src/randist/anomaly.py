@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -21,7 +20,7 @@ from .data import Dataset, standardize as standardize_dataset
 from .encoder import LOSS_ABLATIONS, EncoderModel, LossTrace, TrainConfig, ablate, train
 # a row's anomaly score is its novelty value (higher is more anomalous). The
 # pipeline calls score_rows through this module's global: perfbench wraps it here.
-from .losses import novelty_loss as anomaly_score, novelty_rows as score_rows
+from .losses import novelty_rows as score_rows
 from .mappings import MAX_BANDWIDTH_POINTS, RandomMap, identity_map, median_bandwidth, rff, sparse_rp
 from .metrics import auc_pr, auc_roc
 from .rng import child_seed
@@ -140,7 +139,7 @@ def boost_train_member(
     )
 
 
-def fit_ensemble(X: np.ndarray, config: BoostConfig, workers: int = 1) -> Ensemble:
+def fit_ensemble(X: np.ndarray, config: BoostConfig) -> Ensemble:
     """Boost-train `members` independently seeded members.
 
     Up to MAX_BANDWIDTH_POINTS rows the median heuristic takes no subsample,
@@ -150,12 +149,7 @@ def fit_ensemble(X: np.ndarray, config: BoostConfig, workers: int = 1) -> Ensemb
     if config.source == "rff" and config.bandwidth is None and X.shape[0] <= MAX_BANDWIDTH_POINTS:
         config = replace(config, bandwidth=median_bandwidth(X))
     seeds = [child_seed(config.train.seed, i) for i in range(config.members)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(lambda s: boost_train_member(X, config, s), seeds))
-    else:
-        members = [boost_train_member(X, config, s) for s in seeds]
-    return Ensemble(members=members)
+    return Ensemble(members=[boost_train_member(X, config, s) for s in seeds])
 
 
 def ensemble_score(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
@@ -182,7 +176,6 @@ def run_anomaly(
     config: Optional[BoostConfig] = None,
     ablation: str = "none",
     standardize: bool = True,
-    workers: int = 1,
 ) -> AnomalyResult:
     """Full detector: configure per ablation, fit, score, evaluate.
 
@@ -208,7 +201,7 @@ def run_anomaly(
     )
 
     t0 = time.perf_counter()
-    ensemble = fit_ensemble(X, cfg, workers=workers)
+    ensemble = fit_ensemble(X, cfg)
     t1 = time.perf_counter()
     scores = ensemble_score(ensemble, X)
     result = AnomalyResult(

@@ -1,6 +1,6 @@
 """Command-line harness.
 
-Subcommands: anomaly, cluster, project, eval, selftest. Options come from
+Subcommands: anomaly, cluster, project, eval. Options come from
 an optional flat `key = value` config file plus command-line flags; a flag
 always wins over the file. A subcommand's parser lists the options it
 takes, as flags and as config keys, with their types; the library configs
@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from . import checks
 from .anomaly import ABLATIONS, SOURCES, BoostConfig, build_map, run_anomaly
 from .clustering import run_clustering
 from .data import _is_label, load_csv, standardize as standardize_dataset
@@ -69,7 +68,6 @@ class RunConfig:
     bandwidth: Optional[float] = None
     density: Optional[float] = None
     seed: int = 0
-    workers: int = 1
     out_report: Optional[str] = None
     out_scores: Optional[str] = None
     out_assignments: Optional[str] = None
@@ -206,8 +204,6 @@ def _validate(cfg: RunConfig, options: dict):
         problems.append(f"bandwidth must be positive and finite, got {cfg.bandwidth}")
     if cfg.density is not None and not 0.0 < cfg.density <= 1.0:
         problems.append(f"density must be in (0, 1], got {cfg.density}")
-    if cfg.workers < 1:
-        problems.append(f"workers must be >= 1, got {cfg.workers}")
     if problems:
         raise ConfigError("invalid configuration:\n" + "\n".join(problems))
     return library
@@ -223,9 +219,7 @@ def _write_csv_atomic(path, header: list, rows) -> None:
 
 def _cmd_anomaly(cfg: RunConfig, boost: BoostConfig) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
-    result = run_anomaly(
-        data, boost, ablation=cfg.ablation, standardize=cfg.standardize, workers=cfg.workers
-    )
+    result = run_anomaly(data, boost, ablation=cfg.ablation, standardize=cfg.standardize)
     if cfg.source == "identity":
         cfg.m = cfg.k = data.d  # echo the forced width
     out = {"data.rows": data.n, "data.columns": data.d}
@@ -396,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", type=int)
     p.add_argument("--filter-fraction", dest="filter_fraction", type=float)
     p.add_argument("--filter-rounds", dest="filter_rounds", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out-scores", dest="out_scores")
 
     p = sub.add_parser("cluster", help="learn an embedding and K-means it against labels")
@@ -419,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compute ranking metrics from a scores+labels CSV")
     _add_io(p)
     p.add_argument("--score-column", dest="score_column")
-
-    sub.add_parser("selftest", help="run the built-in invariant checks")
     return parser
 
 
@@ -435,8 +426,6 @@ _COMMANDS = {
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.task == "selftest":
-        return EXIT_OK if checks.run_selftest() else EXIT_NUMERIC
     options = _task_options(parser, args.task)
     file_values = _parse_config_file(args.config, options) if args.config else {}
     cfg = _resolve(args.task, file_values, {key: getattr(args, key) for key in options})

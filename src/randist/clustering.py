@@ -2,10 +2,10 @@
 and restart averaging of NMI / pairwise-F against ground-truth classes.
 
 Centroids are k x n row weights A (centroids A X): one-hot rows from
-seeding and empty-cluster repair, member means after each update. When the
-embedding has no more rows than columns, the restarts share its Gram K and
-read the centroid products from it (kernel k-means); otherwise they are
-formed from the centroids' coordinates. The restarts run in lockstep: each
+seeding, member means after each update. When the embedding has no more
+rows than columns, the restarts share its Gram K and read the centroid
+products from it (kernel k-means); otherwise they are formed from the
+centroids' coordinates. The restarts run in lockstep: each
 Lloyd round forms the centroid products of every restart still running
 from one product over their stacked row weights, so the rows or their
 Gram are read once per round. Each restart keeps its own random stream,
@@ -109,8 +109,8 @@ def _plusplus_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
 def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeansResult:
     """Lloyd iterations from k-means++ until the assignments stop changing.
 
-    Empty clusters are reseeded to the point currently farthest from its
-    centroid, so every cluster id stays populated.
+    An empty cluster takes the point farthest from its centroid among those
+    whose cluster keeps another member, so every cluster id stays populated.
     """
     if isinstance(X, _Rows):
         rows = X
@@ -140,9 +140,13 @@ class _Restart:
         ids, k = self.ids, self.A.shape[0]
         new_assign = np.argmin(d2, axis=1)
         point_d2 = d2[ids, new_assign]
-        for empty in np.flatnonzero(np.bincount(new_assign, minlength=k) == 0):
-            farthest = int(np.argmax(point_d2))
-            self.A[empty] = ids == farthest
+        counts = np.bincount(new_assign, minlength=k)
+        for empty in np.flatnonzero(counts == 0):
+            # the farthest row whose cluster keeps another member (a row taken
+            # earlier in this round sits alone in its new cluster: it stays)
+            farthest = int(np.argmax(np.where(counts[new_assign] > 1, point_d2, -1.0)))
+            counts[new_assign[farthest]] -= 1
+            counts[empty] = 1
             new_assign[farthest] = empty
             point_d2[farthest] = 0.0
         self.point_d2 = point_d2

@@ -111,12 +111,6 @@ class EncoderModel:
     def has_decoder(self) -> bool:
         return self.decoder_w is not None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise ValueError(f"expected input of length {self.d}, got shape {x.shape}")
-        return _leaky(self.w @ x + self.b, self.leaky_slope)[0]
-
     def forward_batch(self, X: np.ndarray, rowwise: bool = False) -> np.ndarray:
         """Embed the rows of X; rowwise=True makes each row independent of the others."""
         X = np.asarray(X, dtype=np.float64)
@@ -124,14 +118,6 @@ class EncoderModel:
             raise ValueError(f"expected an N x {self.d} matrix, got shape {X.shape}")
         z = (row_products(X, self.w) if rowwise else X @ self.w.T) + self.b
         return _leaky(z, self.leaky_slope)[0]
-
-    def decode(self, h: np.ndarray) -> np.ndarray:
-        if not self.has_decoder:
-            raise ValueError("model has no decoder")
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self.m,):
-            raise ValueError(f"expected hidden vector of length {self.m}, got shape {h.shape}")
-        return self.decoder_w @ h + self.decoder_b
 
 
 @dataclass

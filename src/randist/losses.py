@@ -33,8 +33,3 @@ def novelty_rows(model, X) -> np.ndarray:
     res = model.forward_batch(X, rowwise=True) - apply(model.random_map, X, rowwise=True)
     return np.mean(res * res, axis=1)
 
-
-def novelty_loss(model, x) -> float:
-    """Mean squared deviation of the embedding from the mapped input."""
-    return float(novelty_rows(model, np.asarray(x, dtype=np.float64)[None, ...])[0])
-

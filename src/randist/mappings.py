@@ -4,7 +4,7 @@ Four constructions are available:
 
 * Gaussian random projection: x -> (1/sqrt(K)) A x with A_ij ~ N(0, 1),
   which preserves norms and inner products in the Johnson-Lindenstrauss
-  sense.
+  sense. Library-only: no pipeline source selects it.
 * Sparse random projection: entries +/- sqrt(1/(density*K)) with
   probability density/2 each, 0 otherwise (very-sparse scheme, default
   density 1/sqrt(D)); inner products are unbiased.
@@ -42,14 +42,6 @@ class RandomMap:
     offsets: Optional[np.ndarray] = None  # length K, rff only
     bandwidth: Optional[float] = None  # rff only
     density: Optional[float] = None  # sparse_rp only
-
-
-@dataclass(frozen=True)
-class JlAudit:
-    epsilon: float
-    sample_pairs: int
-    violation_rate: float
-    bound: float
 
 
 def _check_dims(d: int, k: int) -> None:
@@ -178,57 +170,3 @@ def apply(mapping: RandomMap, X: np.ndarray, rowwise: bool = False) -> np.ndarra
     else:
         raise ValueError(f"unknown mapping kind {mapping.kind!r}")
     return out[0] if single else out
-
-
-def pairwise_target(mapping: RandomMap, x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Supervisory label for a pair: the dot product of the mapped vectors."""
-    return float(np.dot(apply(mapping, x_i), apply(mapping, x_j)))
-
-
-def rbf_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    """exp(-||x-y||^2 / (2 sigma^2)); the oracle the RFF mapping approximates."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    diff = x - y
-    return float(np.exp(-np.dot(diff, diff) / (2.0 * sigma * sigma)))
-
-
-def jl_audit(
-    mapping: RandomMap,
-    X: np.ndarray,
-    epsilon: float,
-    n_pairs: int = 2000,
-    seed: int = 0,
-) -> JlAudit:
-    """Measure how often projected inner products drift by >= epsilon.
-
-    Rows are rescaled by the largest row norm so every vector has norm <= 1
-    (the preservation guarantee is stated for such vectors); training never
-    applies this rescaling. The reported bound is 4 exp(-(eps^2-eps^3) K / 4).
-    """
-    if mapping.kind != GAUSSIAN_RP:
-        raise ValueError(f"jl_audit requires a {GAUSSIAN_RP} mapping, got {mapping.kind!r}")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be positive, got {n_pairs}")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    max_norm = float(np.max(np.linalg.norm(X, axis=1)))
-    Xh = X / max_norm if max_norm > 0 else X
-    P = apply(mapping, Xh)
-    rng = stream(seed)
-    n = Xh.shape[0]
-    i = rng.integers(0, n, size=n_pairs)
-    j = rng.integers(0, n, size=n_pairs)
-    orig = np.sum(Xh[i] * Xh[j], axis=1)
-    proj = np.sum(P[i] * P[j], axis=1)
-    violation_rate = float(np.mean(np.abs(orig - proj) >= epsilon))
-    k = mapping.out_dim
-    bound = 4.0 * math.exp(-(epsilon**2 - epsilon**3) * k / 4.0)
-    return JlAudit(
-        epsilon=epsilon, sample_pairs=n_pairs, violation_rate=violation_rate, bound=bound
-    )

@@ -1,9 +1,9 @@
 """Deterministic seeded random streams.
 
 A stream is a numpy PCG64 generator: the same seed yields the same draw
-sequence on every platform for a given numpy build. Streams are never
-shared across parallel workers; instead each worker derives its own child
-seed with `child_seed(seed, worker_index)`.
+sequence on every platform for a given numpy build. Each independent
+part of a run (an ensemble member, a filter round, a K-means restart) draws
+from its own stream, seeded by `child_seed(seed, index)`.
 """
 from __future__ import annotations
 

@@ -3,13 +3,17 @@
 Everything here is deliberately naive: plain Python loops over pairs,
 ranks and contingency cells, a pair-by-pair objective and gradient, and
 central finite differences for gradients. None of it shares code with the
-package.
+package, except the single-vector helpers at the end (`pairwise_target`,
+`jl_audit`), which read a frozen mapping through the package's `apply`.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from randist.mappings import apply
 
 
 def auc_roc_bruteforce(scores, labels) -> float:
@@ -215,6 +219,11 @@ def _loop_embed(model, x):
     return np.where(z > 0, z, model.leaky_slope * z), np.where(z > 0, 1.0, model.leaky_slope)
 
 
+def forward(model, x) -> np.ndarray:
+    """The embedding of one row, for comparisons with `forward_batch`."""
+    return _loop_embed(model, np.asarray(x, dtype=np.float64))[0]
+
+
 def batch_objective_loop(model, X, targets, config) -> tuple:
     """(total, pair, aux) of one batch by plain loops over all ordered pairs of
     its rows, self-pairs included; `targets` are the mapped rows of X."""
@@ -269,3 +278,54 @@ def batch_gradient_loop(model, X, targets, config) -> np.ndarray:
         dw += np.outer(dz, X[i])
         db += dz
     return np.concatenate([p.ravel() for p in parts])
+
+
+def rbf_kernel(x, y, sigma: float) -> float:
+    """exp(-||x-y||^2 / (2 sigma^2)); the kernel the rff mapping approximates."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    diff = x - y
+    return float(np.exp(-np.dot(diff, diff) / (2.0 * sigma * sigma)))
+
+
+def pairwise_target(mapping, x_i, x_j) -> float:
+    """Supervisory label for a pair: the dot product of the mapped vectors."""
+    return float(np.dot(apply(mapping, x_i), apply(mapping, x_j)))
+
+
+@dataclass(frozen=True)
+class JlAudit:
+    epsilon: float
+    sample_pairs: int
+    violation_rate: float
+    bound: float
+
+
+def jl_audit(mapping, X, epsilon: float, n_pairs: int = 2000, seed: int = 0) -> JlAudit:
+    """How often a Gaussian projection moves a sampled pair's inner product
+    by >= epsilon.
+
+    Rows are rescaled by the largest row norm so every vector has norm <= 1
+    (the preservation guarantee is stated for such vectors). The reported
+    bound is 4 exp(-(eps^2-eps^3) K / 4).
+    """
+    if mapping.kind != "gaussian_rp":
+        raise ValueError(f"jl_audit requires a gaussian_rp mapping, got {mapping.kind!r}")
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    max_norm = float(np.max(np.linalg.norm(X, axis=1)))
+    Xh = X / max_norm if max_norm > 0 else X
+    P = apply(mapping, Xh)
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, Xh.shape[0], size=n_pairs)
+    j = rng.integers(0, Xh.shape[0], size=n_pairs)
+    orig = np.sum(Xh[i] * Xh[j], axis=1)
+    proj = np.sum(P[i] * P[j], axis=1)
+    violation_rate = float(np.mean(np.abs(orig - proj) >= epsilon))
+    bound = 4.0 * math.exp(-(epsilon**2 - epsilon**3) * mapping.out_dim / 4.0)
+    return JlAudit(epsilon=epsilon, sample_pairs=n_pairs, violation_rate=violation_rate, bound=bound)

@@ -14,7 +14,7 @@ from randist.anomaly import BoostConfig, run_anomaly
 from randist.clustering import run_clustering
 from randist.data import load_csv, synth_anomaly, synth_blobs
 from randist.encoder import TrainConfig, grad_batch, init_model
-from randist.mappings import apply, gaussian_rp, jl_audit, median_bandwidth, pairwise_target, rbf_kernel, rff
+from randist.mappings import apply, gaussian_rp, median_bandwidth, rff
 from randist.metrics import auc_pr, auc_roc, nmi, pairwise_f
 from randist.report import format_report
 from randist.rng import stream
@@ -24,8 +24,11 @@ from oracles import (
     auc_roc_bruteforce,
     batch_objective_loop,
     fd_gradient,
+    jl_audit,
     nmi_bruteforce,
     pairwise_f_bruteforce,
+    pairwise_target,
+    rbf_kernel,
 )
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from randist.anomaly import (
     BoostConfig,
-    anomaly_score,
     boost_train_member,
     build_map,
     ensemble_score,
@@ -16,9 +15,8 @@ from randist.anomaly import (
 )
 from randist.data import standardize, synth_anomaly
 from randist.encoder import EncoderModel, TrainConfig, train
-from randist.losses import novelty_loss
 from randist import mappings
-from randist.mappings import MAX_BANDWIDTH_POINTS, gaussian_rp, identity_map, rff, sparse_rp
+from randist.mappings import MAX_BANDWIDTH_POINTS, apply, gaussian_rp, identity_map, rff, sparse_rp
 from randist.metrics import auc_pr, auc_roc
 from randist.rng import child_seed, stream
 
@@ -43,7 +41,9 @@ class TestAnomalyScore:
         mapping = rff(6, 8, data=X, seed=1)
         model, _ = train(X, cfg, mapping)
         for r in range(0, 40, 7):
-            assert anomaly_score(model, X[r]) == novelty_loss(model, X[r])
+            x = X[r : r + 1]
+            res = model.forward_batch(x, rowwise=True) - apply(mapping, x, rowwise=True)
+            assert score_rows(model, x)[0] == np.mean(res * res, axis=1)[0]
 
     def test_score_rows_matches_scalar_path(self, toy):
         _, X = toy
@@ -52,7 +52,7 @@ class TestAnomalyScore:
         model, _ = train(X, cfg, mapping)
         scores = score_rows(model, X[:25])
         for r in range(25):
-            assert scores[r] == anomaly_score(model, X[r])
+            assert scores[r] == score_rows(model, X[r : r + 1])[0]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -82,7 +82,7 @@ class TestAnomalyScore:
         scores = score_rows(model, X)
         np.testing.assert_array_equal(scores[s], score_rows(model, X[s]))
         for r in range(n):
-            assert scores[r] == anomaly_score(model, X[r])
+            assert scores[r] == score_rows(model, X[r : r + 1])[0]
 
 
 class TestRemovalCount:
@@ -186,13 +186,6 @@ class TestEnsemble:
         np.testing.assert_allclose(
             ensemble_score(duplicated, X[:15]), (2 * a + b) / 3.0, atol=1e-12
         )
-
-    def test_workers_do_not_change_result(self, toy):
-        _, X = toy
-        cfg = BoostConfig(train=_small_cfg(epochs=3), members=3, filter_rounds=0)
-        seq = fit_ensemble(X, cfg, workers=1)
-        par = fit_ensemble(X, cfg, workers=3)
-        np.testing.assert_array_equal(ensemble_score(seq, X), ensemble_score(par, X))
 
     @staticmethod
     def _count_bandwidths(monkeypatch) -> list:

@@ -183,19 +183,19 @@ class TestConfigHandling:
 
     def test_none_in_config_file_leaves_the_default(self, capsys, tmp_path, anomaly_csv):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("learning_rate = none\nworkers = none\nablation = none\n")
+        cfg.write_text("learning_rate = none\nablation = none\n")
         code, report, _ = _run(
             capsys, ["anomaly", "--config", str(cfg), "--input", anomaly_csv, *ANOMALY_ARGS]
         )
         assert code == EXIT_OK
         assert report["config.learning_rate"] == "0.1"
-        assert report["config.workers"] == "1" and report["config.ablation"] == "none"
+        assert report["config.ablation"] == "none"
 
     @pytest.mark.parametrize(
         "task, line",
         [("anomaly", "task = cluster"), ("anomaly", "restarts = 3"),
-         ("anomaly", "score_column = s"), ("cluster", "workers = 2")],
-        ids=["task = cluster", "restarts = 3", "score_column = s", "cluster-workers = 2"],
+         ("anomaly", "score_column = s"), ("cluster", "members = 3")],
+        ids=["task = cluster", "restarts = 3", "score_column = s", "cluster-members = 3"],
     )
     def test_config_key_of_another_subcommand_is_unknown(
         self, capsys, tmp_path, anomaly_csv, task, line
@@ -228,16 +228,27 @@ class TestConfigHandling:
         [
             ("eval", "--standardize"),
             ("eval", "--seed=1"),
-            ("eval", "--workers=2"),
-            ("project", "--workers=2"),
+            ("eval", "--members=2"),
+            ("project", "--members=2"),
         ],
-        ids=["--standardize", "--seed=1", "--workers=2", "project---workers=2"],
+        ids=["--standardize", "--seed=1", "--members=2", "project---members=2"],
     )
     def test_eval_takes_no_training_options(self, capsys, task, flag):
         with pytest.raises(SystemExit) as exc:
             main([task, "--input", "scores.csv", flag])
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_workers_is_no_longer_an_option(self, capsys, tmp_path, anomaly_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["anomaly", "--input", anomaly_csv, "--workers", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 1\n")
+        code, _, err = _run(capsys, ["anomaly", "--config", str(cfg), "--input", anomaly_csv])
+        assert code == EXIT_CONFIG
+        assert "line 1: unknown config key 'workers'" in err
 
     def test_missing_input(self, capsys):
         code, _, err = _run(capsys, ["anomaly"])
@@ -380,10 +391,3 @@ class TestShippedConfigs:
         defaults = _library_defaults(task)
         owned = sorted(set(options) & set(defaults))
         assert {key: getattr(cfg, key) for key in owned} == {key: defaults[key] for key in owned}
-
-
-class TestSelftest:
-    def test_runs_clean(self, capsys):
-        assert main(["selftest"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "FAIL" not in out and "selftest" in out

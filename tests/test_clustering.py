@@ -9,7 +9,7 @@ from randist.mappings import identity_map
 from randist.metrics import nmi, pairwise_f
 from randist.rng import child_seed, stream
 
-from oracles import kmeans_loop
+from oracles import forward, kmeans_loop
 
 
 class TestEmbed:
@@ -28,7 +28,7 @@ class TestEmbed:
         H = embed(model, X)
         assert H.shape == (9, 3)
         for r in range(9):
-            np.testing.assert_allclose(H[r], model.forward(X[r]), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(H[r], forward(model, X[r]), rtol=1e-12, atol=1e-12)
 
     def test_accepts_dataset(self):
         model = self._model(4, 2, seed=3)
@@ -122,6 +122,15 @@ class TestKmeans:
             assert got.iterations_run == want.iterations_run >= 1
             np.testing.assert_array_equal(got.assignments, want.assignments)
             np.testing.assert_array_equal(got.centroids, want.centroids)
+
+    @pytest.mark.parametrize("form", ["plain", "gram"])
+    def test_repair_fills_every_cluster_when_all_rows_tie(self, form):
+        # every row sits on every centroid, so all rows join cluster 0 and two
+        # clusters are empty; each takes a row no earlier repair of the round took
+        X = np.zeros((4, 2))
+        result = kmeans(X if form == "plain" else _gram_rows(X), 3)
+        assert set(result.assignments.tolist()) == {0, 1, 2}
+        assert result.iterations_run <= 2 and result.inertia == 0.0
 
     def test_matches_loop_reference(self):
         # random, blob-shaped and rounded (tied) data; some runs stop at max_iters

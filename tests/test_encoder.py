@@ -18,7 +18,7 @@ from randist.errors import NumericError
 from randist.mappings import apply, gaussian_rp, identity_map, rff
 from randist.rng import stream
 
-from oracles import batch_gradient_loop, batch_objective_loop, fd_gradient
+from oracles import batch_gradient_loop, batch_objective_loop, fd_gradient, forward
 
 
 class TestTrainConfig:
@@ -147,21 +147,21 @@ class TestForwardDecode:
         model = EncoderModel(
             w=np.eye(3), b=np.zeros(3), leaky_slope=0.01, random_map=identity_map(3)
         )
-        x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(model.forward(x), x)
+        X = np.array([[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(model.forward_batch(X), X)
 
     def test_negative_region(self):
         model = EncoderModel(
             w=np.eye(1), b=np.zeros(1), leaky_slope=0.01, random_map=identity_map(1)
         )
-        np.testing.assert_allclose(model.forward(np.array([-1.0])), [-0.01])
+        np.testing.assert_allclose(model.forward_batch(np.array([[-1.0]])), [[-0.01]])
 
     def test_positive_homogeneity(self):
         rng = stream(3)
         w = rng.standard_normal((4, 3))
         model = EncoderModel(w=w, b=np.zeros(4), leaky_slope=0.2, random_map=identity_map(3))
-        x = rng.standard_normal(3)
-        np.testing.assert_allclose(model.forward(2.0 * x), 2.0 * model.forward(x), rtol=1e-12)
+        X = rng.standard_normal(3)[None, :]
+        np.testing.assert_allclose(model.forward_batch(2.0 * X), 2.0 * model.forward_batch(X), rtol=1e-12)
 
     def test_forward_batch_matches_rows(self):
         rng = stream(4)
@@ -174,49 +174,14 @@ class TestForwardDecode:
         X = rng.standard_normal((7, 5))
         batch = model.forward_batch(X)
         for r in range(7):
-            np.testing.assert_allclose(batch[r], model.forward(X[r]), rtol=1e-12, atol=1e-12)
-
-    def test_decode_identity(self):
-        model = EncoderModel(
-            w=np.eye(2), b=np.zeros(2), leaky_slope=0.01, random_map=identity_map(2),
-            decoder_w=np.eye(2), decoder_b=np.zeros(2),
-        )
-        h = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(model.decode(h), h)
-
-    def test_decode_zero_gives_bias(self):
-        rng = stream(5)
-        dec_b = rng.standard_normal(3)
-        model = EncoderModel(
-            w=np.eye(3), b=np.zeros(3), leaky_slope=0.01, random_map=identity_map(3),
-            decoder_w=rng.standard_normal((3, 3)), decoder_b=dec_b,
-        )
-        np.testing.assert_array_equal(model.decode(np.zeros(3)), dec_b)
-
-    def test_decode_linear(self):
-        rng = stream(6)
-        model = EncoderModel(
-            w=np.eye(3), b=np.zeros(3), leaky_slope=0.01, random_map=identity_map(3),
-            decoder_w=rng.standard_normal((3, 3)), decoder_b=np.zeros(3),
-        )
-        h1, h2 = rng.standard_normal(3), rng.standard_normal(3)
-        np.testing.assert_allclose(
-            model.decode(h1 + h2), model.decode(h1) + model.decode(h2), rtol=1e-12
-        )
-
-    def test_decode_requires_decoder(self):
-        model = EncoderModel(
-            w=np.eye(2), b=np.zeros(2), leaky_slope=0.01, random_map=identity_map(2)
-        )
-        with pytest.raises(ValueError, match="decoder"):
-            model.decode(np.zeros(2))
+            np.testing.assert_allclose(batch[r], forward(model, X[r]), rtol=1e-12, atol=1e-12)
 
     def test_dim_mismatch(self):
         model = EncoderModel(
             w=np.eye(2), b=np.zeros(2), leaky_slope=0.01, random_map=identity_map(2)
         )
         with pytest.raises(ValueError):
-            model.forward(np.zeros(3))
+            model.forward_batch(np.zeros((1, 3)))
 
 
 def _grad_case(seed, d=4, m=3, n=5, task="anomaly", use_pair=True, use_aux=True):

@@ -9,14 +9,13 @@ from randist.mappings import (
     apply,
     gaussian_rp,
     identity_map,
-    jl_audit,
     median_bandwidth,
-    pairwise_target,
-    rbf_kernel,
     rff,
     sparse_rp,
 )
 from randist.rng import stream
+
+from oracles import jl_audit, pairwise_target, rbf_kernel
 
 from oracles import median_bandwidth_reference
 
