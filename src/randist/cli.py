@@ -326,7 +326,7 @@ def _read_eval_columns(cfg: RunConfig) -> tuple:
     scores, labels = [], []
     for r, cells in enumerate(rows, start=2 if cfg.has_header else 1):
         try:
-            score, label = float(cells[s_idx]), float(cells[l_idx])
+            score, label = float(cells[s_idx].strip()), float(cells[l_idx].strip())
         except (ValueError, IndexError) as err:
             raise DataError(f"bad row {r} in {cfg.input}: {err}") from None
         if not math.isfinite(score):

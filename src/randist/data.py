@@ -114,19 +114,22 @@ def load_csv(
 
     `label_column` selects the label column by header name or 0-based index;
     when given, that column is extracted into integer labels. Rows keep
-    their file order. Every cell goes through Python's `float()` after
-    stripping whitespace; rows are parsed as they are read, so memory
-    tracks the float table rather than the text. Error messages name the
-    offending row (1-based file line) and column.
+    their file order. Every cell reads as Python's `float()` of the stripped
+    cell. A plain numeric table (unquoted cells, no blank lines, finite
+    values, labels below 2**53) is parsed in one streaming C pass; any other
+    table, and every bad one, goes through a row-by-row check. Either way
+    memory tracks the float table rather than the text. Error messages name
+    the first offending row (1-based file line) and column.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            return _read_table(csv.reader(fh), path, label_column, has_header)
+            return _read_table(fh, path, label_column, has_header)
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from err
 
 
-def _read_table(reader, path, label_column, has_header: bool) -> Dataset:
+def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
+    reader = csv.reader(iter(fh.readline, ""))  # readline, unlike next(fh), keeps fh.tell()
     header: Optional[list] = None
     first_data_line = 1
     if has_header:
@@ -135,6 +138,7 @@ def _read_table(reader, path, label_column, has_header: bool) -> Dataset:
             raise DataError(f"{path} is empty")
         header = [c.strip() for c in header_cells]
         first_data_line = 2
+    start = fh.tell() if fh.seekable() else None
     first = next(reader, None)
     if first is None:
         raise DataError(f"{path} has no data rows")
@@ -153,8 +157,58 @@ def _read_table(reader, path, label_column, has_header: bool) -> Dataset:
             if not 0 <= label_idx < width:
                 raise DataError(f"label column index {label_idx} out of range for {width} columns")
 
+    if start is None:  # a pipe cannot rewind from the C pass to the row loop
+        table = _parse_rows(itertools.chain([first], reader), first_data_line, width, header, label_idx)
+    else:
+        fh.seek(start)
+        table = _parse_plain(fh, width, label_idx)
+        if table is None:  # the row loop returns the same table or names the first bad cell
+            fh.seek(start)
+            table = _parse_rows(csv.reader(fh), first_data_line, width, header, label_idx)
+    labels = None if label_idx is None else table[:, label_idx].astype(np.int64)
+    features = table if label_idx is None else np.delete(table, label_idx, axis=1)
+    names = None
+    if header is not None:
+        names = [h for i, h in enumerate(header) if i != label_idx]
+    return Dataset(features=features, labels=labels, feature_names=names)
+
+
+def _plain_lines(fh):
+    for line in fh:
+        if not line.strip():  # loadtxt skips such a line; the row loop calls it ragged
+            raise ValueError("blank line")
+        yield line
+
+
+def _parse_plain(fh, width: int, label_idx: Optional[int]) -> Optional[np.ndarray]:
+    """The data rows in one C pass, or None where it might differ from `_parse_rows`.
+
+    loadtxt strips a field by the same predicate as `str.strip` and parses it
+    with the same correctly rounded conversion as `float()`; it rejects the
+    quoted, underscored and non-ASCII-digit cells that `float()` or the csv
+    module would read differently. What it would accept but the row loop
+    rejects (non-finite cells, labels that need their cell's digits) is
+    checked on the table.
+    """
+    try:
+        table = np.loadtxt(
+            _plain_lines(fh), delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2
+        )
+    except ValueError:
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    if label_idx is not None:
+        labels = table[:, label_idx]
+        if not (np.all(labels == np.trunc(labels)) and np.all(np.abs(labels) < 2.0**53)):
+            return None
+    return table
+
+
+def _parse_rows(reader, first_line: int, width: int, header, label_idx) -> np.ndarray:
+    """Parse row by row, raising the DataError of the first bad cell."""
     rows = []
-    for line, cells in enumerate(itertools.chain([first], reader), start=first_data_line):
+    for line, cells in enumerate(reader, start=first_line):
         if len(cells) != width:  # fromiter below would truncate a long row
             raise DataError(f"ragged row {line}: expected {width} cells, got {len(cells)}")
         try:
@@ -166,14 +220,7 @@ def _read_table(reader, path, label_column, has_header: bool) -> Dataset:
         ):
             _raise_row_error(cells, line, header, label_idx)
         rows.append(values)
-
-    table = np.stack(rows)
-    labels = None if label_idx is None else table[:, label_idx].astype(np.int64)
-    features = table if label_idx is None else np.delete(table, label_idx, axis=1)
-    names = None
-    if header is not None:
-        names = [h for i, h in enumerate(header) if i != label_idx]
-    return Dataset(features=features, labels=labels, feature_names=names)
+    return np.stack(rows)
 
 
 def write_csv(data: Dataset, path) -> None:

@@ -148,16 +148,11 @@ def row_products(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def apply(mapping: RandomMap, X: np.ndarray, rowwise: bool = False) -> np.ndarray:
-    """Map rows of X (or a single vector) through the frozen projection;
+    """Map the rows of matrix X through the frozen projection;
     rowwise=True makes each output row independent of the others (row_products)."""
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != mapping.in_dim:
-        raise ValueError(
-            f"input has {X.shape[-1] if X.ndim else 0} columns, mapping expects {mapping.in_dim}"
-        )
+        raise ValueError(f"input must be a matrix with {mapping.in_dim} columns, got shape {X.shape}")
     dot = row_products if rowwise else (lambda A, W: A @ W.T)
     if mapping.kind == IDENTITY:
         out = X
@@ -169,4 +164,4 @@ def apply(mapping: RandomMap, X: np.ndarray, rowwise: bool = False) -> np.ndarra
         out = math.sqrt(2.0 / mapping.out_dim) * np.cos(dot(X, mapping.weights) + mapping.offsets)
     else:
         raise ValueError(f"unknown mapping kind {mapping.kind!r}")
-    return out[0] if single else out
+    return out

@@ -294,7 +294,7 @@ def rbf_kernel(x, y, sigma: float) -> float:
 
 def pairwise_target(mapping, x_i, x_j) -> float:
     """Supervisory label for a pair: the dot product of the mapped vectors."""
-    return float(np.dot(apply(mapping, x_i), apply(mapping, x_j)))
+    return float(np.dot(apply(mapping, x_i[None, :])[0], apply(mapping, x_j[None, :])[0]))
 
 
 @dataclass(frozen=True)

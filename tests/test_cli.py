@@ -329,6 +329,19 @@ class TestConfigHandling:
         assert code == EXIT_IO
         assert "bad row 3" in err and "score 'nan' is not finite" in err
 
+    def test_eval_reads_padded_cells_as_load_csv_does(self, capsys, tmp_path):
+        # a cell padded with what str.strip removes loads in load_csv, so eval reads it too
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n\x1c0.5,0\n0.9 ,\x1c1\n0.1,\t0\u3000\n")
+        data = load_csv(p, label_column="label")
+        code, report, err = _run(
+            capsys, ["eval", "--input", str(p), "--score-column", "score", "--label-column", "label"]
+        )
+        assert code == EXIT_OK, err
+        assert report["data.rows"] == "3"
+        assert report["metrics.auc_roc"] == repr(auc_roc(data.features[:, 0], data.labels))
+        assert report["metrics.auc_pr"] == repr(auc_pr(data.features[:, 0], data.labels))
+
     def test_mismatched_dims_rejected(self, capsys, anomaly_csv):
         code, _, err = _run(
             capsys,

@@ -1,8 +1,14 @@
+import os
+import threading
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randist import data as data_module
 from randist.data import (
     Dataset,
     load_csv,
@@ -208,6 +214,108 @@ class TestLoadCsv:
         data = load_csv(p, has_header=False)
         assert data.features.tobytes() == expected.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr), min_size=3, max_size=3),
+                st.integers(-(2**53) + 1, 2**53 - 1),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    def test_plain_table_takes_the_c_pass_and_matches_reference(self, tmp_path_factory, grid, eol, last_eol):
+        # unquoted, unpadded cells: the C pass reads them, and reads them as float(cell.strip())
+        lines = ["a,b,c,y"] + [",".join(cells + [str(label)]) for cells, label in grid]
+        p = tmp_path_factory.mktemp("plain") / "t.csv"
+        p.write_bytes((eol.join(lines) + (eol if last_eol else "")).encode("utf-8"))
+        expected = np.array([[float(c.strip()) for c in cells] for cells, _ in grid])
+        with mock.patch.object(data_module, "_parse_rows", side_effect=AssertionError("row loop ran")):
+            data = load_csv(p, label_column="y")
+        assert data.features.tobytes() == expected.tobytes()
+        assert data.labels.tobytes() == np.array([label for _, label in grid], dtype=np.int64).tobytes()
+
+    def test_plain_table_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        # a silent fallback would keep the results and lose the speed
+        rng = stream(5)
+        data = Dataset(rng.normal(0, 1e3, size=(40, 30)), labels=rng.integers(-(2**40), 2**40, 40))
+        p = tmp_path / "rt.csv"
+        write_csv(data, p)
+
+        def row_loop(*args, **kwargs):
+            raise AssertionError("row loop ran on a plain table")
+
+        monkeypatch.setattr(data_module, "_parse_rows", row_loop)
+        back = load_csv(p, label_column="label")
+        assert back.features.tobytes() == data.features.tobytes()
+        assert back.labels.tobytes() == data.labels.tobytes()
+
+    @pytest.mark.parametrize(
+        "text,kwargs",
+        [
+            ("a,b\n1,2\n\n3,4\n", {}),  # blank line
+            ("a,b\n1,2\n3,4\n\n", {}),  # trailing blank line
+            ("a,b\r\n1,2\r\n3,4\r\n\r\n", {}),  # trailing blank CRLF line
+            ("a,b\n1,2\n \t\n3,4\n", {}),  # whitespace-only line
+            ("a\n1\n \n2\n", {}),  # whitespace-only line, one column
+            ("a\n1\n\u3000\x1c\n", {}),  # Unicode-whitespace-only line
+            ("a,b\n1,inf\n", {}),
+            ("a,b\n1, -Infinity\n", {}),
+            ("a,b\n1,1e999\n", {}),
+            ("a,y\n1,0\n2,9007199254740992\n", {"label_column": "y"}),  # label 2**53, exact
+            ("a,y\n1,0\n2,9007199254740993\n", {"label_column": "y"}),  # label 2**53 + 1
+            ("a,y\n1,0\n2,1e19\n", {"label_column": "y"}),
+            ("a,y\n1,0\n2,-0.0\n", {"label_column": "y"}),
+            ("a,y\n1,0.5\n", {"label_column": "y"}),
+            ('a,b\n"1",2\n3,4\n', {}),  # quoted cell
+            ('a,b\n"1,5",2\n', {}),  # quoted delimiter
+            ("a,b\n1_000,2\n", {}),  # underscored cell
+            ("a,b\n\u0661\u0662,2\n", {}),  # Arabic-Indic digits
+            ("a,b\r1,2\r3,4\r", {}),  # lone CR line ends
+            ("a,b\n1\r,2\n", {}),  # lone CR inside a row
+            ("a,b\n1,2\x00\n", {}),  # NUL
+            ("a,b\n1,0x10\n", {}),  # hex
+            ("a,b\n1,\n", {}),  # empty cell
+            ("a,b\n1,2\n3\n", {}),  # short row
+            ("a,b\n1,2\n3,4,5\n", {}),  # long row
+            ("a,b\n1,2#3\n", {}),  # no comment character
+        ],
+    )
+    def test_declined_tables_match_the_row_loop(self, tmp_path, text, kwargs):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(data_module, "_parse_plain", return_value=None):
+            expected = _outcome(p, kwargs)
+        assert _outcome(p, kwargs) == expected
+
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_one_data_row_loads_without_warning(self, tmp_path, has_header):
+        p = tmp_path / "t.csv"
+        p.write_text(("a,b,y\n" if has_header else "") + "1.5,-2,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = load_csv(p, label_column=2, has_header=has_header)
+        np.testing.assert_array_equal(data.features, [[1.5, -2.0]])
+        np.testing.assert_array_equal(data.labels, [1])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    @pytest.mark.parametrize("text", ["a,y\n1,0\n2.5,1\n", "a,y\n1,0\n\n"])
+    def test_pipe_matches_file(self, tmp_path, text):
+        # a pipe cannot be rewound, so it goes straight to the row loop
+        p, fifo = tmp_path / "t.csv", tmp_path / "t.fifo"
+        p.write_text(text)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            got = _outcome(fifo, {"label_column": "y"})
+        finally:
+            writer.join()
+        assert got == _outcome(p, {"label_column": "y"})
+
     def test_roundtrip_exact_wide(self, tmp_path):
         rng = stream(4)
         X = rng.normal(0, 1e3, size=(60, 400)) * 10.0 ** rng.integers(-300, 300, size=(60, 400))
@@ -219,6 +327,16 @@ class TestLoadCsv:
         assert back.features.tobytes() == data.features.tobytes()
         assert back.labels.tobytes() == data.labels.tobytes()
         assert back.feature_names == [f"c{i}" for i in range(400)]
+
+
+def _outcome(path, kwargs):
+    """What load_csv gives: the table's bytes and names, or the error's text."""
+    try:
+        data = load_csv(path, **kwargs)
+    except DataError as err:
+        return str(err)
+    labels = None if data.labels is None else data.labels.tobytes()
+    return data.features.tobytes(), data.features.shape, labels, data.feature_names
 
 
 class TestDataset:

@@ -23,7 +23,7 @@ from oracles import median_bandwidth_reference
 class TestGaussianRp:
     def test_zero_vector(self):
         m = gaussian_rp(3, 2, seed=0)
-        np.testing.assert_array_equal(apply(m, np.zeros(3)), np.zeros(2))
+        np.testing.assert_array_equal(apply(m, np.zeros((1, 3)))[0], np.zeros(2))
 
     def test_entries_standard_normal(self):
         m = gaussian_rp(50, 200, seed=1)
@@ -35,7 +35,7 @@ class TestGaussianRp:
         x = stream(5).standard_normal(3)
         k = 2
         estimates = np.array(
-            [float(np.sum(apply(gaussian_rp(3, k, seed=s), x) ** 2)) for s in range(5000)]
+            [float(np.sum(apply(gaussian_rp(3, k, seed=s), x[None, :])[0] ** 2)) for s in range(5000)]
         )
         se = estimates.std(ddof=1) / math.sqrt(len(estimates))
         assert abs(estimates.mean() - float(np.dot(x, x))) < 3 * se
@@ -47,7 +47,7 @@ class TestGaussianRp:
         hits = 0
         for s in range(100):
             m = gaussian_rp(8, 2000, seed=1000 + s)
-            hits += abs(float(np.sum(apply(m, x) ** 2)) - 1.0) <= 0.15
+            hits += abs(float(np.sum(apply(m, x[None, :])[0] ** 2)) - 1.0) <= 0.15
         assert hits >= 95
 
     def test_rejects_zero_dims(self):
@@ -86,7 +86,7 @@ class TestSparseRp:
 
     def test_zero_vector(self):
         m = sparse_rp(6, 4, seed=2)
-        np.testing.assert_array_equal(apply(m, np.zeros(6)), np.zeros(4))
+        np.testing.assert_array_equal(apply(m, np.zeros((1, 6)))[0], np.zeros(4))
 
     def test_rejects_bad_density(self):
         with pytest.raises(ValueError):
@@ -177,7 +177,7 @@ class TestApply:
         for m in (gaussian_rp(6, 3, seed=1), sparse_rp(6, 3, seed=1), rff(6, 3, bandwidth=1.2, seed=1)):
             full = apply(m, X)
             for r in range(5):
-                np.testing.assert_allclose(apply(m, X[r]), full[r], rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(apply(m, X[r][None, :])[0], full[r], rtol=1e-12, atol=1e-12)
 
     def test_stacked_equals_separate(self):
         rng = stream(5)
@@ -203,7 +203,7 @@ class TestApply:
             a, b = build(99), build(99)
             np.testing.assert_array_equal(a.weights, b.weights)
             x = stream(0).standard_normal(5)
-            np.testing.assert_array_equal(apply(a, x), apply(b, x))
+            np.testing.assert_array_equal(apply(a, x[None, :]), apply(b, x[None, :]))
 
     def test_map_is_immutable(self):
         m = gaussian_rp(3, 2, seed=1)
@@ -225,7 +225,8 @@ class TestPairwiseTarget:
         rng = stream(6)
         x, y = rng.standard_normal(5), rng.standard_normal(5)
         m = rff(5, 11, bandwidth=1.0, seed=2)
-        assert pairwise_target(m, x, y) == float(np.dot(apply(m, x), apply(m, y)))
+        mx, my = apply(m, x[None, :])[0], apply(m, y[None, :])[0]
+        assert pairwise_target(m, x, y) == float(np.dot(mx, my))
 
 
 class TestRbfKernel:
