@@ -116,10 +116,11 @@ def boost_train_member(
         )
 
     active = np.arange(X.shape[0])
+    rows = X  # the training rows: X itself until a filtering round drops one
 
     def fit(round_idx: int):
         cfg = replace(config.train, seed=child_seed(member_seed, 1 + round_idx))
-        return train(X[active], cfg, mapping)
+        return train(rows, cfg, mapping)
 
     model, trace = fit(0)
     if config.filter_fraction > 0.0:
@@ -130,9 +131,10 @@ def boost_train_member(
                     f"filtering at round {round_idx} would leave "
                     f"{active.size - n_remove} rows, need at least {2 * config.train.batch_size}"
                 )
-            scores = score_rows(model, X[active])
+            scores = score_rows(model, rows)
             order = np.argsort(-scores, kind="mergesort")
             active = np.sort(active[order[n_remove:]])
+            rows = X[active]
             model, trace = fit(round_idx)
     return Member(
         model=model, mapping=mapping, seed=member_seed, trace=trace, train_rows=int(active.size)

@@ -25,7 +25,7 @@ import numpy as np
 from ._version import __version__
 from .anomaly import ABLATIONS, SOURCES, BoostConfig, build_map, run_anomaly
 from .clustering import run_clustering
-from .data import _is_label, load_csv, standardize as standardize_dataset
+from .data import _csv_rows, _is_label, load_csv, standardize as standardize_dataset
 from .encoder import LOSS_ABLATIONS, TrainConfig
 from .errors import ConfigError, DataError, ModelFileError, NumericError
 from .mappings import apply as apply_map
@@ -299,7 +299,7 @@ def _cmd_project(cfg: RunConfig, _: None) -> dict:
 def _read_eval_columns(cfg: RunConfig) -> tuple:
     try:
         with open(cfg.input, "r", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            rows = [cells for _, cells in _csv_rows(fh, 1)]
     except OSError as err:
         raise DataError(f"cannot read {cfg.input}: {err}") from err
     if not rows:

@@ -128,22 +128,37 @@ def load_csv(
         raise DataError(f"cannot read {path}: {err}") from err
 
 
+def _csv_rows(lines, first_line: int):
+    """(row number, cells) of each csv row of `lines`, counting from first_line;
+    a row the csv module cannot split (a cell over its field size limit) raises
+    DataError."""
+    reader = csv.reader(lines)
+    line = first_line
+    while True:
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            raise DataError(f"cannot read row {line}: {err}") from None
+        yield line, cells
+        line += 1
+
+
 def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
-    reader = csv.reader(iter(fh.readline, ""))  # readline, unlike next(fh), keeps fh.tell()
+    rows = _csv_rows(iter(fh.readline, ""), 1)  # readline, unlike next(fh), keeps fh.tell()
     header: Optional[list] = None
-    first_data_line = 1
     if has_header:
-        header_cells = next(reader, None)
-        if header_cells is None:
+        header_row = next(rows, None)
+        if header_row is None:
             raise DataError(f"{path} is empty")
-        header = [c.strip() for c in header_cells]
-        first_data_line = 2
+        header = [c.strip() for c in header_row[1]]
     start = fh.tell() if fh.seekable() else None
-    first = next(reader, None)
+    first = next(rows, None)
     if first is None:
         raise DataError(f"{path} has no data rows")
 
-    width = len(first)
+    width = len(first[1])
     label_idx: Optional[int] = None
     if label_column is not None:
         if isinstance(label_column, str) and not label_column.lstrip("-").isdigit():
@@ -158,13 +173,13 @@ def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
                 raise DataError(f"label column index {label_idx} out of range for {width} columns")
 
     if start is None:  # a pipe cannot rewind from the C pass to the row loop
-        table = _parse_rows(itertools.chain([first], reader), first_data_line, width, header, label_idx)
+        table = _parse_rows(itertools.chain([first], rows), width, header, label_idx)
     else:
         fh.seek(start)
         table = _parse_plain(fh, width, label_idx)
         if table is None:  # the row loop returns the same table or names the first bad cell
             fh.seek(start)
-            table = _parse_rows(csv.reader(fh), first_data_line, width, header, label_idx)
+            table = _parse_rows(_csv_rows(fh, first[0]), width, header, label_idx)
     labels = None if label_idx is None else table[:, label_idx].astype(np.int64)
     features = table if label_idx is None else np.delete(table, label_idx, axis=1)
     names = None
@@ -205,10 +220,11 @@ def _parse_plain(fh, width: int, label_idx: Optional[int]) -> Optional[np.ndarra
     return table
 
 
-def _parse_rows(reader, first_line: int, width: int, header, label_idx) -> np.ndarray:
-    """Parse row by row, raising the DataError of the first bad cell."""
+def _parse_rows(numbered_rows, width: int, header, label_idx) -> np.ndarray:
+    """Parse the (row number, cells) pairs one by one, raising the DataError of
+    the first bad cell."""
     rows = []
-    for line, cells in enumerate(reader, start=first_line):
+    for line, cells in numbered_rows:
         if len(cells) != width:  # fromiter below would truncate a long row
             raise DataError(f"ragged row {line}: expected {width} cells, got {len(cells)}")
         try:

@@ -195,6 +195,12 @@ def grad_batch(
     ||HH^T - TT^T||^2 = ||H^TH||^2 - 2||T^TH||^2 + ||T^TT||^2 and
     R @ H = H(H^TH) - T(T^TH). The leaky-ReLU subgradient at exactly 0 uses
     the negative-side slope.
+
+    Each loss value is one BLAS dot of its term with itself (np.vdot), with no
+    squared temporary. The losses feed no gradient. OpenBLAS splits a dot of
+    more than 10,000 entries across its threads, so such a loss value may
+    differ in its last bits between BLAS thread counts; at one thread count it
+    repeats bit for bit, and the gradients never depend on it.
     """
     if not (config.use_pair_loss or config.use_aux_loss):
         raise ValueError("no loss enabled")
@@ -211,14 +217,14 @@ def grad_batch(
         T = targets_b
         if gram_b is None and max(model.m, T.shape[1]) < nb:
             HtH, TtH, TtT = H.T @ H, T.T @ H, T.T @ T
-            loss_pair = float(np.sum(HtH * HtH) - 2.0 * np.sum(TtH * TtH) + np.sum(TtT * TtT))
+            loss_pair = float(np.vdot(HtH, HtH) - 2.0 * np.vdot(TtH, TtH) + np.vdot(TtT, TtT))
             loss_pair /= nb * nb
             dH = H @ HtH
             dH -= T @ TtH
         else:
             R = H @ H.T
             R -= T @ T.T if gram_b is None else gram_b
-            loss_pair = float(np.mean(R * R))
+            loss_pair = float(np.vdot(R, R)) / R.size
             dH = R @ H
         dH *= 4.0 / (nb * nb)
 
@@ -228,7 +234,7 @@ def grad_batch(
     if config.use_aux_loss:
         if config.task == "anomaly":
             term = H - targets_b
-            loss_aux = float(np.mean(term * term))
+            loss_aux = float(np.vdot(term, term)) / term.size
             term *= 2.0 * lam / (model.m * nb)
         else:
             if not model.has_decoder:
@@ -236,7 +242,7 @@ def grad_batch(
             res = H @ model.decoder_w.T
             res += model.decoder_b
             res -= Xb
-            loss_aux = float(np.mean(res * res))
+            loss_aux = float(np.vdot(res, res)) / res.size
             scale = 2.0 * lam / (model.d * nb)
             ddec_w = res.T @ H
             ddec_w *= scale
@@ -292,7 +298,7 @@ def train(
     )
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
-        sums = np.zeros(3)
+        total = pair = aux = 0.0  # Python floats: the same IEEE sums as an array, cheaper per step
         batches = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
@@ -301,7 +307,9 @@ def train(
             targets_b = None if batch_targets is None else batch_targets[idx]
             gram_b = None if gram is None else gram[np.ix_(idx, idx)]
             try:
-                grads, losses = grad_batch(model, X[idx], targets_b, config, gram_b)
+                grads, (loss_total, loss_pair, loss_aux) = grad_batch(
+                    model, X[idx], targets_b, config, gram_b
+                )
             except NumericError as err:
                 raise NumericError(f"training diverged at epoch {epoch}: {err}") from err
             model.w -= lr * grads.dw
@@ -309,10 +317,12 @@ def train(
             if grads.ddecoder_w is not None:
                 model.decoder_w -= lr * grads.ddecoder_w
                 model.decoder_b -= lr * grads.ddecoder_b
-            sums += losses
+            total += loss_total
+            pair += loss_pair
+            aux += loss_aux
             batches += 1
-        means = sums / batches
-        if not np.all(np.isfinite(means)):
+        means = (total / batches, pair / batches, aux / batches)
+        if not all(map(math.isfinite, means)):
             raise NumericError(f"training diverged at epoch {epoch}: mean loss {means[0]}")
         trace.total[epoch], trace.pair[epoch], trace.aux[epoch] = means
     return model, trace

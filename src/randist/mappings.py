@@ -72,6 +72,7 @@ def sparse_rp(d: int, k: int, density: Optional[float] = None, seed: int = 0) ->
 
 
 MAX_BANDWIDTH_POINTS = 1000  # median_bandwidth subsamples larger inputs
+BANDWIDTH_BLOCK = 128  # rows of squared distances median_bandwidth forms at a time
 
 
 def median_bandwidth(X: np.ndarray, max_points: int = MAX_BANDWIDTH_POINTS, seed: int = 0) -> float:
@@ -90,9 +91,18 @@ def median_bandwidth(X: np.ndarray, max_points: int = MAX_BANDWIDTH_POINTS, seed
     sq = np.sum(X * X, axis=1)
     G = X @ X.T
     G *= 2.0
-    d2 = sq[:, None] + sq[None, :]
-    d2 -= G
-    d2 = d2[np.arange(n)[:, None] < np.arange(n)]  # the pairs i < j
+    # the pairs i < j in row-major order, (sq_i + sq_j) - 2G_ij, a block of
+    # rows at a time: no n x n distance matrix or mask
+    d2 = np.empty(n * (n - 1) // 2)
+    cols = np.arange(n)
+    pos = 0
+    for lo in range(0, n - 1, BANDWIDTH_BLOCK):
+        hi = min(lo + BANDWIDTH_BLOCK, n - 1)
+        block = sq[lo:hi, None] + sq[lo + 1:]
+        block -= G[lo:hi, lo + 1:]
+        upper = block[cols[lo:hi, None] < cols[lo + 1:]]
+        d2[pos:pos + upper.size] = upper
+        pos += upper.size
     # np.median's middle one or two, selected on the squared distances: sqrt
     # is monotone, so only they need it.
     half = d2.size // 2

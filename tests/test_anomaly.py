@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randist.anomaly
 from randist.anomaly import (
     BoostConfig,
     boost_train_member,
@@ -133,6 +134,28 @@ class TestBoostTrainMember:
         n = X.shape[0]
         r1 = n - removal_count(0.05, n)
         assert member.train_rows == r1 - removal_count(0.05, r1) < n
+
+    def test_rows_are_copied_only_once_one_is_dropped(self, toy, monkeypatch):
+        # round 0's fit and round 1's filter read the caller's array itself
+        _, X = toy
+        seen = []
+        real_train, real_score = randist.anomaly.train, randist.anomaly.score_rows
+
+        def spy_train(rows, config, mapping):
+            seen.append(("train", rows))
+            return real_train(rows, config, mapping)
+
+        def spy_score(model, rows):
+            seen.append(("score", rows))
+            return real_score(model, rows)
+
+        monkeypatch.setattr(randist.anomaly, "train", spy_train)
+        monkeypatch.setattr(randist.anomaly, "score_rows", spy_score)
+        cfg = BoostConfig(train=_small_cfg(), members=1, filter_fraction=0.05, filter_rounds=1)
+        member = boost_train_member(X, cfg, member_seed=25)
+        assert [what for what, _ in seen] == ["train", "score", "train"]
+        assert seen[0][1] is X and seen[1][1] is X
+        assert seen[2][1] is not X and seen[2][1].shape == (member.train_rows, X.shape[1])
 
     def test_error_when_too_few_rows_left(self):
         data = synth_anomaly(36, 4, 4, seed=9)

@@ -269,6 +269,15 @@ class TestConfigHandling:
         assert "label cell '1e30' at row 3 is outside the int64 range" in err
         assert "Traceback" not in err
 
+    def test_cell_over_csv_field_limit_is_input_error(self, capsys, tmp_path):
+        p, out = tmp_path / "long.csv", tmp_path / "proj.csv"
+        p.write_text("a,b\n1," + "2" * 200_001 + "\n3,4\n")
+        code, _, err = _run(capsys, ["project", "--input", str(p), "--k", "4", "--out-matrix", str(out)])
+        assert code == EXIT_IO
+        assert "cannot read row 2: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("slope", ["nan", "-3", "2.5"])
     def test_leaky_slope_outside_unit_interval(self, capsys, blob_csv, slope):
         code, _, err = _run(
@@ -328,6 +337,14 @@ class TestConfigHandling:
         )
         assert code == EXIT_IO
         assert "bad row 3" in err and "score 'nan' is not finite" in err
+
+    def test_eval_cell_over_csv_field_limit_is_input_error(self, capsys, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n0.5,0\n" + "1" * 200_001 + ",1\n")
+        code, _, err = _run(capsys, ["eval", "--input", str(p)])
+        assert code == EXIT_IO
+        assert "cannot read row 3: field larger than field limit" in err
+        assert "Traceback" not in err
 
     def test_eval_reads_padded_cells_as_load_csv_does(self, capsys, tmp_path):
         # a cell padded with what str.strip removes loads in load_csv, so eval reads it too

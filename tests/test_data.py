@@ -157,6 +157,21 @@ class TestLoadCsv:
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
+        "text,row",
+        [
+            ("a" * 200_001 + ",b\n1,2\n", 1),
+            ("a,b\n1," + "2" * 200_001 + "\n3,4\n", 2),
+            ('a,b\n1,2\n"3",4\n5,' + "6" * 200_001 + "\n", 4),
+        ],
+        ids=["header", "first_row", "declined_table"],
+    )
+    def test_cell_over_csv_field_limit_names_the_row(self, tmp_path, text, row):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=f"^cannot read row {row}: field larger than field limit"):
+            load_csv(p)
+
+    @pytest.mark.parametrize(
         "text,message",
         [
             ("a,b\n1,2,3\n", "feature_names must have length 3, got 2"),

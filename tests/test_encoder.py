@@ -274,6 +274,15 @@ class TestGradients:
         idx = np.array([9, 2, 7, 0, 11, 4, 5, 1])
         _assert_matches_oracle(model, X[idx], apply(mapping, X)[idx], config)
 
+    @pytest.mark.parametrize("task,m", [("anomaly", 64), ("clustering", 64), ("anomaly", 120)])
+    def test_terms_over_10000_entries_match_oracle(self, task, m):
+        # OpenBLAS splits a dot of more than 10,000 entries across threads: the
+        # 192 x 192 residual (with the target Gram), the 192 x 64 novelty
+        # residual and, at m = 120 < nb, the 120 x 120 feature Grams
+        model, X, T, config = _step_case(192, m, m, task, seed=41)
+        _assert_matches_oracle(model, X, T, config)
+        _assert_matches_oracle(model, X, T, config, gram_b=T @ T.T)
+
     @settings(max_examples=40, deadline=None)
     @given(**_STEP_SHAPES)
     def test_step_matches_generic_path_at_any_shape(self, nb, m, k, task, seed):
@@ -467,6 +476,35 @@ class TestTrain:
             (model.forward_batch(X), ref_model.forward_batch(X)),
         ]:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "task,use_pair,use_aux",
+        [("anomaly", True, True), ("anomaly", False, True), ("clustering", True, True),
+         ("clustering", True, False)],
+    )
+    def test_trace_is_the_mean_of_each_epochs_batch_losses(self, monkeypatch, task, use_pair, use_aux):
+        X, _ = self._blob_matrix(k=2, per=40, d=6, seed=27)
+        cfg = TrainConfig(
+            m=4, epochs=5, task=task, batch_size=16, use_pair_loss=use_pair, use_aux_loss=use_aux, seed=28
+        )
+        recorded = []
+        real_step = randist.encoder.grad_batch
+
+        def recording_step(*args):
+            grads, losses = real_step(*args)
+            recorded.append(losses)
+            return grads, losses
+
+        monkeypatch.setattr(randist.encoder, "grad_batch", recording_step)
+        _, trace = train(X, cfg, gaussian_rp(6, 4, seed=29))
+        batches = 5  # 80 rows in batches of 16
+        assert len(recorded) == batches * cfg.epochs
+        for epoch in range(cfg.epochs):
+            losses = recorded[epoch * batches : (epoch + 1) * batches]
+            for column, name in enumerate(("total", "pair", "aux")):
+                # summed in batch order, as train does
+                mean = sum(batch[column] for batch in losses) / batches
+                assert getattr(trace, name)[epoch] == mean
 
     def test_needs_two_rows(self):
         cfg = TrainConfig(m=2, epochs=1, task="anomaly", batch_size=2, seed=0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from randist.mappings import (
+    BANDWIDTH_BLOCK,
     MAX_BANDWIDTH_POINTS,
     apply,
     gaussian_rp,
@@ -326,6 +327,15 @@ class TestMedianBandwidth:
             max_points = int(rng.integers(2, n + 1)) if case % 4 == 0 else MAX_BANDWIDTH_POINTS
             got = median_bandwidth(X, max_points=max_points, seed=case)
             assert got == median_bandwidth_reference(X, max_points=max_points, seed=case)
+
+    @pytest.mark.parametrize(
+        "n", [BANDWIDTH_BLOCK - 1, BANDWIDTH_BLOCK, BANDWIDTH_BLOCK + 1, 2 * BANDWIDTH_BLOCK + 1]
+    )
+    def test_matches_reference_at_block_edges(self, n):
+        # the pairs are formed BANDWIDTH_BLOCK rows at a time
+        X = stream(30 + n).standard_normal((n, 5))
+        for rows in (X, np.round(X)):
+            assert median_bandwidth(rows) == median_bandwidth_reference(rows)
 
     def test_matches_reference_above_max_points(self):
         X = stream(22).standard_normal((MAX_BANDWIDTH_POINTS + 57, 4))
