@@ -1,13 +1,15 @@
 """Command-line harness.
 
 Subcommands: anomaly, cluster, project, eval. Options come from
-an optional flat `key = value` config file plus command-line flags; a flag
-always wins over the file. A subcommand's parser lists the options it
-takes, as flags and as config keys, with their types; the library configs
-(TrainConfig, BoostConfig) own the training defaults and their checks. The
-run report echoes every resolved option (including filled-in defaults) as
-sorted `key = value` lines, followed by metric, loss-trace and per-phase
-timing fields.
+an optional flat `key = value` config file plus command-line flags. A
+subcommand's parser declares each option it takes, as a flag and as a
+config key, once: its type, its valid values and any default the CLI owns.
+A config file's values become the parser's defaults, so a flag wins over
+the file and the file over the default. The library configs (TrainConfig,
+BoostConfig) own the training defaults and their checks. The run report
+echoes every resolved option (including filled-in defaults) as sorted
+`key = value` lines, followed by metric, loss-trace and per-phase timing
+fields.
 """
 from __future__ import annotations
 
@@ -17,15 +19,14 @@ import io
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import fields
 
 import numpy as np
 
 from ._version import __version__
 from .anomaly import ABLATIONS, SOURCES, BoostConfig, build_map, run_anomaly
 from .clustering import run_clustering
-from .data import _csv_rows, _is_label, load_csv, standardize as standardize_dataset
+from .data import _column_index, _csv_rows, _is_label, load_csv, standardize as standardize_dataset
 from .encoder import LOSS_ABLATIONS, TrainConfig
 from .errors import ConfigError, DataError, ModelFileError, NumericError
 from .mappings import apply as apply_map
@@ -37,49 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-
-@dataclass
-class RunConfig:
-    """The resolved options of one run. A None training option is left to
-    the library config that owns its default (TrainConfig, BoostConfig)."""
-
-    task: str = "anomaly"
-    input: Optional[str] = None
-    label_column: Optional[str] = None
-    score_column: str = "score"
-    has_header: bool = True
-    standardize: bool = True
-    source: str = "rff"
-    ablation: str = "none"
-    m: Optional[int] = None
-    k: Optional[int] = None
-    epochs: Optional[int] = None
-    batch_size: Optional[int] = None
-    learning_rate: Optional[float] = None
-    aux_weight: Optional[float] = None
-    leaky_slope: Optional[float] = None
-    members: Optional[int] = None
-    filter_fraction: Optional[float] = None
-    filter_rounds: Optional[int] = None
-    restarts: int = 30
-    kmeans_max_iters: int = 300
-    normalize_embeddings: bool = False
-    bandwidth: Optional[float] = None
-    density: Optional[float] = None
-    seed: int = 0
-    out_report: Optional[str] = None
-    out_scores: Optional[str] = None
-    out_assignments: Optional[str] = None
-    out_matrix: Optional[str] = None
-    out_model: Optional[str] = None
-
-
-def _task_options(parser: argparse.ArgumentParser, task: str) -> dict:
-    """The options that `task`'s subparser lists, as {dest: action}: the
-    config keys the task takes, their types, and what its report echoes."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[task]._actions if a.dest not in ("help", "config")}
 
 
 def _coerce(key: str, raw: str, options: dict):
@@ -128,19 +86,23 @@ def _parse_config_file(path, options: dict) -> dict:
     return values
 
 
-def _resolve(task: str, file_values: dict, cli_values: dict) -> RunConfig:
-    """Flags over file values over defaults; a None value (`none` in a file) is unset."""
-    cfg = RunConfig(task=task)
-    for values in (file_values, cli_values):
-        for key, value in values.items():
-            if value is not None:
-                setattr(cfg, key, value)
-    if task == "project" and cfg.k is None:
-        cfg.k = 50
-    return cfg
+def parse_options(argv=None) -> tuple:
+    """The resolved options of one run, and the {dest: action} of the options
+    its subcommand takes: flags over config-file values over the parser's
+    defaults. A `none` in the file leaves the default."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    task = sub.choices[args.task]
+    options = {a.dest: a for a in task._actions if a.dest not in ("help", "config")}
+    if args.config:
+        file_values = _parse_config_file(args.config, options)
+        task.set_defaults(**{key: value for key, value in file_values.items() if value is not None})
+        args = parser.parse_args(argv)
+    return args, options
 
 
-def _library_config(cfg: RunConfig, options: dict, problems: list):
+def _library_config(cfg: argparse.Namespace, options: dict, problems: list):
     """The TrainConfig of a cluster run, or the BoostConfig of an anomaly run.
 
     It is built from the options given; the library fills in the others and
@@ -168,7 +130,7 @@ def _library_config(cfg: RunConfig, options: dict, problems: list):
     return build(BoostConfig, BoostConfig, train=train or defaults())
 
 
-def _validate(cfg: RunConfig, options: dict):
+def _validate(cfg: argparse.Namespace, options: dict):
     """Check cfg before any input is read and return its library config (None
     for project and eval). Every problem, the library's included, is raised
     at once, one per line."""
@@ -177,18 +139,15 @@ def _validate(cfg: RunConfig, options: dict):
     library = None
     if not cfg.input:
         problems.append("input file is required")
-    if task in ("cluster", "project") and cfg.source not in SOURCES:  # BoostConfig checks anomaly's
-        problems.append(f"source must be one of {SOURCES}, got {cfg.source!r}")
+    for name, action in options.items():  # a config-file value skips argparse's check
+        value = getattr(cfg, name)
+        if action.choices is not None and value not in action.choices:
+            problems.append(f"{name} must be one of {action.choices}, got {value!r}")
     if task in ("anomaly", "cluster"):
-        ablations = ABLATIONS if task == "anomaly" else LOSS_ABLATIONS
-        if cfg.ablation not in ablations:
-            problems.append(f"ablation must be one of {ablations}, got {cfg.ablation!r}")
         library = _library_config(cfg, options, problems)
+    if task == "cluster":
         if cfg.k is None:
             cfg.k = cfg.m
-    if task == "anomaly" and cfg.m is not None and cfg.m != cfg.k and cfg.source != "identity":
-        problems.append(f"anomaly scoring requires m == k, got m={cfg.m}, k={cfg.k}")
-    if task == "cluster":
         if cfg.restarts < 1:
             problems.append(f"restarts must be >= 1, got {cfg.restarts}")
         if cfg.kmeans_max_iters < 1:
@@ -200,12 +159,13 @@ def _validate(cfg: RunConfig, options: dict):
             problems.append(f"seed must be non-negative, got {cfg.seed}")
         if not cfg.out_matrix:
             problems.append("project needs out_matrix")
-    if cfg.bandwidth is not None and not (cfg.bandwidth > 0 and math.isfinite(cfg.bandwidth)):
-        problems.append(f"bandwidth must be positive and finite, got {cfg.bandwidth}")
-    if cfg.density is not None and not 0.0 < cfg.density <= 1.0:
-        problems.append(f"density must be in (0, 1], got {cfg.density}")
-    if problems:
-        raise ConfigError("invalid configuration:\n" + "\n".join(problems))
+    bandwidth, density = getattr(cfg, "bandwidth", None), getattr(cfg, "density", None)
+    if bandwidth is not None and not (bandwidth > 0 and math.isfinite(bandwidth)):
+        problems.append(f"bandwidth must be positive and finite, got {bandwidth}")
+    if density is not None and not 0.0 < density <= 1.0:
+        problems.append(f"density must be in (0, 1], got {density}")
+    if problems:  # BoostConfig repeats a bad anomaly source
+        raise ConfigError("invalid configuration:\n" + "\n".join(dict.fromkeys(problems)))
     return library
 
 
@@ -217,11 +177,11 @@ def _write_csv_atomic(path, header: list, rows) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
-def _cmd_anomaly(cfg: RunConfig, boost: BoostConfig) -> dict:
+def _cmd_anomaly(cfg: argparse.Namespace, boost: BoostConfig) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     result = run_anomaly(data, boost, ablation=cfg.ablation, standardize=cfg.standardize)
     if cfg.source == "identity":
-        cfg.m = cfg.k = data.d  # echo the forced width
+        cfg.m = data.d  # echo the forced width
     out = {"data.rows": data.n, "data.columns": data.d}
     if result.auc_roc is not None:
         out["metrics.auc_roc"] = result.auc_roc
@@ -244,7 +204,7 @@ def _cmd_anomaly(cfg: RunConfig, boost: BoostConfig) -> dict:
     return out
 
 
-def _cmd_cluster(cfg: RunConfig, train_cfg: TrainConfig) -> dict:
+def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     result = run_clustering(
         data,
@@ -253,7 +213,6 @@ def _cmd_cluster(cfg: RunConfig, train_cfg: TrainConfig) -> dict:
         ablation=cfg.ablation,
         source=cfg.source,
         standardize=cfg.standardize,
-        normalize_embeddings=cfg.normalize_embeddings,
         kmeans_max_iters=cfg.kmeans_max_iters,
         bandwidth=cfg.bandwidth,
         density=cfg.density,
@@ -280,7 +239,7 @@ def _cmd_cluster(cfg: RunConfig, train_cfg: TrainConfig) -> dict:
     return out
 
 
-def _cmd_project(cfg: RunConfig, _: None) -> dict:
+def _cmd_project(cfg: argparse.Namespace, _: None) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     X = standardize_dataset(data)[0].features if cfg.standardize else data.features
     t0 = time.perf_counter()
@@ -296,7 +255,7 @@ def _cmd_project(cfg: RunConfig, _: None) -> dict:
     return out
 
 
-def _read_eval_columns(cfg: RunConfig) -> tuple:
+def _read_eval_columns(cfg: argparse.Namespace) -> tuple:
     try:
         with open(cfg.input, "r", newline="", encoding="utf-8") as fh:
             rows = [cells for _, cells in _csv_rows(fh, 1)]
@@ -311,18 +270,9 @@ def _read_eval_columns(cfg: RunConfig) -> tuple:
     if not rows:
         raise DataError(f"{cfg.input} has no data rows")
 
-    def column_index(selector, what: str) -> int:
-        if isinstance(selector, str) and not selector.lstrip("-").isdigit():
-            if header is None or selector not in header:
-                raise DataError(f"{what} {selector!r} not found in header {header}")
-            return header.index(selector)
-        idx = int(selector)
-        if not 0 <= idx < len(rows[0]):
-            raise DataError(f"{what} index {idx} out of range")
-        return idx
-
-    s_idx = column_index(cfg.score_column, "score column")
-    l_idx = column_index(cfg.label_column if cfg.label_column is not None else "label", "label column")
+    s_idx = _column_index(cfg.score_column, header, len(rows[0]), "score column")
+    label = cfg.label_column if cfg.label_column is not None else "label"
+    l_idx = _column_index(label, header, len(rows[0]), "label column")
     scores, labels = [], []
     for r, cells in enumerate(rows, start=2 if cfg.has_header else 1):
         try:
@@ -341,7 +291,7 @@ def _read_eval_columns(cfg: RunConfig) -> tuple:
     return np.asarray(scores), np.asarray(labels)
 
 
-def _cmd_eval(cfg: RunConfig, _: None) -> dict:
+def _cmd_eval(cfg: argparse.Namespace, _: None) -> dict:
     scores, labels = _read_eval_columns(cfg)
     return {
         "data.rows": scores.size,
@@ -354,21 +304,20 @@ def _add_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file; flags override it")
     p.add_argument("--input", help="input CSV path")
     p.add_argument("--label-column", dest="label_column", help="label column name or 0-based index")
-    p.add_argument("--has-header", dest="has_header", action=argparse.BooleanOptionalAction)
+    p.add_argument("--has-header", dest="has_header", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out-report", dest="out_report")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     _add_io(p)
-    p.add_argument("--standardize", action=argparse.BooleanOptionalAction)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--seed", type=int, default=0)
 
 
-def _add_train_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source", choices=list(SOURCES))
-    p.add_argument("--ablation")
+def _add_train_common(p: argparse.ArgumentParser, ablations: tuple) -> None:
+    p.add_argument("--source", choices=SOURCES, default="rff")
+    p.add_argument("--ablation", choices=ablations, default="none")
     p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
@@ -386,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anomaly", help="train the detector ensemble and score every row")
     _add_common(p)
-    _add_train_common(p)
+    _add_train_common(p, ABLATIONS)
     p.add_argument("--members", type=int)
     p.add_argument("--filter-fraction", dest="filter_fraction", type=float)
     p.add_argument("--filter-rounds", dest="filter_rounds", type=int)
@@ -394,24 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="learn an embedding and K-means it against labels")
     _add_common(p)
-    _add_train_common(p)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--kmeans-max-iters", dest="kmeans_max_iters", type=int)
-    p.add_argument("--normalize-embeddings", dest="normalize_embeddings",
-                   action=argparse.BooleanOptionalAction)
+    _add_train_common(p, LOSS_ABLATIONS)
+    p.add_argument("--k", type=int, help="mapping width; defaults to m")
+    p.add_argument("--restarts", type=int, default=30)
+    p.add_argument("--kmeans-max-iters", dest="kmeans_max_iters", type=int, default=300)
     p.add_argument("--out-assignments", dest="out_assignments")
 
     p = sub.add_parser("project", help="apply a frozen random mapping and write the matrix")
     _add_common(p)
-    p.add_argument("--source", choices=list(SOURCES))
-    p.add_argument("--k", type=int)
+    p.add_argument("--source", choices=SOURCES, default="rff")
+    p.add_argument("--k", type=int, default=50)
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--density", type=float)
     p.add_argument("--out-matrix", dest="out_matrix")
 
     p = sub.add_parser("eval", help="compute ranking metrics from a scores+labels CSV")
     _add_io(p)
-    p.add_argument("--score-column", dest="score_column")
+    p.add_argument("--score-column", dest="score_column", default="score")
     return parser
 
 
@@ -424,11 +372,7 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    options = _task_options(parser, args.task)
-    file_values = _parse_config_file(args.config, options) if args.config else {}
-    cfg = _resolve(args.task, file_values, {key: getattr(args, key) for key in options})
+    cfg, options = parse_options(argv)
     out = _COMMANDS[cfg.task](cfg, _validate(cfg, options))
     out.update({f"config.{key}": getattr(cfg, key) for key in ("task", *options)})
     out["version"] = __version__

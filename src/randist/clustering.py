@@ -219,7 +219,6 @@ def run_clustering(
     ablation: str = "none",
     source: str = "rff",
     standardize: bool = True,
-    normalize_embeddings: bool = False,
     kmeans_max_iters: int = 300,
     bandwidth: Optional[float] = None,
     density: Optional[float] = None,
@@ -257,10 +256,6 @@ def run_clustering(
     model, trace = train(X, cfg, mapping)
     H = embed(model, X)
     t1 = time.perf_counter()
-    if normalize_embeddings:
-        norms = np.linalg.norm(H, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        H = H / norms
 
     k = int(np.unique(data.labels).size)
     seeds = [child_seed(cfg.seed, 20_000 + r) for r in range(restarts)]

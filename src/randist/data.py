@@ -145,6 +145,20 @@ def _csv_rows(lines, first_line: int):
         line += 1
 
 
+def _column_index(selector: Union[str, int], header: Optional[list], width: int, what: str) -> int:
+    """The 0-based index of the column that `selector` names, by header name or by index."""
+    if isinstance(selector, str) and not selector.lstrip("-").isdigit():
+        if header is None:
+            raise DataError(f"{what} given by name but file has no header")
+        if selector not in header:
+            raise DataError(f"{what} {selector!r} not found in header {header}")
+        return header.index(selector)
+    idx = int(selector)
+    if not 0 <= idx < width:
+        raise DataError(f"{what} index {idx} out of range for {width} columns")
+    return idx
+
+
 def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
     rows = _csv_rows(iter(fh.readline, ""), 1)  # readline, unlike next(fh), keeps fh.tell()
     header: Optional[list] = None
@@ -159,18 +173,7 @@ def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
         raise DataError(f"{path} has no data rows")
 
     width = len(first[1])
-    label_idx: Optional[int] = None
-    if label_column is not None:
-        if isinstance(label_column, str) and not label_column.lstrip("-").isdigit():
-            if header is None:
-                raise DataError("label column given by name but file has no header")
-            if label_column not in header:
-                raise DataError(f"label column {label_column!r} not found in header {header}")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-            if not 0 <= label_idx < width:
-                raise DataError(f"label column index {label_idx} out of range for {width} columns")
+    label_idx = None if label_column is None else _column_index(label_column, header, width, "label column")
 
     if start is None:  # a pipe cannot rewind from the C pass to the row loop
         table = _parse_rows(itertools.chain([first], rows), width, header, label_idx)

@@ -74,16 +74,15 @@ def _check_partitions(a, b, min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def nmi(labels_a, labels_b, normalization: str = "geometric") -> float:
-    """Normalized mutual information between two partitions, in [0, 1].
+def nmi(labels_a, labels_b) -> float:
+    """Normalized mutual information between two partitions, in [0, 1],
+    over the geometric mean of their entropies.
 
     Two single-cluster partitions are identical, hence 1.0; when exactly
     one side is single-cluster the mutual information is 0 and so is the
     score.
     """
     a, b = _check_partitions(labels_a, labels_b)
-    if normalization not in ("geometric", "arithmetic"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     table = _contingency(a, b)
     n = a.size
     row = table.sum(axis=1)
@@ -100,8 +99,7 @@ def nmi(labels_a, labels_b, normalization: str = "geometric") -> float:
             nij = table[i, j]
             if nij > 0:
                 mi += nij / n * math.log(n * nij / (row[i] * col[j]))
-    denom = math.sqrt(h_a * h_b) if normalization == "geometric" else (h_a + h_b) / 2.0
-    return float(min(1.0, max(0.0, mi / denom)))
+    return float(min(1.0, max(0.0, mi / math.sqrt(h_a * h_b))))
 
 
 def pairwise_f(labels_a, labels_b) -> float:

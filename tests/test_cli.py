@@ -55,7 +55,7 @@ class TestAnomalyCommand:
         )
         assert code == EXIT_OK
         assert report["config.task"] == "anomaly"
-        assert report["config.m"] == "12" and report["config.k"] == "12"
+        assert report["config.m"] == "12" and "config.k" not in report  # m is the one width
         assert report["config.epochs"] == "15"
         assert float(report["metrics.auc_roc"]) > 0.8
         assert "metrics.auc_pr" in report and "timing.train_seconds" in report
@@ -346,6 +346,22 @@ class TestConfigHandling:
         assert "cannot read row 3: field larger than field limit" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--score-column", "nope"], "score column 'nope' not found in header ['score', 'label']"),
+            (["--score-column", "7"], "score column index 7 out of range for 2 columns"),
+            (["--no-has-header", "--score-column", "0"],
+             "label column given by name but file has no header"),
+        ],
+    )
+    def test_eval_selects_columns_as_load_csv_does(self, capsys, tmp_path, flags, message):
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n0.1,0\n0.9,1\n")
+        code, _, err = _run(capsys, ["eval", "--input", str(p), *flags])
+        assert code == EXIT_IO
+        assert err == f"input/output error: {message}\n"
+
     def test_eval_reads_padded_cells_as_load_csv_does(self, capsys, tmp_path):
         # a cell padded with what str.strip removes loads in load_csv, so eval reads it too
         p = tmp_path / "scores.csv"
@@ -359,13 +375,90 @@ class TestConfigHandling:
         assert report["metrics.auc_roc"] == repr(auc_roc(data.features[:, 0], data.labels))
         assert report["metrics.auc_pr"] == repr(auc_pr(data.features[:, 0], data.labels))
 
-    def test_mismatched_dims_rejected(self, capsys, anomaly_csv):
+    def test_k_is_not_an_anomaly_option(self, capsys, tmp_path, anomaly_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["anomaly", "--input", anomaly_csv, "--m", "10", "--k", "20"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --k 20" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 20\n")
+        code, _, err = _run(capsys, ["anomaly", "--config", str(cfg), "--input", anomaly_csv])
+        assert code == EXIT_CONFIG
+        assert "line 1: unknown config key 'k'" in err
+
+    def test_bad_choice_in_config_file_listed_with_library_problems(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("ablation = bogus\nsource = nope\nepochs = 0\n")
         code, _, err = _run(
-            capsys,
-            ["anomaly", "--input", anomaly_csv, "--m", "10", "--k", "20"],
+            capsys, ["cluster", "--config", str(cfg), "--input", str(tmp_path / "missing.csv")]
         )
         assert code == EXIT_CONFIG
-        assert "m == k" in err
+        assert err == (
+            "config error: invalid configuration:\n"
+            "source must be one of ('rff', 'srp', 'identity'), got 'nope'\n"
+            "ablation must be one of ('none', 'no_pair_loss', 'no_aux_loss'), got 'bogus'\n"
+            "epochs must be >= 1, got 0\n"
+        )
+
+    def test_bad_source_in_anomaly_config_file_listed_once(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("source = nope\n")
+        code, _, err = _run(
+            capsys, ["anomaly", "--config", str(cfg), "--input", str(tmp_path / "missing.csv")]
+        )
+        assert code == EXIT_CONFIG
+        assert err.count("source must be one of") == 1
+
+    @pytest.mark.parametrize(
+        "task, flag",
+        [("anomaly", "--ablation=bogus"), ("cluster", "--ablation=no_boosting"),
+         ("cluster", "--source=nope")],
+    )
+    def test_bad_choice_flag_is_rejected_by_the_parser(self, capsys, task, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([task, "--input", "data.csv", flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestCliOwnedDefaults:
+    """Options whose default the command line owns: unset they take it, a
+    file value replaces it, a flag beats the file, and `none` leaves it."""
+
+    CASES = [
+        ("cluster", "restarts", 30, "3", 3, ["--restarts", "5"], 5),
+        ("anomaly", "has_header", True, "false", False, ["--has-header"], True),
+        ("cluster", "has_header", True, "no", False, ["--has-header"], True),
+        ("anomaly", "standardize", True, "false", False, ["--standardize"], True),
+        ("project", "standardize", True, "0", False, ["--standardize"], True),
+    ]
+    IDS = ["cluster-restarts", "anomaly-has_header", "cluster-has_header",
+           "anomaly-standardize", "project-standardize"]
+
+    def _parse(self, tmp_path, task, line=None, flags=()):
+        argv = [task, "--input", "data.csv", *flags]
+        if line is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(line + "\n")
+            argv += ["--config", str(cfg)]
+        return cli.parse_options(argv)[0]
+
+    @pytest.mark.parametrize("task, key, default, raw, value, flags, flagged", CASES, ids=IDS)
+    def test_precedence(self, tmp_path, task, key, default, raw, value, flags, flagged):
+        assert getattr(self._parse(tmp_path, task), key) == default
+        assert getattr(self._parse(tmp_path, task, f"{key} = {raw}"), key) == value
+        assert getattr(self._parse(tmp_path, task, f"{key} = {raw}", flags), key) == flagged
+        assert getattr(self._parse(tmp_path, task, f"{key} = none"), key) == default
+
+    def test_default_reaches_the_report(self, capsys, blob_csv):
+        code, report, _ = _run(
+            capsys,
+            ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "8",
+             "--epochs", "2", "--kmeans-max-iters", "5"],
+        )
+        assert code == EXIT_OK
+        assert report["config.restarts"] == "30"
+        assert report["config.has_header"] == report["config.standardize"] == "true"
 
 
 def _library_defaults(task: str) -> dict:
@@ -390,9 +483,10 @@ class TestShippedConfigs:
     CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
     def _resolve(self, task, config_file=True):
-        options = cli._task_options(cli.build_parser(), task)
-        values = cli._parse_config_file(self.CONFIGS / f"{task}.cfg", options) if config_file else {}
-        cfg = cli._resolve(task, values, {"input": "data.csv"})
+        path = str(self.CONFIGS / f"{task}.cfg")
+        argv = [task, "--input", "data.csv"] + (["--config", path] if config_file else [])
+        cfg, options = cli.parse_options(argv)
+        values = cli._parse_config_file(path, options) if config_file else {}
         cli._validate(cfg, options)
         return values, cfg, options
 

@@ -301,11 +301,6 @@ class TestRunClustering:
         np.testing.assert_array_equal(result.nmi_values, [nmi(blob_data.labels, a) for a in lloyd])
         np.testing.assert_array_equal(result.assignments, lloyd[0])
 
-    def test_normalize_embeddings_flag(self, blob_data):
-        result = run_clustering(blob_data, self._cfg(), restarts=2, normalize_embeddings=True)
-        norms = np.linalg.norm(result.embeddings, axis=1)
-        np.testing.assert_allclose(norms[norms > 0], 1.0, rtol=1e-12)
-
     def test_identity_source(self, blob_data):
         # raw-Gram targets scale with d, so this source needs a gentler rate
         result = run_clustering(
