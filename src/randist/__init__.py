@@ -10,7 +10,6 @@ from .data import (
     standardize,
     synth_anomaly,
     synth_blobs,
-    unstandardize,
     write_csv,
 )
 from .encoder import EncoderModel, Gradients, LossTrace, TrainConfig, grad_batch, init_model, train
@@ -35,7 +34,7 @@ from .anomaly import (
 )
 from .clustering import ClusteringResult, KMeansResult, embed, kmeans, run_clustering
 from .metrics import auc_pr, auc_roc, nmi, pairwise_f
-from .persist import load_ensemble, load_model, save_ensemble, save_model
+from .persist import load_ensemble, save_ensemble
 from .errors import ConfigError, DataError, ModelFileError, NumericError
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "standardize",
-    "unstandardize",
     "synth_blobs",
     "synth_anomaly",
     "RandomMap",
@@ -79,8 +77,6 @@ __all__ = [
     "auc_pr",
     "nmi",
     "pairwise_f",
-    "save_model",
-    "load_model",
     "save_ensemble",
     "load_ensemble",
     "ConfigError",

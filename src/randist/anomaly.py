@@ -72,8 +72,7 @@ class BoostConfig:
 
 @dataclass
 class Member:
-    model: EncoderModel
-    mapping: RandomMap
+    model: EncoderModel  # model.random_map is the member's frozen mapping
     seed: int
     trace: LossTrace
     train_rows: int
@@ -136,9 +135,7 @@ def boost_train_member(
             active = np.sort(active[order[n_remove:]])
             rows = X[active]
             model, trace = fit(round_idx)
-    return Member(
-        model=model, mapping=mapping, seed=member_seed, trace=trace, train_rows=int(active.size)
-    )
+    return Member(model=model, seed=member_seed, trace=trace, train_rows=int(active.size))
 
 
 def fit_ensemble(X: np.ndarray, config: BoostConfig) -> Ensemble:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -31,7 +32,7 @@ from .encoder import LOSS_ABLATIONS, TrainConfig
 from .errors import ConfigError, DataError, ModelFileError, NumericError
 from .mappings import apply as apply_map
 from .metrics import auc_pr, auc_roc
-from .persist import save_ensemble, save_model
+from .persist import save_ensemble
 from .report import format_report, write_text_atomic
 
 EXIT_OK = 0
@@ -146,8 +147,6 @@ def _validate(cfg: argparse.Namespace, options: dict):
     if task in ("anomaly", "cluster"):
         library = _library_config(cfg, options, problems)
     if task == "cluster":
-        if cfg.k is None:
-            cfg.k = cfg.m
         if cfg.restarts < 1:
             problems.append(f"restarts must be >= 1, got {cfg.restarts}")
         if cfg.kmeans_max_iters < 1:
@@ -216,7 +215,6 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
         kmeans_max_iters=cfg.kmeans_max_iters,
         bandwidth=cfg.bandwidth,
         density=cfg.density,
-        map_dim=cfg.k,
     )
     out = {"data.rows": data.n, "data.columns": data.d}
     out["metrics.nmi_mean"] = result.nmi_mean
@@ -235,7 +233,7 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
         header = ["index", "cluster"] + (["label"] if data.labels is not None else [])
         _write_csv_atomic(cfg.out_assignments, header, rows)
     if cfg.out_model:
-        save_model(cfg.out_model, result.model)
+        save_ensemble(cfg.out_model, [result.model])
     return out
 
 
@@ -271,8 +269,7 @@ def _read_eval_columns(cfg: argparse.Namespace) -> tuple:
         raise DataError(f"{cfg.input} has no data rows")
 
     s_idx = _column_index(cfg.score_column, header, len(rows[0]), "score column")
-    label = cfg.label_column if cfg.label_column is not None else "label"
-    l_idx = _column_index(label, header, len(rows[0]), "label column")
+    l_idx = _column_index(cfg.label_column, header, len(rows[0]), "label column")
     scores, labels = [], []
     for r, cells in enumerate(rows, start=2 if cfg.has_header else 1):
         try:
@@ -332,8 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="randist", description=__doc__)
     parser.add_argument("--version", action="version", version=f"randist {__version__}")
     sub = parser.add_subparsers(dest="task", required=True)
+    # no prefix matching, so that `--k` cannot pass for `--kmeans-max-iters`
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("anomaly", help="train the detector ensemble and score every row")
+    p = add("anomaly", help="train the detector ensemble and score every row")
     _add_common(p)
     _add_train_common(p, ABLATIONS)
     p.add_argument("--members", type=int)
@@ -341,15 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter-rounds", dest="filter_rounds", type=int)
     p.add_argument("--out-scores", dest="out_scores")
 
-    p = sub.add_parser("cluster", help="learn an embedding and K-means it against labels")
+    p = add("cluster", help="learn an embedding and K-means it against labels")
     _add_common(p)
     _add_train_common(p, LOSS_ABLATIONS)
-    p.add_argument("--k", type=int, help="mapping width; defaults to m")
     p.add_argument("--restarts", type=int, default=30)
     p.add_argument("--kmeans-max-iters", dest="kmeans_max_iters", type=int, default=300)
     p.add_argument("--out-assignments", dest="out_assignments")
 
-    p = sub.add_parser("project", help="apply a frozen random mapping and write the matrix")
+    p = add("project", help="apply a frozen random mapping and write the matrix")
     _add_common(p)
     p.add_argument("--source", choices=SOURCES, default="rff")
     p.add_argument("--k", type=int, default=50)
@@ -357,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float)
     p.add_argument("--out-matrix", dest="out_matrix")
 
-    p = sub.add_parser("eval", help="compute ranking metrics from a scores+labels CSV")
+    p = add("eval", help="compute ranking metrics from a scores+labels CSV")
     _add_io(p)
     p.add_argument("--score-column", dest="score_column", default="score")
+    p.set_defaults(label_column="label")
     return parser
 
 

@@ -222,7 +222,6 @@ def run_clustering(
     kmeans_max_iters: int = 300,
     bandwidth: Optional[float] = None,
     density: Optional[float] = None,
-    map_dim: Optional[int] = None,
 ) -> ClusteringResult:
     """Train the representation, embed, and K-means with restart averaging.
 
@@ -249,8 +248,7 @@ def run_clustering(
         X = standardize_dataset(data)[0].features
     d = X.shape[1]
 
-    k_map = map_dim if map_dim is not None else cfg.m
-    mapping = build_map(source, d, k_map, X, child_seed(cfg.seed, 10_000), bandwidth, density)
+    mapping = build_map(source, d, cfg.m, X, child_seed(cfg.seed, 10_000), bandwidth, density)
 
     t0 = time.perf_counter()
     model, trace = train(X, cfg, mapping)

@@ -277,14 +277,8 @@ def standardize(data: Dataset) -> tuple[Dataset, StandardizeParams]:
     return Dataset(out, labels=data.labels, feature_names=data.feature_names), params
 
 
-def unstandardize(data: Dataset, params: StandardizeParams) -> Dataset:
-    """Invert `standardize`."""
-    X = data.features * params.stds + params.means
-    return Dataset(X, labels=data.labels, feature_names=data.feature_names)
-
-
-def synth_blobs(k: int, per_cluster: int, d: int, spread: float = 1.0, seed: int = 0) -> Dataset:
-    """Gaussian clusters with centers >= 12*spread apart pairwise.
+def synth_blobs(k: int, per_cluster: int, d: int, *, seed: int = 0) -> Dataset:
+    """Unit-variance Gaussian clusters with centers >= 12 apart pairwise.
 
     Centers sit on a lattice rotated by a random orthogonal matrix, so the
     between-cluster structure is spread over all coordinates instead of a
@@ -294,8 +288,6 @@ def synth_blobs(k: int, per_cluster: int, d: int, spread: float = 1.0, seed: int
     """
     if k < 1 or per_cluster < 1 or d < 1:
         raise ValueError(f"k, per_cluster and d must be positive, got {k}, {per_cluster}, {d}")
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
     side = 1
     while side**d < k:
         side += 1
@@ -305,13 +297,11 @@ def synth_blobs(k: int, per_cluster: int, d: int, spread: float = 1.0, seed: int
         for _ in range(d):
             digits.append(rest % side)
             rest //= side
-        centers[i] = np.asarray(digits, dtype=np.float64) * (12.0 * spread)
+        centers[i] = np.asarray(digits, dtype=np.float64) * 12.0
     rng = stream(seed)
     rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
     centers = centers @ rotation.T
-    feats = np.repeat(centers, per_cluster, axis=0) + spread * rng.standard_normal(
-        (k * per_cluster, d)
-    )
+    feats = np.repeat(centers, per_cluster, axis=0) + rng.standard_normal((k * per_cluster, d))
     labels = np.repeat(np.arange(k), per_cluster)
     return Dataset(feats, labels=labels)
 

@@ -194,23 +194,6 @@ def _model_from_record(header: dict, arrays: dict, path) -> EncoderModel:
     )
 
 
-def save_model(path, model: EncoderModel) -> None:
-    record, arrays = _model_record(model)
-    header = {"format": "randist-model", "lib_version": __version__, "model": record}
-    _write_container(path, header, arrays)
-
-
-def load_model(path) -> EncoderModel:
-    header, payload = _read_container(path)
-    if header.get("format") != "randist-model":
-        raise ModelFileError(f"{path} holds {header.get('format')!r}, expected a single model")
-    record = _field(header, "model", path, dict)
-    arrays, rest = _take_arrays(payload, _field(record, "arrays", path, list), path)
-    if rest:
-        raise ModelFileError(f"{path} has {len(rest)} unexpected trailing payload bytes")
-    return _model_from_record(record, arrays, path)
-
-
 def save_ensemble(path, models: list) -> None:
     """All member models in one container, preserving member order."""
     records, arrays = [], []
@@ -224,7 +207,9 @@ def save_ensemble(path, models: list) -> None:
 
 def load_ensemble(path) -> list:
     header, payload = _read_container(path)
-    if header.get("format") != "randist-ensemble":
+    if header.get("format") == "randist-model":  # older `cluster` runs: one member
+        header = {"models": [_field(header, "model", path, dict)]}
+    elif header.get("format") != "randist-ensemble":
         raise ModelFileError(f"{path} holds {header.get('format')!r}, expected an ensemble")
     models = []
     for record in _field(header, "models", path, list):

@@ -233,7 +233,7 @@ class TestEnsemble:
         assert len(calls) == 1
         for member in ens.members:
             alone = boost_train_member(X, cfg, member.seed)
-            assert member.mapping.bandwidth == alone.mapping.bandwidth
+            assert member.model.random_map.bandwidth == alone.model.random_map.bandwidth
             np.testing.assert_array_equal(score_rows(member.model, X), score_rows(alone.model, X))
 
     def test_each_member_subsamples_above_max_points(self, monkeypatch):
@@ -242,7 +242,8 @@ class TestEnsemble:
         calls = self._count_bandwidths(monkeypatch)
         ens = fit_ensemble(X, cfg)
         assert len(calls) == 2
-        assert ens.members[0].mapping.bandwidth != ens.members[1].mapping.bandwidth
+        first, second = (m.model.random_map for m in ens.members)
+        assert first.bandwidth != second.bandwidth
 
 
 class TestRunAnomaly:
@@ -268,8 +269,8 @@ class TestRunAnomaly:
         )
         result = run_anomaly(data, cfg)
         member = result.ensemble.members[0]
-        assert member.mapping.kind == "identity"
-        assert member.model.m == data.d == member.mapping.out_dim
+        assert member.model.random_map.kind == "identity"
+        assert member.model.m == data.d == member.model.random_map.out_dim
 
     def test_srp_source(self, toy):
         data, _ = toy
@@ -277,7 +278,7 @@ class TestRunAnomaly:
             train=_small_cfg(epochs=5, batch_size=96), members=1, filter_rounds=0, source="srp"
         )
         result = run_anomaly(data, cfg)
-        assert result.ensemble.members[0].mapping.kind == "sparse_rp"
+        assert result.ensemble.members[0].model.random_map.kind == "sparse_rp"
         assert result.auc_roc is not None
 
     def test_scores_without_labels(self, toy):

@@ -12,7 +12,7 @@ from randist.clustering import run_clustering
 from randist.data import load_csv, standardize, synth_anomaly, synth_blobs, write_csv
 from randist.encoder import TrainConfig
 from randist.metrics import auc_pr, auc_roc
-from randist.persist import load_ensemble, load_model
+from randist.persist import load_ensemble
 from randist.report import parse_report, strip_volatile
 
 
@@ -86,6 +86,14 @@ class TestAnomalyCommand:
         assert eval_report["metrics.auc_roc"] == report["metrics.auc_roc"]
         assert eval_report["metrics.auc_pr"] == report["metrics.auc_pr"]
 
+    def test_eval_report_names_its_default_label_column(self, capsys, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n0.1,0\n0.9,1\n")
+        code, report, _ = _run(capsys, ["eval", "--input", str(p)])
+        assert code == EXIT_OK
+        assert report["config.label_column"] == "label"
+        assert report["metrics.auc_roc"] == "1.0"
+
     def test_deterministic_reports(self, capsys, anomaly_csv):
         args = ["anomaly", "--input", anomaly_csv, *ANOMALY_ARGS]
         code1, r1, _ = _run(capsys, args)
@@ -119,12 +127,14 @@ class TestClusterCommand:
              "--out-assignments", str(assign_path), "--out-model", str(model_path)],
         )
         assert code == EXIT_OK
+        assert report["config.m"] == "16" and "config.k" not in report  # m is the one width
         assert float(report["metrics.nmi_mean"]) > 0.8
         assert "metrics.f_std" in report
         rows = assign_path.read_text().strip().splitlines()
         assert rows[0] == "index,cluster,label"
         assert len(rows) == 151
-        assert load_model(model_path).has_decoder
+        [model] = load_ensemble(model_path)  # a one-member model file
+        assert model.has_decoder and model.m == model.random_map.out_dim == 16
 
 
 class TestProjectCommand:
@@ -374,6 +384,17 @@ class TestConfigHandling:
         assert report["data.rows"] == "3"
         assert report["metrics.auc_roc"] == repr(auc_roc(data.features[:, 0], data.labels))
         assert report["metrics.auc_pr"] == repr(auc_pr(data.features[:, 0], data.labels))
+
+    def test_k_is_not_a_cluster_option(self, capsys, tmp_path, blob_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--input", blob_csv, "--m", "8", "--k", "8"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --k 8" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 8\n")
+        code, _, err = _run(capsys, ["cluster", "--config", str(cfg), "--input", blob_csv])
+        assert code == EXIT_CONFIG
+        assert "line 1: unknown config key 'k'" in err
 
     def test_k_is_not_an_anomaly_option(self, capsys, tmp_path, anomaly_csv):
         with pytest.raises(SystemExit) as exc:

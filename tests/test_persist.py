@@ -10,10 +10,10 @@ from randist.errors import ModelFileError
 from randist.mappings import gaussian_rp, identity_map, rff, sparse_rp
 from randist.persist import (
     FORMAT_VERSION,
+    _model_record,
+    _write_container,
     load_ensemble,
-    load_model,
     save_ensemble,
-    save_model,
 )
 from randist.rng import stream
 
@@ -37,8 +37,8 @@ def _model(mapping, task="anomaly", seed=3):
 def test_roundtrip_forward_bit_exact(tmp_path, mapping):
     model = _model(mapping)
     path = tmp_path / "m.rdst"
-    save_model(path, model)
-    loaded = load_model(path)
+    save_ensemble(path, [model])
+    [loaded] = load_ensemble(path)
     X = stream(7).standard_normal((100, mapping.in_dim))
     np.testing.assert_array_equal(model.forward_batch(X), loaded.forward_batch(X))
     assert loaded.random_map.kind == mapping.kind
@@ -50,8 +50,8 @@ def test_roundtrip_decoder(tmp_path):
     model = _model(gaussian_rp(6, 4, seed=2), task="clustering")
     assert model.has_decoder
     path = tmp_path / "m.rdst"
-    save_model(path, model)
-    loaded = load_model(path)
+    save_ensemble(path, [model])
+    [loaded] = load_ensemble(path)
     for name in ("decoder_w", "decoder_b"):
         want, got = getattr(model, name), getattr(loaded, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -61,43 +61,42 @@ def test_roundtrip_decoder(tmp_path):
 def test_leaky_slope_outside_unit_interval_rejected(tmp_path, slope):
     model = _model(gaussian_rp(5, 4, seed=1))
     model.leaky_slope = slope
-    for save, load in [(save_model, load_model), (lambda p, m: save_ensemble(p, [m]), load_ensemble)]:
-        path = tmp_path / "m.rdst"
-        save(path, model)
-        with pytest.raises(ModelFileError, match="leaky_slope"):
-            load(path)
+    path = tmp_path / "m.rdst"
+    save_ensemble(path, [model])
+    with pytest.raises(ModelFileError, match="leaky_slope"):
+        load_ensemble(path)
 
 
 def test_corrupted_payload_byte_fails_checksum(tmp_path):
     model = _model(gaussian_rp(5, 4, seed=4))
     path = tmp_path / "m.rdst"
-    save_model(path, model)
+    save_ensemble(path, [model])
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelFileError, match="checksum"):
-        load_model(path)
+        load_ensemble(path)
 
 
 def test_newer_format_version_rejected(tmp_path):
     model = _model(gaussian_rp(5, 4, seed=5))
     path = tmp_path / "m.rdst"
-    save_model(path, model)
+    save_ensemble(path, [model])
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, 4, FORMAT_VERSION + 1)
     body = bytes(blob[:-32])
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(ModelFileError, match="format version"):
-        load_model(path)
+        load_ensemble(path)
 
 
 def test_truncated_file(tmp_path):
     model = _model(gaussian_rp(5, 4, seed=6))
     path = tmp_path / "m.rdst"
-    save_model(path, model)
+    save_ensemble(path, [model])
     path.write_bytes(path.read_bytes()[:20])
     with pytest.raises(ModelFileError):
-        load_model(path)
+        load_ensemble(path)
 
 
 def test_bad_magic(tmp_path):
@@ -105,12 +104,12 @@ def test_bad_magic(tmp_path):
     body = b"NOPE" + b"\x00" * 60
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(ModelFileError, match="magic"):
-        load_model(path)
+        load_ensemble(path)
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(ModelFileError, match="cannot read"):
-        load_model(tmp_path / "nope.rdst")
+        load_ensemble(tmp_path / "nope.rdst")
 
 
 def test_ensemble_roundtrip(tmp_path):
@@ -124,16 +123,24 @@ def test_ensemble_roundtrip(tmp_path):
         np.testing.assert_array_equal(orig.forward_batch(X), back.forward_batch(X))
 
 
+def test_single_model_file_loads_as_one_member(tmp_path):
+    # the "randist-model" container that older `cluster --out-model` runs wrote
+    model = _model(rff(6, 4, bandwidth=1.5, seed=7), task="clustering")
+    record, arrays = _model_record(model)
+    path = tmp_path / "m.rdst"
+    _write_container(path, {"format": "randist-model", "lib_version": "0.1.0", "model": record}, arrays)
+    [loaded] = load_ensemble(path)
+    X = stream(8).standard_normal((50, 6))
+    assert loaded.forward_batch(X).tobytes() == model.forward_batch(X).tobytes()
+    assert loaded.decoder_w.tobytes() == model.decoder_w.tobytes()
+
+
 def test_wrong_container_kind(tmp_path):
-    model = _model(gaussian_rp(5, 4, seed=7))
-    single = tmp_path / "m.rdst"
-    save_model(single, model)
-    with pytest.raises(ModelFileError, match="expected an ensemble"):
-        load_ensemble(single)
-    bundle = tmp_path / "e.rdst"
-    save_ensemble(bundle, [model])
-    with pytest.raises(ModelFileError, match="expected a single model"):
-        load_model(bundle)
+    path = tmp_path / "m.rdst"
+    save_ensemble(path, [_model(gaussian_rp(5, 4, seed=7))])
+    _rewrite_header(path, lambda h: h.update(format="randist-other"))
+    with pytest.raises(ModelFileError, match="holds 'randist-other', expected an ensemble"):
+        load_ensemble(path)
 
 
 def _rewrite_header(path, edit, drop_payload_bytes=0) -> None:
@@ -151,7 +158,7 @@ def _rewrite_header(path, edit, drop_payload_bytes=0) -> None:
 
 def _set_shape(name, shape):
     def edit(header):
-        for spec in header["model"]["arrays"]:
+        for spec in header["models"][0]["arrays"]:
             if spec[0] == name:
                 spec[1] = shape
 
@@ -161,11 +168,11 @@ def _set_shape(name, shape):
 @pytest.mark.parametrize(
     "mapping, edit, match",
     [
-        (None, lambda h: h["model"].pop("leaky_slope"), "no 'leaky_slope' field"),
-        (None, lambda h: h["model"].update(leaky_slope="x"), "field 'leaky_slope' is 'x'"),
-        (None, lambda h: h["model"]["map"].update(kind="bogus"), "map kind 'bogus'"),
-        (None, lambda h: h["model"]["map"].pop("in_dim"), "no 'in_dim' field"),
-        (None, lambda h: h["model"].pop("arrays"), "no 'arrays' field"),
+        (None, lambda h: h["models"][0].pop("leaky_slope"), "no 'leaky_slope' field"),
+        (None, lambda h: h["models"][0].update(leaky_slope="x"), "field 'leaky_slope' is 'x'"),
+        (None, lambda h: h["models"][0]["map"].update(kind="bogus"), "map kind 'bogus'"),
+        (None, lambda h: h["models"][0]["map"].pop("in_dim"), "no 'in_dim' field"),
+        (None, lambda h: h["models"][0].pop("arrays"), "no 'arrays' field"),
         (None, _set_shape("w", [-1, 5]), r"array 'w' has shape \[-1, 5\]"),
         (None, _set_shape("w", [5, 4]), r"array 'w' of shape \[5, 4\], expected \[m, 5\]"),
         (None, _set_shape("b", [2, 2]), r"array 'b' of shape \[2, 2\], expected \[4\]"),
@@ -184,16 +191,16 @@ def test_malformed_header_is_a_model_file_error(tmp_path, mapping, edit, match):
     else:
         model = _model(gaussian_rp(5, 4, seed=1))
     path = tmp_path / "m.rdst"
-    save_model(path, model)
+    save_ensemble(path, [model])
     _rewrite_header(path, edit)
     with pytest.raises(ModelFileError, match=match) as err:
-        load_model(path)
+        load_ensemble(path)
     assert str(path) in str(err.value)
 
 
 def test_rff_model_without_offsets_rejected(tmp_path):
     path = tmp_path / "m.rdst"
-    save_model(path, _model(rff(5, 4, bandwidth=1.5, seed=1)))
-    _rewrite_header(path, lambda h: h["model"]["arrays"].remove(["map_offsets", [4]]), 4 * 8)
+    save_ensemble(path, [_model(rff(5, 4, bandwidth=1.5, seed=1))])
+    _rewrite_header(path, lambda h: h["models"][0]["arrays"].remove(["map_offsets", [4]]), 4 * 8)
     with pytest.raises(ModelFileError, match="no array 'map_offsets'"):
-        load_model(path)
+        load_ensemble(path)
