@@ -144,6 +144,8 @@ def _validate(cfg: argparse.Namespace, options: dict):
         value = getattr(cfg, name)
         if action.choices is not None and value not in action.choices:
             problems.append(f"{name} must be one of {action.choices}, got {value!r}")
+    if task == "anomaly" and cfg.source == "identity" and cfg.m is not None:
+        problems.append(f"m cannot be set with source = identity, whose width is the data's, got m = {cfg.m}")
     if task in ("anomaly", "cluster"):
         library = _library_config(cfg, options, problems)
     if task == "cluster":
@@ -191,6 +193,7 @@ def _cmd_anomaly(cfg: argparse.Namespace, boost: BoostConfig) -> dict:
     out["loss.last_epoch_total_mean"] = float(last)
     out["timing.train_seconds"] = result.train_seconds
     out["timing.score_seconds"] = result.score_seconds
+    out["timing.member_processes"] = result.ensemble.processes
     if cfg.out_scores:
         rows = (
             [i, repr(float(s))] + ([int(data.labels[i])] if data.labels is not None else [])

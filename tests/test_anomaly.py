@@ -1,3 +1,7 @@
+import os
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +20,11 @@ from randist.anomaly import (
 )
 from randist.data import standardize, synth_anomaly
 from randist.encoder import EncoderModel, TrainConfig, train
+from randist.errors import NumericError
 from randist import mappings
 from randist.mappings import MAX_BANDWIDTH_POINTS, apply, gaussian_rp, identity_map, rff, sparse_rp
 from randist.metrics import auc_pr, auc_roc
+from randist.persist import save_ensemble
 from randist.rng import child_seed, stream
 
 
@@ -221,6 +227,8 @@ class TestEnsemble:
 
         monkeypatch.setattr(mappings, "median_bandwidth", counted)  # what rff calls
         monkeypatch.setattr("randist.anomaly.median_bandwidth", counted)
+        # a forked child's calls land in its own copy of the list
+        monkeypatch.setattr(randist.anomaly, "_member_processes", lambda members: 1)
         return calls
 
     def test_bandwidth_computed_once_up_to_max_points(self, toy, monkeypatch):
@@ -244,6 +252,148 @@ class TestEnsemble:
         assert len(calls) == 2
         first, second = (m.model.random_map for m in ens.members)
         assert first.bandwidth != second.bandwidth
+
+
+def _processes(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(randist.anomaly, "_member_processes", lambda members: min(members, workers))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _wrap_member(monkeypatch, change):
+    """Route every member through change(X, config, seed, real), in the parent and in the children."""
+    real = randist.anomaly.boost_train_member
+    monkeypatch.setattr(
+        randist.anomaly, "boost_train_member",
+        lambda X, config, member_seed: change(X, config, member_seed, real),
+    )
+
+
+class TestMemberProcesses:
+    """fit_ensemble trains one share of members per process; the result must
+    not depend on how many processes there are."""
+
+    FIVE = BoostConfig(train=_small_cfg(epochs=6), members=5)
+
+    def test_default_is_one_per_cpu_share_of_blas_threads(self, monkeypatch):
+        processes = randist.anomaly._member_processes
+        cpus = len(os.sched_getaffinity(0))
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert processes(30) == 1  # BLAS runs one thread per CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert processes(1) == 1 and processes(30) == min(30, cpus)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP_NUM_THREADS
+        assert processes(30) == max(1, cpus // 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not a thread count: the next is read
+        assert processes(30) == min(30, cpus)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert processes(30) == 1
+
+    def test_one_process_forks_nothing(self, toy, monkeypatch):
+        _, X = toy
+
+        def no_fork():
+            raise AssertionError("forked with one process")
+
+        _processes(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert fit_ensemble(X, self.FIVE).processes == 1
+
+    def test_members_are_bit_identical_at_any_process_count(self, toy, tmp_path, monkeypatch):
+        # 2 and 3 processes split 5 members into uneven strided shares
+        _, X = toy
+        runs = {}
+        for workers in (1, 2, 3):
+            _processes(monkeypatch, workers)
+            ensemble = fit_ensemble(X, self.FIVE)
+            _assert_no_child_left()
+            assert ensemble.processes == workers
+            path = tmp_path / f"{workers}.rdst"
+            save_ensemble(path, [m.model for m in ensemble.members])
+            runs[workers] = (ensemble, ensemble_score(ensemble, X).tobytes(), path.read_bytes())
+        want, want_scores, want_file = runs[1]
+        assert want.seeds == [child_seed(self.FIVE.train.seed, i) for i in range(5)]
+        for workers in (2, 3):
+            got, scores, file_bytes = runs[workers]
+            assert scores == want_scores and file_bytes == want_file
+            for a, b in zip(got.members, want.members):
+                assert (a.seed, a.train_rows) == (b.seed, b.train_rows)
+                assert a.model.w.tobytes() == b.model.w.tobytes()
+                assert a.model.b.tobytes() == b.model.b.tobytes()
+                ma, mb = a.model.random_map, b.model.random_map
+                assert (ma.kind, ma.seed, ma.bandwidth) == (mb.kind, mb.seed, mb.bandwidth)
+                assert ma.weights.tobytes() == mb.weights.tobytes()
+                assert ma.offsets.tobytes() == mb.offsets.tobytes()
+                for name in ("total", "pair", "aux"):
+                    assert getattr(a.trace, name).tobytes() == getattr(b.trace, name).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            (dict(learning_rate=1e9), NumericError),  # diverges
+            (dict(batch_size=150), ValueError),  # the filter guard: 285 of 300 rows left, 300 needed
+        ],
+    )
+    @pytest.mark.parametrize("failing", [0, 1])  # member 0 is the caller's, member 1 a child's
+    def test_a_failing_member_raises_the_same_error_at_any_process_count(
+        self, toy, monkeypatch, overrides, error, failing
+    ):
+        _, X = toy
+        seed = child_seed(self.FIVE.train.seed, failing)
+
+        def change(X, config, member_seed, real):
+            if member_seed == seed:
+                config = replace(config, train=replace(config.train, **overrides))
+            return real(X, config, member_seed)
+
+        _wrap_member(monkeypatch, change)
+        raised = []
+        for workers in (1, 2, 3):
+            _processes(monkeypatch, workers)
+            with pytest.raises(error) as info:
+                fit_ensemble(X, self.FIVE)
+            _assert_no_child_left()
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0][0] is error
+        assert raised[1] == raised[2] == raised[0]
+
+    def test_a_child_that_exits_without_a_result_is_named(self, toy, monkeypatch):
+        _, X = toy
+        parent, seed = os.getpid(), child_seed(self.FIVE.train.seed, 2)
+
+        def change(X, config, member_seed, real):
+            if member_seed == seed and os.getpid() != parent:
+                os._exit(7)
+            return real(X, config, member_seed)
+
+        _wrap_member(monkeypatch, change)
+        _processes(monkeypatch, 3)  # member 2 is the first of worker 2's share
+        with pytest.raises(RuntimeError, match=r"worker 2 \(pid \d+\) exited without a result \(exit status 7\)"):
+            fit_ensemble(X, self.FIVE)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("stop", [ValueError("own share"), KeyboardInterrupt(), SystemExit(143)])
+    def test_children_are_killed_when_the_callers_share_stops(self, toy, monkeypatch, stop):
+        _, X = toy
+        parent = os.getpid()
+
+        def change(X, config, member_seed, real):
+            if os.getpid() != parent:
+                time.sleep(60)  # killed long before this ends
+            raise stop
+
+        _wrap_member(monkeypatch, change)
+        _processes(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(type(stop)):
+            fit_ensemble(X, self.FIVE)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
 
 
 class TestRunAnomaly:

@@ -1,10 +1,12 @@
 import inspect
+import os
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randist.anomaly
 from randist import cli
 from randist.anomaly import BoostConfig, run_anomaly
 from randist.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
@@ -100,6 +102,32 @@ class TestAnomalyCommand:
         code2, r2, _ = _run(capsys, args)
         assert code1 == code2 == EXIT_OK
         assert strip_volatile(r1) == strip_volatile(r2)
+
+    def test_report_counts_member_processes(self, capsys, anomaly_csv, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        args = ["anomaly", "--input", anomaly_csv, *ANOMALY_ARGS]
+        code, report, _ = _run(capsys, args)
+        assert code == EXIT_OK
+        assert report["timing.member_processes"] == str(min(2, len(os.sched_getaffinity(0))))
+        monkeypatch.setattr(randist.anomaly, "_member_processes", lambda members: 1)
+        code, alone, _ = _run(capsys, args)
+        assert code == EXIT_OK and alone["timing.member_processes"] == "1"
+        assert strip_volatile(alone) == strip_volatile(report)
+
+    def test_identity_source_takes_the_data_width(self, capsys, anomaly_csv):
+        args = ["anomaly", "--input", anomaly_csv, "--label-column", "label", "--source", "identity",
+                "--epochs", "5", "--members", "2", "--batch-size", "96"]
+        code, report, _ = _run(capsys, args)
+        assert code == EXIT_OK and report["config.m"] == "6"
+
+    def test_identity_source_rejects_a_given_m(self, capsys, tmp_path, anomaly_csv):
+        message = "m cannot be set with source = identity, whose width is the data's, got m = 5"
+        code, _, err = _run(capsys, ["anomaly", "--input", anomaly_csv, "--source", "identity", "--m", "5"])
+        assert code == EXIT_CONFIG and message in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("source = identity\nm = 5\n")
+        code, _, err = _run(capsys, ["anomaly", "--config", str(cfg), "--input", anomaly_csv])
+        assert code == EXIT_CONFIG and message in err
 
     def test_scores_without_labels(self, capsys, tmp_path, anomaly_csv):
         scores_path = tmp_path / "s.csv"
