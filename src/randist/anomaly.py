@@ -9,6 +9,8 @@ only changes training membership.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import pickle
@@ -141,75 +143,109 @@ def boost_train_member(
     return Member(model=model, seed=member_seed, trace=trace, train_rows=int(active.size))
 
 
-# the variables that set a BLAS library's thread count, in the order they are read
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+def _train_share(X: np.ndarray, config: BoostConfig, seeds: list) -> tuple:
+    """The members of `seeds`, trained in order until one raises, and the
+    exception that stopped them (None when every member trained)."""
+    done = []
+    try:
+        for s in seeds:
+            # the module global, so that a wrapper set on it applies in a child too
+            done.append(boost_train_member(X, config, s))
+    except Exception as err:
+        return done, err
+    return done, None
+
+
+@functools.cache
+def _openblas_num_threads():
+    """The loaded OpenBLAS's thread-count getter, or None where no OpenBLAS
+    is mapped into this process or its mappings cannot be read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn
+    return None
 
 
 def _member_processes(members: int) -> int:
-    """How many processes train an ensemble of `members`.
+    """How many processes train an ensemble of `members`: the CPUs this
+    process may run on, divided by the threads of the loaded OpenBLAS, and
+    at most one per member.
 
-    It is the CPUs this process may run on, divided by the BLAS threads of
-    each process, and at most one per member. The BLAS threads are the first
-    of _BLAS_THREAD_VARS set to a positive integer, else one per CPU (the
-    OpenBLAS default). Processes whose BLAS threads outnumber the CPUs wait
-    on each other: at 1567 x 590 on 2 CPUs, two processes at two threads
-    each trained 2 members in 1.1-3.7 s, where one process took 0.48 s.
-    Where the platform cannot tell the CPUs, it is 1.
+    Processes whose BLAS threads outnumber the CPUs wait on each other, so
+    OpenBLAS's default of one thread per CPU gives 1. The threads are asked
+    of the library, which reads its thread variables once, when numpy loads
+    it. The rule was checked on OpenBLAS only: with another BLAS, or where
+    the platform cannot tell the CPUs, it is 1.
     """
-    if not hasattr(os, "sched_getaffinity"):
+    get_threads = _openblas_num_threads()
+    if get_threads is None or not hasattr(os, "sched_getaffinity"):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    blas = cpus
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            blas = int(value)
-            break
-    return max(1, min(members, cpus // blas))
+    return max(1, min(members, len(os.sched_getaffinity(0)) // max(1, get_threads())))
 
 
-def _fork_share(X: np.ndarray, config: BoostConfig, seeds: list) -> tuple:
-    """Fork a child that trains the members of `seeds` and pickles back their
-    list, or the exception that stopped it; return its pid and the read end.
+def _fork_shares(X: np.ndarray, config: BoostConfig, seeds: list, workers: int, children: dict):
+    """Fork a child for each strided share after the first, recording it in
+    `children` as worker -> (pid, read end of its pipe).
 
-    The child inherits X and config from the fork, so neither is copied
-    unless written to. It never returns into the caller's stack: it leaves
-    through os._exit, so no cleanup of the parent's (open files, atexit
-    handlers, test fixtures) runs twice.
+    A child inherits X and config from the fork, so neither is copied unless
+    written to. It pickles back what `_train_share` returns, or nothing if it
+    is interrupted, and leaves through os._exit, so it never returns into the
+    caller's stack and no cleanup of the parent's (open files, atexit
+    handlers, test fixtures) runs twice. Signals are held from before the
+    first fork until every child is in its try and in `children`: a handler
+    raising in between would unwind a child into the caller's stack, or
+    leave a child out of fit_ensemble's kill.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    status = 1
+    import signal  # here, so that importing randist loads no module it did not
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
-        os.close(read_fd)
-        try:
-            # the module global, so that a wrapper set on it applies here too
-            payload = (True, [boost_train_member(X, config, s) for s in seeds])
-        except BaseException as err:  # sent to the parent, which raises it
-            payload = (False, err)
-        # all or nothing: what fails to pickle is sent as no result at all
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(data)
-        status = 0
+        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(read_fd)
+                    # all or nothing: what fails to pickle is sent as no result at all
+                    data = pickle.dumps(_train_share(X, config, seeds[w::workers]),
+                                        protocol=pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(write_fd, "wb") as fh:
+                        fh.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[w] = (pid, os.fdopen(read_fd, "rb"))
     finally:
-        os._exit(status)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _share_result(worker: int, pid: int, data: bytes, status: int) -> list:
-    """The members a child sent, or its exception raised here."""
+def _share_result(worker: int, pid: int, data: bytes, status: int) -> tuple:
+    """What a child's `_train_share` returned, or an error if it sent nothing."""
     if not data:
         raise RuntimeError(
             f"ensemble worker {worker} (pid {pid}) exited without a result "
             f"(exit status {os.waitstatus_to_exitcode(status)})"
         )
-    ok, value = pickle.loads(data)  # bytes our own child wrote
-    if not ok:
-        raise value
-    return value
+    return pickle.loads(data)  # bytes our own child wrote
 
 
 def fit_ensemble(X: np.ndarray, config: BoostConfig) -> Ensemble:
@@ -220,34 +256,37 @@ def fit_ensemble(X: np.ndarray, config: BoostConfig) -> Ensemble:
 
     The members are split into one strided share per process
     (`_member_processes`). The caller trains the first share; each other
-    share is trained in a forked child, which pickles back its members, and
-    the members are put back in seed order. A member's arithmetic does not
-    depend on the process that runs it, so the ensemble is bit-identical at
-    any process count. If any share fails, or the caller is interrupted,
-    every child still running is killed and reaped before the error is
-    raised.
+    share is trained in a forked child, and the members are put back in seed
+    order. A member's arithmetic does not depend on the process that runs
+    it, so the ensemble is bit-identical at any process count. Each share
+    stops at its first failing member, and the lowest-numbered of those is
+    raised: the member one process would have failed on. Every child still
+    running when the error is raised, or when the caller is interrupted, is
+    killed and reaped first.
     """
     X = np.asarray(X, dtype=np.float64)
     if config.source == "rff" and config.bandwidth is None and X.shape[0] <= MAX_BANDWIDTH_POINTS:
         config = replace(config, bandwidth=median_bandwidth(X))
     seeds = [child_seed(config.train.seed, i) for i in range(config.members)]
     workers = _member_processes(len(seeds))
-    members = [None] * len(seeds)
     children = {}  # worker -> (pid, read end), until reaped
     try:
-        for w in range(1, workers):
-            children[w] = _fork_share(X, config, seeds[w::workers])
-        members[::workers] = [boost_train_member(X, config, s) for s in seeds[::workers]]
-        for w in range(1, workers):
-            pid, fh = children[w]
-            with fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[w]
-            members[w::workers] = _share_result(w, pid, data, status)
+        if workers > 1:
+            _fork_shares(X, config, seeds, workers, children)
+        shares = [_train_share(X, config, seeds[::workers])]
+        done, err = shares[0]
+        # a child's members can come before the caller's failed one only if that is not member 0
+        if err is None or done:
+            for w in range(1, workers):
+                pid, fh = children[w]
+                with fh:
+                    data = fh.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[w]
+                shares.append(_share_result(w, pid, data, status))
     finally:
         if children:
-            import signal  # here, so that importing randist loads no module it did not
+            import signal
         for pid, fh in children.values():
             fh.close()
             try:
@@ -255,6 +294,13 @@ def fit_ensemble(X: np.ndarray, config: BoostConfig) -> Ensemble:
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass
+    # share w's members are w, w + workers, ...; it stopped at number w + workers * len(done)
+    failed = [(w + workers * len(done), err) for w, (done, err) in enumerate(shares) if err is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    members = [None] * len(seeds)
+    for w, (done, _) in enumerate(shares):
+        members[w::workers] = done
     return Ensemble(members=members, processes=workers)
 
 

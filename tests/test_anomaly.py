@@ -1,6 +1,9 @@
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,20 +281,46 @@ class TestMemberProcesses:
 
     FIVE = BoostConfig(train=_small_cfg(epochs=6), members=5)
 
-    def test_default_is_one_per_cpu_share_of_blas_threads(self, monkeypatch):
+    def test_processes_are_the_cpus_over_the_blas_threads(self, monkeypatch):
         processes = randist.anomaly._member_processes
         cpus = len(os.sched_getaffinity(0))
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        assert processes(30) == 1  # BLAS runs one thread per CPU
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+
+        def blas(threads):
+            monkeypatch.setattr(randist.anomaly, "_openblas_num_threads", lambda: lambda: threads)
+
+        blas(cpus)  # OpenBLAS's default: one thread per CPU
+        assert processes(30) == 1
+        blas(1)
         assert processes(1) == 1 and processes(30) == min(30, cpus)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP_NUM_THREADS
+        blas(2)
         assert processes(30) == max(1, cpus // 2)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not a thread count: the next is read
-        assert processes(30) == min(30, cpus)
+        monkeypatch.setattr(randist.anomaly, "_openblas_num_threads", lambda: None)  # another BLAS
+        assert processes(30) == 1
+        blas(1)
         monkeypatch.delattr(os, "sched_getaffinity")
         assert processes(30) == 1
+
+    def test_blas_threads_are_asked_of_the_loaded_library(self):
+        # OpenBLAS reads its thread variables when numpy loads it, so a
+        # variable set later changes neither its threads nor the processes
+        if randist.anomaly._openblas_num_threads() is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        cpus = len(os.sched_getaffinity(0))
+        code = (
+            "import os, randist.anomaly as a; before = a._member_processes(30); "
+            "os.environ['OPENBLAS_NUM_THREADS'] = '64' if before > 1 else '1'; "
+            "print(before, a._member_processes(30))"
+        )
+        src = str(Path(randist.anomaly.__file__).parents[1])
+        got = {}
+        for threads in ("1", str(cpus)):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True).stdout.split()
+            got[threads] = [int(v) for v in out]
+        assert got["1"] == [min(30, cpus)] * 2
+        assert got[str(cpus)] == [1, 1]
 
     def test_one_process_forks_nothing(self, toy, monkeypatch):
         _, X = toy
@@ -361,6 +390,72 @@ class TestMemberProcesses:
             raised.append((type(info.value), str(info.value)))
         assert raised[0][0] is error
         assert raised[1] == raised[2] == raised[0]
+
+    # at 2 processes members 0, 2, 4 are the caller's; at 3, members 0 and 3
+    @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (1, 4)])
+    def test_the_lowest_numbered_failing_member_is_raised(self, toy, monkeypatch, failing):
+        _, X = toy
+        seeds = {child_seed(self.FIVE.train.seed, i): i for i in failing}
+
+        def change(X, config, member_seed, real):
+            if member_seed in seeds:
+                raise ValueError(f"member {seeds[member_seed]} failed")
+            return real(X, config, member_seed)
+
+        _wrap_member(monkeypatch, change)
+        for workers in (1, 2, 3):
+            _processes(monkeypatch, workers)
+            with pytest.raises(ValueError, match=rf"^member {failing[0]} failed$"):
+                fit_ensemble(X, self.FIVE)
+            _assert_no_child_left()
+
+    def test_a_failed_fork_leaks_no_pipe_and_restores_the_signal_mask(self, toy, monkeypatch):
+        import signal
+
+        _, X = toy
+
+        def no_fork():
+            raise OSError("fork failed")
+
+        _processes(monkeypatch, 3)
+        fds, mask = os.listdir("/proc/self/fd"), signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(OSError, match="fork failed"):
+            fit_ensemble(X, self.FIVE)
+        assert os.listdir("/proc/self/fd") == fds
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+        monkeypatch.undo()
+        _processes(monkeypatch, 3)
+        fit_ensemble(X, self.FIVE)
+        assert os.listdir("/proc/self/fd") == fds
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+        _assert_no_child_left()
+
+    def test_a_signal_between_the_forks_leaves_no_child(self, toy, monkeypatch):
+        # the signal is held until every child is recorded, so all are killed
+        import signal
+
+        _, X = toy
+        real_fork = os.fork
+
+        def fork_then_signal():
+            pid = real_fork()
+            if pid:
+                os.kill(os.getpid(), signal.SIGUSR1)
+            return pid
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        _processes(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", fork_then_signal)
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                fit_ensemble(X, self.FIVE)
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        _assert_no_child_left()
 
     def test_a_child_that_exits_without_a_result_is_named(self, toy, monkeypatch):
         _, X = toy

@@ -104,7 +104,7 @@ class TestAnomalyCommand:
         assert strip_volatile(r1) == strip_volatile(r2)
 
     def test_report_counts_member_processes(self, capsys, anomaly_csv, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(randist.anomaly, "_openblas_num_threads", lambda: lambda: 1)
         args = ["anomaly", "--input", anomaly_csv, *ANOMALY_ARGS]
         code, report, _ = _run(capsys, args)
         assert code == EXIT_OK
