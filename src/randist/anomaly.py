@@ -34,15 +34,15 @@ SOURCES = ("rff", "srp", "identity")
 
 
 def build_map(
-    source: str, d: int, k: int, X: np.ndarray, seed: int,
-    bandwidth: Optional[float] = None, density: Optional[float] = None,
+    source: str, d: int, k: int, X: np.ndarray, seed: int, bandwidth: Optional[float] = None
 ) -> RandomMap:
     """The frozen mapping of a source in SOURCES: rff (median-heuristic bandwidth
-    on X when None), srp, or identity (which ignores k and has width d)."""
+    on X when None), srp (density 1/sqrt(d)), or identity (which ignores k and
+    has width d)."""
     if source == "rff":
         return rff(d, k, bandwidth=bandwidth, data=X, seed=seed)
     if source == "srp":
-        return sparse_rp(d, k, density=density, seed=seed)
+        return sparse_rp(d, k, seed=seed)
     if source == "identity":
         return identity_map(d)
     raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
@@ -56,7 +56,6 @@ class BoostConfig:
     filter_rounds: int = 1
     source: str = "rff"
     bandwidth: Optional[float] = None  # rff source; median heuristic when None
-    density: Optional[float] = None  # srp source
 
     def __post_init__(self):
         problems = []
@@ -110,9 +109,7 @@ def boost_train_member(
     """
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
-    mapping = build_map(
-        config.source, d, config.train.m, X, child_seed(member_seed, 0), config.bandwidth, config.density
-    )
+    mapping = build_map(config.source, d, config.train.m, X, child_seed(member_seed, 0), config.bandwidth)
     if config.train.m != mapping.out_dim:
         raise ValueError(
             f"anomaly scoring needs m == mapping out_dim, got {config.train.m} vs "
@@ -132,8 +129,9 @@ def boost_train_member(
             n_remove = removal_count(config.filter_fraction, active.size)
             if active.size - n_remove < 2 * config.train.batch_size:
                 raise ValueError(
-                    f"filtering at round {round_idx} would leave "
-                    f"{active.size - n_remove} rows, need at least {2 * config.train.batch_size}"
+                    f"filtering at round {round_idx} would leave {active.size - n_remove} rows, "
+                    f"need at least {2 * config.train.batch_size} (2 x batch_size): "
+                    "set filter_rounds = 0 or a smaller batch_size"
                 )
             scores = score_rows(model, rows)
             order = np.argsort(-scores, kind="mergesort")

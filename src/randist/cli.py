@@ -148,11 +148,8 @@ def _validate(cfg: argparse.Namespace, options: dict):
         problems.append(f"m cannot be set with source = identity, whose width is the data's, got m = {cfg.m}")
     if task in ("anomaly", "cluster"):
         library = _library_config(cfg, options, problems)
-    if task == "cluster":
-        if cfg.restarts < 1:
-            problems.append(f"restarts must be >= 1, got {cfg.restarts}")
-        if cfg.kmeans_max_iters < 1:
-            problems.append(f"kmeans_max_iters must be >= 1, got {cfg.kmeans_max_iters}")
+    if task == "cluster" and cfg.restarts < 1:
+        problems.append(f"restarts must be >= 1, got {cfg.restarts}")
     if task == "project":
         if cfg.k < 1 and cfg.source != "identity":
             problems.append(f"projection dimension k must be >= 1, got {cfg.k}")
@@ -160,11 +157,6 @@ def _validate(cfg: argparse.Namespace, options: dict):
             problems.append(f"seed must be non-negative, got {cfg.seed}")
         if not cfg.out_matrix:
             problems.append("project needs out_matrix")
-    bandwidth, density = getattr(cfg, "bandwidth", None), getattr(cfg, "density", None)
-    if bandwidth is not None and not (bandwidth > 0 and math.isfinite(bandwidth)):
-        problems.append(f"bandwidth must be positive and finite, got {bandwidth}")
-    if density is not None and not 0.0 < density <= 1.0:
-        problems.append(f"density must be in (0, 1], got {density}")
     if problems:  # BoostConfig repeats a bad anomaly source
         raise ConfigError("invalid configuration:\n" + "\n".join(dict.fromkeys(problems)))
     return library
@@ -215,9 +207,6 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
         ablation=cfg.ablation,
         source=cfg.source,
         standardize=cfg.standardize,
-        kmeans_max_iters=cfg.kmeans_max_iters,
-        bandwidth=cfg.bandwidth,
-        density=cfg.density,
     )
     out = {"data.rows": data.n, "data.columns": data.d}
     out["metrics.nmi_mean"] = result.nmi_mean
@@ -244,7 +233,7 @@ def _cmd_project(cfg: argparse.Namespace, _: None) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     X = standardize_dataset(data)[0].features if cfg.standardize else data.features
     t0 = time.perf_counter()
-    mapping = build_map(cfg.source, data.d, cfg.k, X, cfg.seed, cfg.bandwidth, cfg.density)
+    mapping = build_map(cfg.source, data.d, cfg.k, X, cfg.seed)
     cfg.k = mapping.out_dim  # identity: the data width
     projected = apply_map(mapping, X)
     out = {"data.rows": data.n, "data.columns": data.d}
@@ -322,9 +311,6 @@ def _add_train_common(p: argparse.ArgumentParser, ablations: tuple) -> None:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--aux-weight", dest="aux_weight", type=float)
-    p.add_argument("--leaky-slope", dest="leaky_slope", type=float)
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--density", type=float)
     p.add_argument("--out-model", dest="out_model")
 
 
@@ -332,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="randist", description=__doc__)
     parser.add_argument("--version", action="version", version=f"randist {__version__}")
     sub = parser.add_subparsers(dest="task", required=True)
-    # no prefix matching, so that `--k` cannot pass for `--kmeans-max-iters`
+    # no prefix matching: like a config key, `--learning` is not `--learning-rate`
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add("anomaly", help="train the detector ensemble and score every row")
@@ -347,15 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_train_common(p, LOSS_ABLATIONS)
     p.add_argument("--restarts", type=int, default=30)
-    p.add_argument("--kmeans-max-iters", dest="kmeans_max_iters", type=int, default=300)
     p.add_argument("--out-assignments", dest="out_assignments")
 
     p = add("project", help="apply a frozen random mapping and write the matrix")
     _add_common(p)
     p.add_argument("--source", choices=SOURCES, default="rff")
     p.add_argument("--k", type=int, default=50)
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--density", type=float)
     p.add_argument("--out-matrix", dest="out_matrix")
 
     p = add("eval", help="compute ranking metrics from a scores+labels CSV")

@@ -26,6 +26,8 @@ from .encoder import EncoderModel, LossTrace, TrainConfig, ablate, train
 from .metrics import nmi, pairwise_f
 from .rng import child_seed, stream
 
+MAX_ITERS = 300  # Lloyd rounds before a restart stops unconverged
+
 
 @dataclass
 class KMeansResult:
@@ -106,7 +108,7 @@ def _plusplus_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
     return picks
 
 
-def kmeans(X: np.ndarray, k: int, max_iters: int = 300, seed: int = 0) -> KMeansResult:
+def kmeans(X: np.ndarray, k: int, max_iters: int = MAX_ITERS, seed: int = 0) -> KMeansResult:
     """Lloyd iterations from k-means++ until the assignments stop changing.
 
     An empty cluster takes the point farthest from its centroid among those
@@ -219,9 +221,6 @@ def run_clustering(
     ablation: str = "none",
     source: str = "rff",
     standardize: bool = True,
-    kmeans_max_iters: int = 300,
-    bandwidth: Optional[float] = None,
-    density: Optional[float] = None,
 ) -> ClusteringResult:
     """Train the representation, embed, and K-means with restart averaging.
 
@@ -235,8 +234,6 @@ def run_clustering(
         raise ValueError("clustering evaluation needs ground-truth labels")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if kmeans_max_iters < 1:
-        raise ValueError(f"kmeans_max_iters must be >= 1, got {kmeans_max_iters}")
     if config is None:
         config = TrainConfig.clustering_defaults()
     if config.task != "clustering":
@@ -248,7 +245,7 @@ def run_clustering(
         X = standardize_dataset(data)[0].features
     d = X.shape[1]
 
-    mapping = build_map(source, d, cfg.m, X, child_seed(cfg.seed, 10_000), bandwidth, density)
+    mapping = build_map(source, d, cfg.m, X, child_seed(cfg.seed, 10_000))
 
     t0 = time.perf_counter()
     model, trace = train(X, cfg, mapping)
@@ -261,7 +258,7 @@ def run_clustering(
     # Lloyd round reads it once instead of reading H twice
     rows = _Rows(H, np.sum(H * H, axis=1), H @ H.T if H.shape[0] <= H.shape[1] else None)
 
-    assignments = [r.assignments for r in _lloyd(rows, k, kmeans_max_iters, seeds)]
+    assignments = [r.assignments for r in _lloyd(rows, k, MAX_ITERS, seeds)]
 
     nmi_values = np.array([nmi(data.labels, a) for a in assignments])
     f_values = np.array([pairwise_f(data.labels, a) for a in assignments])

@@ -30,6 +30,7 @@ from .rng import child_seed, stream
 
 TASKS = ("anomaly", "clustering")
 LOSS_ABLATIONS = ("none", "no_pair_loss", "no_aux_loss")
+LEAKY_SLOPE = 0.01  # the encoder's activation; model files store it per model
 
 
 @dataclass
@@ -42,7 +43,6 @@ class TrainConfig:
     use_pair_loss: bool = True
     use_aux_loss: bool = True
     aux_weight: float = 1.0
-    leaky_slope: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -61,8 +61,6 @@ class TrainConfig:
             problems.append(f"task must be one of {TASKS}, got {self.task!r}")
         if self.seed < 0:
             problems.append(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.leaky_slope <= 1.0:  # also rejects nan
-            problems.append(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -170,7 +168,7 @@ def init_model(
     return EncoderModel(
         w=w,
         b=b,
-        leaky_slope=config.leaky_slope,
+        leaky_slope=LEAKY_SLOPE,
         random_map=random_map,
         decoder_w=decoder_w,
         decoder_b=decoder_b,

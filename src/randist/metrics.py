@@ -5,7 +5,7 @@
 * auc_pr: average precision, the step-wise sum of precision at each
   positive's rank; descending order, ties broken by stable input order.
 * nmi: mutual information normalized by the geometric mean of the two
-  entropies (natural log); an arithmetic-mean variant is available.
+  entropies (natural log).
 * pairwise_f: F1 over same-cluster point pairs, permutation-invariant and
   symmetric in its arguments.
 """

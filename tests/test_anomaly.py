@@ -178,6 +178,17 @@ class TestBoostTrainMember:
         with pytest.raises(ValueError, match="round 1"):
             boost_train_member(X, cfg, member_seed=3)
 
+    def test_smallest_table_at_the_defaults(self):
+        # 404 rows: 5% filtered leaves 384 = 2 x batch_size 192; 403 leaves 383
+        config = BoostConfig(train=TrainConfig.anomaly_defaults(epochs=1), members=1)
+        assert run_anomaly(synth_anomaly(384, 20, 4, seed=1), config).ensemble.members[0].train_rows == 384
+        with pytest.raises(
+            ValueError,
+            match=r"round 1 would leave 383 rows, need at least 384 \(2 x batch_size\): "
+            "set filter_rounds = 0 or a smaller batch_size",
+        ):
+            run_anomaly(synth_anomaly(383, 20, 4, seed=1), config)
+
 
 class TestEnsemble:
     def test_single_member_reduces_to_boost_train(self, toy):
@@ -594,8 +605,8 @@ class TestBuildMap:
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.offsets, want.offsets)
         assert build_map("rff", 4, 6, X, 3, bandwidth=2.0).bandwidth == 2.0
-        got = build_map("srp", 4, 6, X, 3, density=0.5)
-        np.testing.assert_array_equal(got.weights, sparse_rp(4, 6, density=0.5, seed=3).weights)
+        got = build_map("srp", 4, 6, X, 3)
+        np.testing.assert_array_equal(got.weights, sparse_rp(4, 6, seed=3).weights)
         assert build_map("identity", 4, 6, X, 3) == identity_map(4)  # k is the data width
 
     def test_unknown_source(self):

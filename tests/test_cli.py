@@ -253,7 +253,7 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "epochs" in err and "learning_rate" in err and "members" in err
 
-    @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--leaky-slope", "2"), ("--members", "0")])
+    @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--aux-weight", "-1"), ("--members", "0")])
     def test_library_problem_found_before_input_is_read(self, capsys, tmp_path, flag, value):
         code, _, err = _run(
             capsys, ["anomaly", "--input", str(tmp_path / "missing.csv"), flag, value]
@@ -276,6 +276,13 @@ class TestConfigHandling:
             main([task, "--input", "scores.csv", flag])
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_table_too_small_to_filter_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "small.csv"
+        write_csv(synth_anomaly(383, 20, 4, seed=1), path)  # 403 rows, one short of the defaults' 404
+        code, _, err = _run(capsys, ["anomaly", "--input", str(path), "--members", "1", "--epochs", "1"])
+        assert code == EXIT_CONFIG
+        assert "need at least 384 (2 x batch_size): set filter_rounds = 0 or a smaller batch_size" in err
 
     def test_workers_is_no_longer_an_option(self, capsys, tmp_path, anomaly_csv):
         with pytest.raises(SystemExit) as exc:
@@ -316,38 +323,23 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("slope", ["nan", "-3", "2.5"])
-    def test_leaky_slope_outside_unit_interval(self, capsys, blob_csv, slope):
-        code, _, err = _run(
-            capsys,
-            ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "8",
-             "--epochs", "2", "--restarts", "1", "--leaky-slope", slope],
-        )
-        assert code == EXIT_CONFIG
-        assert "leaky_slope must be in [0, 1]" in err
-
     @pytest.mark.parametrize(
         "task,flag,value",
         [
             ("cluster", "--learning-rate", "nan"),
             ("cluster", "--learning-rate", "inf"),
             ("cluster", "--aux-weight", "nan"),
-            ("cluster", "--bandwidth", "nan"),
-            ("project", "--bandwidth", "nan"),
+            ("cluster", "--aux-weight", "inf"),
         ],
     )
-    def test_non_finite_value_is_config_error(self, capsys, tmp_path, blob_csv, task, flag, value):
-        out = tmp_path / "proj.csv"
-        args = {
-            "cluster": ["--m", "8", "--epochs", "2", "--restarts", "1"],
-            "project": ["--k", "4", "--out-matrix", str(out)],
-        }[task]
+    def test_non_finite_value_is_config_error(self, capsys, blob_csv, task, flag, value):
         code, _, err = _run(
-            capsys, [task, "--input", blob_csv, "--label-column", "label", *args, flag, value]
+            capsys,
+            [task, "--input", blob_csv, "--label-column", "label", "--m", "8", "--epochs", "2",
+             "--restarts", "1", flag, value],
         )
         assert code == EXIT_CONFIG
         assert f"{flag[2:].replace('-', '_')} must be" in err and "finite" in err
-        assert not out.exists()
 
     def test_eval_rejects_fractional_label(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"
@@ -435,6 +427,25 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "line 1: unknown config key 'k'" in err
 
+    @pytest.mark.parametrize(
+        "task, flag",
+        [(task, flag) for task in ("anomaly", "cluster") for flag in ("--bandwidth", "--density", "--leaky-slope")]
+        + [("cluster", "--kmeans-max-iters"), ("project", "--bandwidth"), ("project", "--density")],
+    )
+    def test_removed_option_is_unknown(self, capsys, tmp_path, task, flag):
+        # fixed values now: the median-heuristic rff bandwidth, srp density 1/sqrt(d),
+        # the encoder's slope 0.01 and at most 300 K-means rounds
+        with pytest.raises(SystemExit) as exc:
+            main([task, "--input", "data.csv", flag, "1"])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, _, err = _run(capsys, [task, "--config", str(cfg), "--input", "data.csv"])
+        assert code == EXIT_CONFIG
+        assert f"line 1: unknown config key {key!r}" in err
+
     def test_bad_choice_in_config_file_listed_with_library_problems(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("ablation = bogus\nsource = nope\nepochs = 0\n")
@@ -503,7 +514,7 @@ class TestCliOwnedDefaults:
         code, report, _ = _run(
             capsys,
             ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "8",
-             "--epochs", "2", "--kmeans-max-iters", "5"],
+             "--epochs", "2"],
         )
         assert code == EXIT_OK
         assert report["config.restarts"] == "30"

@@ -261,13 +261,13 @@ class TestRunClustering:
         with pytest.raises(ValueError, match="labels"):
             run_clustering(unlabeled, self._cfg(), restarts=1)
 
-    def test_kmeans_max_iters_checked_before_training(self, blob_data, monkeypatch):
+    def test_restarts_checked_before_training(self, blob_data, monkeypatch):
         def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking kmeans_max_iters")
+            raise AssertionError("trained before checking restarts")
 
         monkeypatch.setattr("randist.clustering.train", no_training)
-        with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
-            run_clustering(blob_data, self._cfg(), restarts=1, kmeans_max_iters=0)
+        with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+            run_clustering(blob_data, self._cfg(), restarts=0)
 
     def test_restart_stats_match_values(self, blob_data):
         result = run_clustering(blob_data, self._cfg(), restarts=4)

@@ -65,15 +65,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be .*finite"):
             TrainConfig(m=1, epochs=1, **kw)
 
-    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), -3.0, -1e-300, 1.0 + 2**-52, 2.5])
-    def test_leaky_slope_outside_unit_interval(self, slope):
-        with pytest.raises(ValueError, match=r"leaky_slope must be in \[0, 1\]"):
-            TrainConfig(m=1, epochs=1, leaky_slope=slope)
-
-    @pytest.mark.parametrize("slope", [0.0, 0.3, 1.0])
-    def test_leaky_slope_inside_unit_interval(self, slope):
-        assert TrainConfig(m=1, epochs=1, leaky_slope=slope).leaky_slope == slope
-
     def test_lists_all_problems(self):
         with pytest.raises(ValueError) as err:
             TrainConfig(m=0, epochs=0, batch_size=1)
