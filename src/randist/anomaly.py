@@ -34,11 +34,12 @@ SOURCES = ("rff", "srp", "identity")
 
 
 def build_map(
-    source: str, d: int, k: int, X: np.ndarray, seed: int, bandwidth: Optional[float] = None
+    source: str, k: int, X: np.ndarray, seed: int, bandwidth: Optional[float] = None
 ) -> RandomMap:
-    """The frozen mapping of a source in SOURCES: rff (median-heuristic bandwidth
-    on X when None), srp (density 1/sqrt(d)), or identity (which ignores k and
-    has width d)."""
+    """The frozen mapping of a source in SOURCES from the d columns of matrix X
+    to k: rff (median-heuristic bandwidth on X when None), srp (density
+    1/sqrt(d)), or identity (which ignores k and has width d)."""
+    d = X.shape[1]
     if source == "rff":
         return rff(d, k, bandwidth=bandwidth, data=X, seed=seed)
     if source == "srp":
@@ -86,10 +87,6 @@ class Ensemble:
     members: list = field(default_factory=list)
     processes: int = 1  # the processes that trained the members, the caller's included
 
-    @property
-    def seeds(self) -> list:
-        return [m.seed for m in self.members]
-
 
 def removal_count(fraction: float, n: int) -> int:
     """Rows dropped in one filtering round: floor(fraction * n), at least 1."""
@@ -103,41 +100,40 @@ def boost_train_member(
 ) -> Member:
     """Train one member: full fit, then filter-and-refit rounds.
 
-    The member's mapping stays frozen across rounds; each refit starts from
-    a fresh initialization (seed derived from member_seed and the round).
-    Ties in the filtering scores are broken by stable row order.
+    The member trains at its mapping's width (identity's is the data's). The
+    mapping stays frozen across rounds; each refit starts from a fresh
+    initialization (seed derived from member_seed and the round). Ties in the
+    filtering scores are broken by stable row order. The rows each round
+    leaves depend only on the row count, so a table too small to filter is
+    rejected before the first fit.
     """
     X = np.asarray(X, dtype=np.float64)
-    d = X.shape[1]
-    mapping = build_map(config.source, d, config.train.m, X, child_seed(member_seed, 0), config.bandwidth)
-    if config.train.m != mapping.out_dim:
-        raise ValueError(
-            f"anomaly scoring needs m == mapping out_dim, got {config.train.m} vs "
-            f"{mapping.out_dim} (identity source forces m = data dim)"
-        )
+    rounds = config.filter_rounds if config.filter_fraction > 0.0 else 0
+    left = X.shape[0]
+    for round_idx in range(1, rounds + 1):
+        left -= removal_count(config.filter_fraction, left)
+        if left < 2 * config.train.batch_size:
+            raise ValueError(
+                f"filtering at round {round_idx} would leave {left} rows, "
+                f"need at least {2 * config.train.batch_size} (2 x batch_size): "
+                "set filter_rounds = 0 or a smaller batch_size"
+            )
+    mapping = build_map(config.source, config.train.m, X, child_seed(member_seed, 0), config.bandwidth)
 
     active = np.arange(X.shape[0])
     rows = X  # the training rows: X itself until a filtering round drops one
 
     def fit(round_idx: int):
-        cfg = replace(config.train, seed=child_seed(member_seed, 1 + round_idx))
+        cfg = replace(config.train, m=mapping.out_dim, seed=child_seed(member_seed, 1 + round_idx))
         return train(rows, cfg, mapping)
 
     model, trace = fit(0)
-    if config.filter_fraction > 0.0:
-        for round_idx in range(1, config.filter_rounds + 1):
-            n_remove = removal_count(config.filter_fraction, active.size)
-            if active.size - n_remove < 2 * config.train.batch_size:
-                raise ValueError(
-                    f"filtering at round {round_idx} would leave {active.size - n_remove} rows, "
-                    f"need at least {2 * config.train.batch_size} (2 x batch_size): "
-                    "set filter_rounds = 0 or a smaller batch_size"
-                )
-            scores = score_rows(model, rows)
-            order = np.argsort(-scores, kind="mergesort")
-            active = np.sort(active[order[n_remove:]])
-            rows = X[active]
-            model, trace = fit(round_idx)
+    for round_idx in range(1, rounds + 1):
+        scores = score_rows(model, rows)
+        order = np.argsort(-scores, kind="mergesort")
+        active = np.sort(active[order[removal_count(config.filter_fraction, active.size):]])
+        rows = X[active]
+        model, trace = fit(round_idx)
     return Member(model=model, seed=member_seed, trace=trace, train_rows=int(active.size))
 
 
@@ -330,9 +326,7 @@ def run_anomaly(
     """Full detector: configure per ablation, fit, score, evaluate.
 
     `config.source` selects the frozen mapping. Metrics are filled only
-    when labels are present; scores never need them. For the identity
-    source the representation width is forced to the data dimension so
-    novelty scoring stays well-defined.
+    when labels are present; scores never need them.
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
@@ -343,10 +337,9 @@ def run_anomaly(
     if standardize:
         X = standardize_dataset(data)[0].features
 
-    m = X.shape[1] if config.source == "identity" else config.train.m
     cfg = replace(
         config,
-        train=ablate(replace(config.train, m=m), "none" if ablation == "no_boosting" else ablation),
+        train=ablate(config.train, "none" if ablation == "no_boosting" else ablation),
         filter_rounds=0 if ablation == "no_boosting" else config.filter_rounds,
     )
 

@@ -173,8 +173,7 @@ def _write_csv_atomic(path, header: list, rows) -> None:
 def _cmd_anomaly(cfg: argparse.Namespace, boost: BoostConfig) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     result = run_anomaly(data, boost, ablation=cfg.ablation, standardize=cfg.standardize)
-    if cfg.source == "identity":
-        cfg.m = data.d  # echo the forced width
+    cfg.m = result.ensemble.members[0].model.m  # identity's: the data width
     out = {"data.rows": data.n, "data.columns": data.d}
     if result.auc_roc is not None:
         out["metrics.auc_roc"] = result.auc_roc
@@ -218,12 +217,8 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
     out["timing.train_seconds"] = result.train_seconds
     out["timing.cluster_seconds"] = result.cluster_seconds
     if cfg.out_assignments:
-        rows = (
-            [i, int(a)] + ([int(data.labels[i])] if data.labels is not None else [])
-            for i, a in enumerate(result.assignments)
-        )
-        header = ["index", "cluster"] + (["label"] if data.labels is not None else [])
-        _write_csv_atomic(cfg.out_assignments, header, rows)
+        rows = ([i, int(a), int(data.labels[i])] for i, a in enumerate(result.assignments))
+        _write_csv_atomic(cfg.out_assignments, ["index", "cluster", "label"], rows)
     if cfg.out_model:
         save_ensemble(cfg.out_model, [result.model])
     return out
@@ -233,7 +228,7 @@ def _cmd_project(cfg: argparse.Namespace, _: None) -> dict:
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
     X = standardize_dataset(data)[0].features if cfg.standardize else data.features
     t0 = time.perf_counter()
-    mapping = build_map(cfg.source, data.d, cfg.k, X, cfg.seed)
+    mapping = build_map(cfg.source, cfg.k, X, cfg.seed)
     cfg.k = mapping.out_dim  # identity: the data width
     projected = apply_map(mapping, X)
     out = {"data.rows": data.n, "data.columns": data.d}

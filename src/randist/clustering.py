@@ -114,14 +114,10 @@ def kmeans(X: np.ndarray, k: int, max_iters: int = MAX_ITERS, seed: int = 0) -> 
     An empty cluster takes the point farthest from its centroid among those
     whose cluster keeps another member, so every cluster id stays populated.
     """
-    if isinstance(X, _Rows):
-        rows = X
-    else:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
-        rows = _Rows(X, np.sum(X * X, axis=1))
-    return _lloyd(rows, k, max_iters, [seed])[0].result(rows.X)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
+    return _lloyd(_Rows(X, np.sum(X * X, axis=1)), k, max_iters, [seed])[0].result(X)
 
 
 class _Restart:
@@ -243,9 +239,8 @@ def run_clustering(
     X = data.features
     if standardize:
         X = standardize_dataset(data)[0].features
-    d = X.shape[1]
 
-    mapping = build_map(source, d, cfg.m, X, child_seed(cfg.seed, 10_000))
+    mapping = build_map(source, cfg.m, X, child_seed(cfg.seed, 10_000))
 
     t0 = time.perf_counter()
     model, trace = train(X, cfg, mapping)

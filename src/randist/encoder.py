@@ -143,17 +143,15 @@ def _leaky(Z: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
     return Z, S
 
 
-def init_model(
-    d: int, m: int, config: TrainConfig, random_map: RandomMap, seed: int
-) -> EncoderModel:
-    """Fresh parameters: W ~ N(0, 1/(d*m)), b = 0; decoder ~ N(0, 1/m).
+def init_model(config: TrainConfig, random_map: RandomMap, seed: int) -> EncoderModel:
+    """Fresh parameters for the map's d = in_dim inputs and config.m outputs:
+    W ~ N(0, 1/(d*m)), b = 0; decoder ~ N(0, 1/m).
 
     The 1/m factor keeps the initial embedded dot products O(1) whatever
     the representation width; without it the squared-dot-product loss can
     run away at the fixed 0.1 learning rate on standardized data.
     """
-    if d < 1 or m < 1:
-        raise ValueError(f"dimensions must be positive, got d={d}, m={m}")
+    d, m = random_map.in_dim, config.m
     if config.use_aux_loss and config.task == "anomaly" and m != random_map.out_dim:
         raise ValueError(
             f"novelty loss needs m == mapping out_dim, got m={m}, out_dim={random_map.out_dim}"
@@ -282,7 +280,7 @@ def train(
     if d != random_map.in_dim:
         raise ValueError(f"data has {d} columns, mapping expects {random_map.in_dim}")
 
-    model = init_model(d, config.m, config, random_map, seed=child_seed(config.seed, 0))
+    model = init_model(config, random_map, seed=child_seed(config.seed, 0))
     novelty = config.use_aux_loss and config.task == "anomaly"
     targets = apply(random_map, X) if config.use_pair_loss or novelty else None
     gram = targets @ targets.T if config.use_pair_loss and n <= targets.shape[1] else None

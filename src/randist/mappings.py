@@ -6,8 +6,8 @@ Four constructions are available:
   which preserves norms and inner products in the Johnson-Lindenstrauss
   sense. Library-only: no pipeline source selects it.
 * Sparse random projection: entries +/- sqrt(1/(density*K)) with
-  probability density/2 each, 0 otherwise (very-sparse scheme, default
-  density 1/sqrt(D)); inner products are unbiased.
+  probability density/2 each, 0 otherwise (very-sparse scheme, density
+  1/sqrt(D)); inner products are unbiased.
 * Random Fourier features: x -> sqrt(2/K) cos(W x + b) with
   W_ij ~ N(0, 1/sigma^2) and b ~ U[0, 2pi); dot products are unbiased
   estimates of the Gaussian RBF kernel exp(-||x-y||^2 / (2 sigma^2)).
@@ -56,13 +56,10 @@ def gaussian_rp(d: int, k: int, seed: int = 0) -> RandomMap:
     return RandomMap(kind=GAUSSIAN_RP, in_dim=d, out_dim=k, seed=seed, weights=weights)
 
 
-def sparse_rp(d: int, k: int, density: Optional[float] = None, seed: int = 0) -> RandomMap:
-    """Signed sparse projection with scaling baked into the entries."""
+def sparse_rp(d: int, k: int, seed: int = 0) -> RandomMap:
+    """Signed sparse projection at density 1/sqrt(d), with scaling baked into the entries."""
     _check_dims(d, k)
-    if density is None:
-        density = 1.0 / math.sqrt(d)
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must be in (0, 1], got {density}")
+    density = 1.0 / math.sqrt(d)
     value = math.sqrt(1.0 / (density * k))
     u = stream(seed).random((k, d))
     weights = np.where(u < density / 2.0, value, np.where(u < density, -value, 0.0))
@@ -75,17 +72,17 @@ MAX_BANDWIDTH_POINTS = 1000  # median_bandwidth subsamples larger inputs
 BANDWIDTH_BLOCK = 128  # rows of squared distances median_bandwidth forms at a time
 
 
-def median_bandwidth(X: np.ndarray, max_points: int = MAX_BANDWIDTH_POINTS, seed: int = 0) -> float:
-    """Median of pairwise distances over a uniform subsample of <= max_points rows.
-    Raises ValueError when X holds a nan or an inf, subsampled or not."""
+def median_bandwidth(X: np.ndarray, seed: int = 0) -> float:
+    """Median of pairwise distances over a uniform subsample of <= MAX_BANDWIDTH_POINTS
+    rows. Raises ValueError when X holds a nan or an inf, subsampled or not."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not np.isfinite(X).all():
         raise ValueError("median_bandwidth needs finite rows, got a nan or an inf")
     n = X.shape[0]
-    if n > max_points:
-        idx = stream(seed).choice(n, size=max_points, replace=False)
+    if n > MAX_BANDWIDTH_POINTS:
+        idx = stream(seed).choice(n, size=MAX_BANDWIDTH_POINTS, replace=False)
         X = X[idx]
-        n = max_points
+        n = MAX_BANDWIDTH_POINTS
     if n < 2:
         return 1.0
     sq = np.sum(X * X, axis=1)

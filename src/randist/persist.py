@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 import numpy as np
 
@@ -22,6 +21,7 @@ from ._version import __version__
 from .encoder import EncoderModel
 from .errors import ModelFileError
 from .mappings import IDENTITY, KINDS, RFF, RandomMap
+from .report import write_atomic
 
 MAGIC = b"RDST"
 FORMAT_VERSION = 1
@@ -63,10 +63,7 @@ def _write_container(path, header: dict, arrays: list) -> None:
     for a in arrays:
         blob += np.ascontiguousarray(a, dtype="<f8").tobytes()
     blob += hashlib.sha256(blob).digest()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_atomic(path, blob)
 
 
 def _read_container(path) -> tuple[dict, bytes]:

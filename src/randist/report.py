@@ -7,6 +7,7 @@ identical runs render byte-identical deterministic fields; timing keys
 """
 from __future__ import annotations
 
+import contextlib
 import os
 
 
@@ -41,8 +42,19 @@ def strip_volatile(fields: dict) -> dict:
     return {k: v for k, v in fields.items() if not k.startswith("timing.")}
 
 
-def write_text_atomic(path, text: str) -> None:
+def write_atomic(path, data: bytes) -> None:
+    """Write data to a temp file beside path, then replace path with it; the
+    temp file is removed when the write or the replace fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    write_atomic(path, text.encode("utf-8"))

@@ -112,7 +112,7 @@ def test_criterion_1_gradient_correctness():
         targets = apply(mapping, X)
         for kw in configs:
             config = TrainConfig(m=m, epochs=1, batch_size=4, seed=seed, **kw)
-            model = init_model(d, m, config, mapping, seed=seed + 1)
+            model = init_model(config, mapping, seed=seed + 1)
             # 8 rows > m = k = 4 take the m x m form of the pair term, 3 rows the nb x nb form
             for Xb, Tb in ((X, targets), (X[:3], targets[:3])):
                 grads, _ = grad_batch(model, Xb, Tb, config)

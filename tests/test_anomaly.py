@@ -178,16 +178,20 @@ class TestBoostTrainMember:
         with pytest.raises(ValueError, match="round 1"):
             boost_train_member(X, cfg, member_seed=3)
 
-    def test_smallest_table_at_the_defaults(self):
+    def test_smallest_table_at_the_defaults(self, monkeypatch):
         # 404 rows: 5% filtered leaves 384 = 2 x batch_size 192; 403 leaves 383
         config = BoostConfig(train=TrainConfig.anomaly_defaults(epochs=1), members=1)
         assert run_anomaly(synth_anomaly(384, 20, 4, seed=1), config).ensemble.members[0].train_rows == 384
+        fits = []
+        real_train = randist.anomaly.train
+        monkeypatch.setattr(randist.anomaly, "train", lambda *a: fits.append(1) or real_train(*a))
         with pytest.raises(
             ValueError,
             match=r"round 1 would leave 383 rows, need at least 384 \(2 x batch_size\): "
             "set filter_rounds = 0 or a smaller batch_size",
         ):
             run_anomaly(synth_anomaly(383, 20, 4, seed=1), config)
+        assert fits == []  # rejected before any member's first fit
 
 
 class TestEnsemble:
@@ -204,7 +208,7 @@ class TestEnsemble:
         _, X = toy
         cfg = BoostConfig(train=_small_cfg(epochs=2), members=5, filter_rounds=0)
         ens = fit_ensemble(X, cfg)
-        assert len(set(ens.seeds)) == 5
+        assert len({m.seed for m in ens.members}) == 5
 
     def test_score_is_member_mean_and_order_invariant(self, toy):
         _, X = toy
@@ -356,7 +360,7 @@ class TestMemberProcesses:
             save_ensemble(path, [m.model for m in ensemble.members])
             runs[workers] = (ensemble, ensemble_score(ensemble, X).tobytes(), path.read_bytes())
         want, want_scores, want_file = runs[1]
-        assert want.seeds == [child_seed(self.FIVE.train.seed, i) for i in range(5)]
+        assert [m.seed for m in want.members] == [child_seed(self.FIVE.train.seed, i) for i in range(5)]
         for workers in (2, 3):
             got, scores, file_bytes = runs[workers]
             assert scores == want_scores and file_bytes == want_file
@@ -527,6 +531,10 @@ class TestRunAnomaly:
         member = result.ensemble.members[0]
         assert member.model.random_map.kind == "identity"
         assert member.model.m == data.d == member.model.random_map.out_dim
+        # a member trains at its map's width whatever m the config gives
+        assert cfg.train.m != data.d
+        member = boost_train_member(standardize(data)[0].features, cfg, member_seed=3)
+        assert member.model.m == data.d == member.model.random_map.out_dim
 
     def test_srp_source(self, toy):
         data, _ = toy
@@ -599,16 +607,16 @@ class TestBoostConfig:
 class TestBuildMap:
     def test_each_source_is_its_constructor(self):
         X = np.random.default_rng(0).standard_normal((20, 4))
-        got = build_map("rff", 4, 6, X, 3)
+        got = build_map("rff", 6, X, 3)
         want = rff(4, 6, data=X, seed=3)
         assert got.bandwidth == want.bandwidth
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.offsets, want.offsets)
-        assert build_map("rff", 4, 6, X, 3, bandwidth=2.0).bandwidth == 2.0
-        got = build_map("srp", 4, 6, X, 3)
+        assert build_map("rff", 6, X, 3, bandwidth=2.0).bandwidth == 2.0
+        got = build_map("srp", 6, X, 3)
         np.testing.assert_array_equal(got.weights, sparse_rp(4, 6, seed=3).weights)
-        assert build_map("identity", 4, 6, X, 3) == identity_map(4)  # k is the data width
+        assert build_map("identity", 6, X, 3) == identity_map(4)  # k is the data width
 
     def test_unknown_source(self):
         with pytest.raises(ValueError, match="source must be one of"):
-            build_map("bogus", 4, 6, np.zeros((3, 4)), 0)
+            build_map("bogus", 6, np.zeros((3, 4)), 0)

@@ -306,6 +306,17 @@ class TestConfigHandling:
         )
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("flag", ["--out-report", "--out-scores", "--out-model"])
+    def test_output_path_that_is_a_directory_exits_3(self, capsys, tmp_path, anomaly_csv, flag):
+        target = tmp_path / "out"
+        target.mkdir()
+        args = ["anomaly", "--input", anomaly_csv, "--members", "1", "--epochs", "1",
+                "--filter-rounds", "0", flag, str(target)]
+        code, _, err = _run(capsys, args)
+        assert code == EXIT_IO and "input/output error" in err
+        # the temp file the write went through is gone with the failed replace
+        assert [p.name for p in tmp_path.iterdir()] == ["out"] and not any(target.iterdir())
+
     def test_huge_label_is_input_error(self, capsys, tmp_path):
         p = tmp_path / "huge.csv"
         p.write_text("a,b,label\n1,2,0\n3,4,1e30\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import randist.clustering
-from randist.clustering import KMeansResult, _lloyd, _Rows, embed, kmeans, run_clustering
+from randist.clustering import MAX_ITERS, KMeansResult, _lloyd, _Rows, embed, kmeans, run_clustering
 from randist.data import Dataset, synth_blobs
 from randist.encoder import EncoderModel, TrainConfig
 from randist.mappings import identity_map
@@ -86,9 +86,8 @@ class TestKmeans:
     def test_empty_cluster_repair_keeps_all_ids(self, form):
         # heavy duplication provokes empty clusters during Lloyd updates
         X = np.array([[0.0], [0.0], [0.0], [0.0], [0.0], [10.0], [10.0]])
-        rows = X if form == "plain" else _gram_rows(X)
         for seed in range(6):
-            result = kmeans(rows, 3, seed=seed)
+            result = _one_restart(X, form, 3, seed=seed)
             assert set(result.assignments.tolist()) == {0, 1, 2}
 
     @pytest.mark.parametrize("form", ["plain", "gram"])
@@ -106,9 +105,9 @@ class TestKmeans:
 
         monkeypatch.setattr(randist.clustering, "_plusplus_init", init)
         forced[:] = [False, False]
-        others = [kmeans(rows, 3, max_iters=2, seed=s) for s in (4, 5)]
+        others = [_lloyd(rows, 3, 2, [s])[0].result(X) for s in (4, 5)]
         forced[:] = [True]
-        alone = kmeans(rows, 3, max_iters=2, seed=0)
+        alone = _lloyd(rows, 3, 2, [0])[0].result(X)
         forced[:] = [False, True, False]
         lockstep = [r.result(X) for r in _lloyd(rows, 3, 2, [4, 0, 5])]
         for got in (alone, lockstep[1]):
@@ -128,7 +127,7 @@ class TestKmeans:
         # every row sits on every centroid, so all rows join cluster 0 and two
         # clusters are empty; each takes a row no earlier repair of the round took
         X = np.zeros((4, 2))
-        result = kmeans(X if form == "plain" else _gram_rows(X), 3)
+        result = _one_restart(X, form, 3)
         assert set(result.assignments.tolist()) == {0, 1, 2}
         assert result.iterations_run <= 2 and result.inertia == 0.0
 
@@ -150,10 +149,9 @@ class TestKmeans:
             k = int(rng.integers(2, 8))
             d = int(rng.integers(10, 60))
             X = np.round(rng.standard_normal((int(rng.integers(k, d + 1)), d)), 0)
-            rows = X if form == "plain" else _gram_rows(X)
             inertias = []
             for iters in (1, 2, 4, 300):
-                result = kmeans(rows, k, max_iters=iters, seed=case)
+                result = _one_restart(X, form, k, max_iters=iters, seed=case)
                 assert set(result.assignments.tolist()) == set(range(k))
                 recomputed = float(np.sum((X - result.centroids[result.assignments]) ** 2))
                 assert result.inertia == pytest.approx(recomputed, rel=1e-9, abs=1e-9)
@@ -173,6 +171,13 @@ class TestKmeans:
 def _gram_rows(X: np.ndarray) -> _Rows:
     """A K-means input carrying its Gram, as run_clustering builds it for n <= m."""
     return _Rows(X, np.sum(X * X, axis=1), X @ X.T)
+
+
+def _one_restart(X: np.ndarray, form: str, k: int, max_iters: int = MAX_ITERS, seed: int = 0):
+    """`kmeans` on X ("plain"), or its one restart on rows carrying their Gram ("gram")."""
+    if form == "plain":
+        return kmeans(X, k, max_iters=max_iters, seed=seed)
+    return _lloyd(_gram_rows(X), k, max_iters, [seed])[0].result(X)
 
 
 def _plain_case(case, rng):
@@ -202,7 +207,7 @@ def _gram_case(case, rng):
 
 
 def _check_restarts_against_loop(make_case, first):
-    """Each case runs three seeds one at a time through `kmeans` and together
+    """Each case runs three seeds one at a time (one-seed `_lloyd` calls) and together
     in one lockstep call; every restart must match the loop reference for
     its seed, and a lockstep restart its one-seed run (assignments,
     iterations, inertia)."""
@@ -210,7 +215,7 @@ def _check_restarts_against_loop(make_case, first):
     for case in range(40):
         X, rows, k, iters = make_case(first + case, stream(first + case))
         seeds = [first + case, 7_000 + case, 9_000 + case]
-        alone = [kmeans(X if rows.K is None else rows, k, max_iters=iters, seed=s) for s in seeds]
+        alone = [_lloyd(rows, k, iters, [s])[0].result(X) for s in seeds]
         lockstep = [r.result(X) for r in _lloyd(rows, k, iters, seeds)]
         for seed, one, got in zip(seeds, alone, lockstep):
             assignments, inertia = kmeans_loop(X, k, max_iters=iters, seed=seed)

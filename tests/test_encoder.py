@@ -108,28 +108,28 @@ class TestLeaky:
 class TestInitModel:
     def test_bias_exact_zero(self):
         cfg = TrainConfig(m=4, epochs=1, task="anomaly", batch_size=2)
-        model = init_model(6, 4, cfg, gaussian_rp(6, 4, seed=0), seed=1)
+        model = init_model(cfg, gaussian_rp(6, 4, seed=0), seed=1)
         np.testing.assert_array_equal(model.b, np.zeros(4))
 
     def test_decoder_iff_reconstruction(self):
         mapping = gaussian_rp(6, 4, seed=0)
         clu = TrainConfig(m=4, epochs=1, task="clustering", batch_size=2)
-        assert init_model(6, 4, clu, mapping, seed=1).has_decoder
+        assert init_model(clu, mapping, seed=1).has_decoder
         no_aux = TrainConfig(m=4, epochs=1, task="clustering", batch_size=2, use_aux_loss=False)
-        assert not init_model(6, 4, no_aux, mapping, seed=1).has_decoder
+        assert not init_model(no_aux, mapping, seed=1).has_decoder
         ad = TrainConfig(m=4, epochs=1, task="anomaly", batch_size=2)
-        assert not init_model(6, 4, ad, mapping, seed=1).has_decoder
+        assert not init_model(ad, mapping, seed=1).has_decoder
 
     def test_novelty_dimension_guard(self):
         cfg = TrainConfig(m=4, epochs=1, task="anomaly", batch_size=2)
         with pytest.raises(ValueError, match="out_dim"):
-            init_model(6, 4, cfg, gaussian_rp(6, 5, seed=0), seed=1)
+            init_model(cfg, gaussian_rp(6, 5, seed=0), seed=1)
 
     def test_deterministic(self):
         cfg = TrainConfig(m=3, epochs=1, task="anomaly", batch_size=2)
         mapping = gaussian_rp(5, 3, seed=0)
-        a = init_model(5, 3, cfg, mapping, seed=9)
-        b = init_model(5, 3, cfg, mapping, seed=9)
+        a = init_model(cfg, mapping, seed=9)
+        b = init_model(cfg, mapping, seed=9)
         np.testing.assert_array_equal(a.w, b.w)
 
 
@@ -184,7 +184,7 @@ def _grad_case(seed, d=4, m=3, n=5, task="anomaly", use_pair=True, use_aux=True)
         m=m, epochs=1, task=task, batch_size=4,
         use_pair_loss=use_pair, use_aux_loss=use_aux, aux_weight=1.0, seed=seed,
     )
-    model = init_model(d, m, config, mapping, seed=seed + 2)
+    model = init_model(config, mapping, seed=seed + 2)
     return model, X, apply(mapping, X), config
 
 
@@ -219,7 +219,7 @@ def _step_case(nb, m, k, task, seed):
     X = stream(seed).standard_normal((nb, 5))
     mapping = gaussian_rp(5, k, seed=seed + 1)
     config = TrainConfig(m=m, epochs=1, task=task, batch_size=nb, seed=0)
-    model = init_model(5, m, config, mapping, seed=seed + 2)
+    model = init_model(config, mapping, seed=seed + 2)
     return model, X, apply(mapping, X), config
 
 
@@ -248,7 +248,7 @@ class TestGradients:
             X = rng.standard_normal((7, 4))
             mapping = gaussian_rp(4, 3, seed=1)
             config = TrainConfig(m=3, epochs=1, task=task, batch_size=4, seed=0)
-            model = init_model(4, 3, config, mapping, seed=2)
+            model = init_model(config, mapping, seed=2)
             idx = np.array([5, 1, 4])
             targets = apply(mapping, X)[idx]
             _assert_matches_oracle(model, X[idx], targets, config)
@@ -261,7 +261,7 @@ class TestGradients:
         X = rng.standard_normal((12, 4))
         mapping = gaussian_rp(4, k, seed=1)
         config = TrainConfig(m=3, epochs=1, task=task, batch_size=8, seed=0)
-        model = init_model(4, 3, config, mapping, seed=2)
+        model = init_model(config, mapping, seed=2)
         idx = np.array([9, 2, 7, 0, 11, 4, 5, 1])
         _assert_matches_oracle(model, X[idx], apply(mapping, X)[idx], config)
 
@@ -297,7 +297,7 @@ class TestGradients:
         # identity map so the mapped zero input is zero as well
         mapping = identity_map(3)
         config = TrainConfig(m=3, epochs=1, task="anomaly", batch_size=2, seed=0)
-        model = init_model(3, 3, config, mapping, seed=1)
+        model = init_model(config, mapping, seed=1)
         model.w = np.zeros((3, 3))
         for n in (3, 4):
             X = np.zeros((n, 3))
@@ -404,7 +404,7 @@ class TestTrain:
         X = np.abs(stream(20).standard_normal((12, 5))) + 0.1
         mapping = identity_map(5)
         config = TrainConfig(m=5, epochs=1, task="anomaly", batch_size=4, seed=0)
-        model = init_model(5, 5, config, mapping, seed=1)
+        model = init_model(config, mapping, seed=1)
         model.w = np.eye(5)
         for n in (5, 12):  # the nb x nb and the m x m form of the pair term
             _, losses = grad_batch(model, X[:n], apply(mapping, X[:n]), config)

@@ -27,7 +27,7 @@ def _identity_model(d, slope=0.01, decoder=False):
 def _random_model(d, m, seed, task="anomaly", use_aux=True):
     mapping = gaussian_rp(d, m, seed=seed + 1)
     config = TrainConfig(m=m, epochs=1, task=task, batch_size=4, use_aux_loss=use_aux, seed=seed)
-    return init_model(d, m, config, mapping, seed=seed), config
+    return init_model(config, mapping, seed=seed), config
 
 
 def _config(m, task="anomaly", **kw):

@@ -61,16 +61,16 @@ class TestGaussianRp:
 class TestSparseRp:
     def test_default_density(self):
         m = sparse_rp(64, 10, seed=0)
-        assert m.density == pytest.approx(1.0 / 8.0)
+        assert m.density == 1.0 / 8.0
 
     def test_nonzero_fraction_matches_density(self):
-        m = sparse_rp(100, 100, density=0.2, seed=3)
+        m = sparse_rp(25, 400, seed=3)  # density 1/sqrt(25) = 0.2
         frac = np.mean(m.weights != 0.0)
         # binomial std error over 10000 entries is 0.004
         assert abs(frac - 0.2) < 5 * 0.004
 
     def test_entry_values(self):
-        m = sparse_rp(20, 5, density=0.5, seed=1)
+        m = sparse_rp(4, 5, seed=1)  # density 1/sqrt(4) = 0.5
         expected = math.sqrt(1.0 / (0.5 * 5))
         values = np.unique(np.abs(m.weights))
         np.testing.assert_allclose(values[values > 0], expected)
@@ -88,12 +88,6 @@ class TestSparseRp:
     def test_zero_vector(self):
         m = sparse_rp(6, 4, seed=2)
         np.testing.assert_array_equal(apply(m, np.zeros((1, 6)))[0], np.zeros(4))
-
-    def test_rejects_bad_density(self):
-        with pytest.raises(ValueError):
-            sparse_rp(4, 4, density=0.0)
-        with pytest.raises(ValueError):
-            sparse_rp(4, 4, density=1.5)
 
 
 class TestRff:
@@ -301,7 +295,7 @@ class TestMedianBandwidth:
 
     def test_subsamples_large_inputs(self):
         X = stream(18).standard_normal((3000, 2))
-        assert median_bandwidth(X, max_points=100, seed=2) > 0
+        assert median_bandwidth(X, seed=2) == median_bandwidth_reference(X, seed=2) > 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_small_inputs_match_reference(self, n):
@@ -318,15 +312,13 @@ class TestMedianBandwidth:
         # counts, with and without a subsample
         for case in range(60):
             rng = stream(100 + case)
-            n = int(rng.integers(2, 300))
+            n = int(rng.integers(2, 300)) + (MAX_BANDWIDTH_POINTS if case % 4 == 0 else 0)
             X = rng.standard_normal((n, int(rng.integers(1, 20))))
             if case % 3 == 1:
                 X = np.round(X)
             elif case % 3 == 2:
                 X = X[rng.integers(0, n, size=n)]
-            max_points = int(rng.integers(2, n + 1)) if case % 4 == 0 else MAX_BANDWIDTH_POINTS
-            got = median_bandwidth(X, max_points=max_points, seed=case)
-            assert got == median_bandwidth_reference(X, max_points=max_points, seed=case)
+            assert median_bandwidth(X, seed=case) == median_bandwidth_reference(X, seed=case)
 
     @pytest.mark.parametrize(
         "n", [BANDWIDTH_BLOCK - 1, BANDWIDTH_BLOCK, BANDWIDTH_BLOCK + 1, 2 * BANDWIDTH_BLOCK + 1]
@@ -342,10 +334,13 @@ class TestMedianBandwidth:
         assert median_bandwidth(X, seed=3) == median_bandwidth_reference(X, seed=3)
 
     def test_non_finite_input_raises(self):
-        # checked on every row, also those a subsample of 2 would leave out
-        for bad in (np.nan, np.inf):
-            X = stream(23).standard_normal((30, 2))
-            X[4, 1] = bad
-            for max_points in (MAX_BANDWIDTH_POINTS, 2):
+        # checked on every row, also on one the subsample leaves out
+        n = MAX_BANDWIDTH_POINTS + 30
+        drawn = stream(0).choice(n, size=MAX_BANDWIDTH_POINTS, replace=False)  # seed 0's subsample
+        left_out = int(np.setdiff1d(np.arange(n), drawn)[0])
+        for rows, row in ((30, 4), (n, left_out)):
+            for bad in (np.nan, np.inf):
+                X = stream(23).standard_normal((rows, 2))
+                X[row, 1] = bad
                 with pytest.raises(ValueError, match="finite"):
-                    median_bandwidth(X, max_points=max_points)
+                    median_bandwidth(X)

@@ -21,14 +21,14 @@ from randist.rng import stream
 def _model(mapping, task="anomaly", seed=3):
     use_aux = task == "clustering" or mapping.out_dim == 4
     cfg = TrainConfig(m=4, epochs=1, task=task, batch_size=2, use_aux_loss=use_aux, seed=0)
-    return init_model(mapping.in_dim, 4, cfg, mapping, seed=seed)
+    return init_model(cfg, mapping, seed=seed)
 
 
 @pytest.mark.parametrize(
     "mapping",
     [
         gaussian_rp(5, 4, seed=1),
-        sparse_rp(5, 4, density=0.4, seed=1),
+        sparse_rp(5, 4, seed=1),
         rff(5, 4, bandwidth=1.5, seed=1),
         identity_map(4),
     ],
