@@ -9,11 +9,7 @@ only changes training membership.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
-import pickle
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -22,6 +18,7 @@ import numpy as np
 
 from .data import Dataset, standardize as standardize_dataset
 from .encoder import LOSS_ABLATIONS, EncoderModel, LossTrace, TrainConfig, ablate, train
+from .forks import process_count, run_shares
 # a row's anomaly score is its novelty value (higher is more anomalous). The
 # pipeline calls score_rows through this module's global: perfbench wraps it here.
 from .losses import novelty_rows as score_rows
@@ -95,6 +92,22 @@ def removal_count(fraction: float, n: int) -> int:
     return max(1, math.floor(fraction * n))
 
 
+def _check_filter_rows(n: int, config: BoostConfig) -> int:
+    """The filtering rounds a member of `config` runs on n rows; a ValueError
+    if one of them would leave fewer than two batches of rows."""
+    rounds = config.filter_rounds if config.filter_fraction > 0.0 else 0
+    left = n
+    for round_idx in range(1, rounds + 1):
+        left -= removal_count(config.filter_fraction, left)
+        if left < 2 * config.train.batch_size:
+            raise ValueError(
+                f"filtering at round {round_idx} would leave {left} rows, "
+                f"need at least {2 * config.train.batch_size} (2 x batch_size): "
+                "set filter_rounds = 0 or a smaller batch_size"
+            )
+    return rounds
+
+
 def boost_train_member(
     X: np.ndarray, config: BoostConfig, member_seed: int
 ) -> Member:
@@ -108,16 +121,7 @@ def boost_train_member(
     rejected before the first fit.
     """
     X = np.asarray(X, dtype=np.float64)
-    rounds = config.filter_rounds if config.filter_fraction > 0.0 else 0
-    left = X.shape[0]
-    for round_idx in range(1, rounds + 1):
-        left -= removal_count(config.filter_fraction, left)
-        if left < 2 * config.train.batch_size:
-            raise ValueError(
-                f"filtering at round {round_idx} would leave {left} rows, "
-                f"need at least {2 * config.train.batch_size} (2 x batch_size): "
-                "set filter_rounds = 0 or a smaller batch_size"
-            )
+    rounds = _check_filter_rows(X.shape[0], config)
     mapping = build_map(config.source, config.train.m, X, child_seed(member_seed, 0), config.bandwidth)
 
     active = np.arange(X.shape[0])
@@ -137,157 +141,42 @@ def boost_train_member(
     return Member(model=model, seed=member_seed, trace=trace, train_rows=int(active.size))
 
 
-def _train_share(X: np.ndarray, config: BoostConfig, seeds: list) -> tuple:
-    """The members of `seeds`, trained in order until one raises, and the
-    exception that stopped them (None when every member trained)."""
-    done = []
-    try:
-        for s in seeds:
-            # the module global, so that a wrapper set on it applies in a child too
-            done.append(boost_train_member(X, config, s))
-    except Exception as err:
-        return done, err
-    return done, None
-
-
-@functools.cache
-def _openblas_num_threads():
-    """The loaded OpenBLAS's thread-count getter, or None where no OpenBLAS
-    is mapped into this process or its mappings cannot be read."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
-    except OSError:
-        return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return fn
-    return None
-
-
-def _member_processes(members: int) -> int:
-    """How many processes train an ensemble of `members`: the CPUs this
-    process may run on, divided by the threads of the loaded OpenBLAS, and
-    at most one per member.
-
-    Processes whose BLAS threads outnumber the CPUs wait on each other, so
-    OpenBLAS's default of one thread per CPU gives 1. The threads are asked
-    of the library, which reads its thread variables once, when numpy loads
-    it. The rule was checked on OpenBLAS only: with another BLAS, or where
-    the platform cannot tell the CPUs, it is 1.
-    """
-    get_threads = _openblas_num_threads()
-    if get_threads is None or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(members, len(os.sched_getaffinity(0)) // max(1, get_threads())))
-
-
-def _fork_shares(X: np.ndarray, config: BoostConfig, seeds: list, workers: int, children: dict):
-    """Fork a child for each strided share after the first, recording it in
-    `children` as worker -> (pid, read end of its pipe).
-
-    A child inherits X and config from the fork, so neither is copied unless
-    written to. It pickles back what `_train_share` returns, or nothing if it
-    is interrupted, and leaves through os._exit, so it never returns into the
-    caller's stack and no cleanup of the parent's (open files, atexit
-    handlers, test fixtures) runs twice. Signals are held from before the
-    first fork until every child is in its try and in `children`: a handler
-    raising in between would unwind a child into the caller's stack, or
-    leave a child out of fit_ensemble's kill.
-    """
-    import signal  # here, so that importing randist loads no module it did not
-
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    try:
-        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(read_fd)
-                    # all or nothing: what fails to pickle is sent as no result at all
-                    data = pickle.dumps(_train_share(X, config, seeds[w::workers]),
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                    with os.fdopen(write_fd, "wb") as fh:
-                        fh.write(data)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children[w] = (pid, os.fdopen(read_fd, "rb"))
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _share_result(worker: int, pid: int, data: bytes, status: int) -> tuple:
-    """What a child's `_train_share` returned, or an error if it sent nothing."""
-    if not data:
-        raise RuntimeError(
-            f"ensemble worker {worker} (pid {pid}) exited without a result "
-            f"(exit status {os.waitstatus_to_exitcode(status)})"
-        )
-    return pickle.loads(data)  # bytes our own child wrote
-
-
 def fit_ensemble(X: np.ndarray, config: BoostConfig) -> Ensemble:
     """Boost-train `members` independently seeded members.
 
-    Up to MAX_BANDWIDTH_POINTS rows the median heuristic takes no subsample,
-    so every rff member would compute the same bandwidth: it is computed once.
+    A table too small to filter is rejected before any member trains. Up to
+    MAX_BANDWIDTH_POINTS rows the median heuristic takes no subsample, so
+    every rff member would compute the same bandwidth: it is computed once.
 
     The members are split into one strided share per process
-    (`_member_processes`). The caller trains the first share; each other
-    share is trained in a forked child, and the members are put back in seed
-    order. A member's arithmetic does not depend on the process that runs
-    it, so the ensemble is bit-identical at any process count. Each share
-    stops at its first failing member, and the lowest-numbered of those is
-    raised: the member one process would have failed on. Every child still
-    running when the error is raised, or when the caller is interrupted, is
-    killed and reaped first.
+    (`forks.process_count`, at most one per member) and trained by
+    `forks.run_shares`; they are put back in seed order. A member's
+    arithmetic does not depend on the process that runs it, so the ensemble
+    is bit-identical at any process count. Each share stops at its first
+    failing member, and the lowest-numbered of those is raised: the member
+    one process would have failed on.
     """
     X = np.asarray(X, dtype=np.float64)
+    _check_filter_rows(X.shape[0], config)
     if config.source == "rff" and config.bandwidth is None and X.shape[0] <= MAX_BANDWIDTH_POINTS:
         config = replace(config, bandwidth=median_bandwidth(X))
     seeds = [child_seed(config.train.seed, i) for i in range(config.members)]
-    workers = _member_processes(len(seeds))
-    children = {}  # worker -> (pid, read end), until reaped
-    try:
-        if workers > 1:
-            _fork_shares(X, config, seeds, workers, children)
-        shares = [_train_share(X, config, seeds[::workers])]
-        done, err = shares[0]
-        # a child's members can come before the caller's failed one only if that is not member 0
-        if err is None or done:
-            for w in range(1, workers):
-                pid, fh = children[w]
-                with fh:
-                    data = fh.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[w]
-                shares.append(_share_result(w, pid, data, status))
-    finally:
-        if children:
-            import signal
-        for pid, fh in children.values():
-            fh.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass
+    workers = process_count(len(seeds))
+
+    def share(w: int) -> tuple:
+        # share w's members, trained until one raises, and what stopped them (None if none did)
+        done = []
+        try:
+            for s in seeds[w::workers]:
+                # the module global, so that a wrapper set on it applies in a child too
+                done.append(boost_train_member(X, config, s))
+        except Exception as err:
+            if w == 0 and not done:
+                raise  # member 0 failed: no child's member comes before it
+            return done, err
+        return done, None
+
+    shares = run_shares(share, workers, "ensemble")
     # share w's members are w, w + workers, ...; it stopped at number w + workers * len(done)
     failed = [(w + workers * len(done), err) for w, (done, err) in enumerate(shares) if err is not None]
     if failed:

@@ -170,11 +170,18 @@ def _write_csv_atomic(path, header: list, rows) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
-def _cmd_anomaly(cfg: argparse.Namespace, boost: BoostConfig) -> dict:
+def _load(cfg: argparse.Namespace) -> tuple:
+    """The input table, and the report fields of its shape and load."""
+    t0 = time.perf_counter()
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
+    return data, {"data.rows": data.n, "data.columns": data.d, "timing.load_processes": data.processes,
+                  "timing.load_seconds": time.perf_counter() - t0}
+
+
+def _cmd_anomaly(cfg: argparse.Namespace, boost: BoostConfig) -> dict:
+    data, out = _load(cfg)
     result = run_anomaly(data, boost, ablation=cfg.ablation, standardize=cfg.standardize)
     cfg.m = result.ensemble.members[0].model.m  # identity's: the data width
-    out = {"data.rows": data.n, "data.columns": data.d}
     if result.auc_roc is not None:
         out["metrics.auc_roc"] = result.auc_roc
         out["metrics.auc_pr"] = result.auc_pr
@@ -198,7 +205,7 @@ def _cmd_anomaly(cfg: argparse.Namespace, boost: BoostConfig) -> dict:
 
 
 def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
-    data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
+    data, out = _load(cfg)
     result = run_clustering(
         data,
         train_cfg,
@@ -207,7 +214,6 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
         source=cfg.source,
         standardize=cfg.standardize,
     )
-    out = {"data.rows": data.n, "data.columns": data.d}
     out["metrics.nmi_mean"] = result.nmi_mean
     out["metrics.nmi_std"] = result.nmi_std
     out["metrics.f_mean"] = result.f_mean
@@ -225,13 +231,12 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
 
 
 def _cmd_project(cfg: argparse.Namespace, _: None) -> dict:
-    data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
+    data, out = _load(cfg)
     X = standardize_dataset(data)[0].features if cfg.standardize else data.features
     t0 = time.perf_counter()
     mapping = build_map(cfg.source, cfg.k, X, cfg.seed)
     cfg.k = mapping.out_dim  # identity: the data width
     projected = apply_map(mapping, X)
-    out = {"data.rows": data.n, "data.columns": data.d}
     out["timing.project_seconds"] = time.perf_counter() - t0
     header = [f"p{i}" for i in range(projected.shape[1])]
     _write_csv_atomic(

@@ -10,13 +10,17 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DataError
+from .forks import process_count, run_shares
 from .rng import stream
+
+SHARE_MIN_BYTES = 1 << 20  # a CSV share's least size: ~20 ms of parse, against ~5 ms to fork
 
 
 @dataclass
@@ -26,6 +30,7 @@ class Dataset:
     features: np.ndarray
     labels: Optional[np.ndarray] = None
     feature_names: Optional[list] = None
+    processes: int = 1  # the processes its file was parsed in, the caller's included
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -116,10 +121,11 @@ def load_csv(
     when given, that column is extracted into integer labels. Rows keep
     their file order. Every cell reads as Python's `float()` of the stripped
     cell. A plain numeric table (unquoted cells, no blank lines, finite
-    values, labels below 2**53) is parsed in one streaming C pass; any other
-    table, and every bad one, goes through a row-by-row check. Either way
-    memory tracks the float table rather than the text. Error messages name
-    the first offending row (1-based file line) and column.
+    values, labels below 2**53) in a seekable file is parsed by numpy's C
+    reader, in shares of at least SHARE_MIN_BYTES, one per process; any
+    other table, and every bad one, goes through a row-by-row check. Either
+    way memory tracks the float table rather than the text. Error messages
+    name the first offending row (1-based file line) and column.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -175,11 +181,13 @@ def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
     width = len(first[1])
     label_idx = None if label_column is None else _column_index(label_column, header, width, "label column")
 
+    processes = 1
     if start is None:  # a pipe cannot rewind from the C pass to the row loop
         table = _parse_rows(itertools.chain([first], rows), width, header, label_idx)
     else:
-        fh.seek(start)
-        table = _parse_plain(fh, width, label_idx)
+        bounds = _share_bounds(path, start)
+        processes = len(bounds)
+        table = _parse_plain(path, bounds, width, label_idx)
         if table is None:  # the row loop returns the same table or names the first bad cell
             fh.seek(start)
             table = _parse_rows(_csv_rows(fh, first[0]), width, header, label_idx)
@@ -188,39 +196,73 @@ def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
     names = None
     if header is not None:
         names = [h for i, h in enumerate(header) if i != label_idx]
-    return Dataset(features=features, labels=labels, feature_names=names)
+    return Dataset(features=features, labels=labels, feature_names=names, processes=processes)
 
 
-def _plain_lines(fh):
+def _share_bounds(path, start) -> list:
+    """Where each share of the data rows begins: `start`, then the byte after a
+    newline near each p-th of the rest, p processes (`process_count`) of at least
+    SHARE_MIN_BYTES each. A `start` past the end (a text position after a lone CR) gives one."""
+    with open(path, "rb") as raw:
+        size = raw.seek(0, os.SEEK_END)
+        shares = process_count((size - start) // SHARE_MIN_BYTES)
+        bounds = [start]
+        for k in range(1, shares):
+            raw.seek(max(bounds[-1] + 1, start + (size - start) * k // shares) - 1)
+            raw.readline()  # to the first line that starts there or after
+            if raw.tell() >= size:
+                break
+            bounds.append(raw.tell())
+    return bounds
+
+
+def _plain_lines(fh, size: float):
+    """fh's lines, the first `size` bytes of them; a blank one raises ValueError."""
     for line in fh:
         if not line.strip():  # loadtxt skips such a line; the row loop calls it ragged
             raise ValueError("blank line")
         yield line
+        size -= len(line) if line.isascii() else len(line.encode("utf-8"))
+        if size <= 0:
+            return
 
 
-def _parse_plain(fh, width: int, label_idx: Optional[int]) -> Optional[np.ndarray]:
-    """The data rows in one C pass, or None where it might differ from `_parse_rows`.
+def _parse_plain(path, bounds: list, width: int, label_idx: Optional[int]) -> Optional[np.ndarray]:
+    """The data rows, one loadtxt pass per share (`run_shares`) from each of
+    `bounds` to the next, or None where they might differ from `_parse_rows`.
 
-    loadtxt strips a field by the same predicate as `str.strip` and parses it
-    with the same correctly rounded conversion as `float()`; it rejects the
-    quoted, underscored and non-ASCII-digit cells that `float()` or the csv
-    module would read differently. What it would accept but the row loop
-    rejects (non-finite cells, labels that need their cell's digits) is
-    checked on the table.
+    Each share reads through its own handle, as a forked child shares the
+    caller's file offsets. A share begins after a newline, where a line
+    begins in text mode too and a UTF-8 handle's position is the byte
+    offset, so the shares hold the lines of one pass. loadtxt strips a field by the same predicate as
+    `str.strip` and parses it with the same correctly rounded conversion as
+    `float()`; it rejects the quoted, underscored and non-ASCII-digit cells
+    that `float()` or the csv module would read differently. What it would
+    accept but the row loop rejects (non-finite cells, labels that need their
+    cell's digits) is checked on each share's table.
     """
-    try:
-        table = np.loadtxt(
-            _plain_lines(fh), delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2
-        )
-    except ValueError:
-        return None
-    if table.shape[1] != width or not np.isfinite(table).all():
-        return None
-    if label_idx is not None:
-        labels = table[:, label_idx]
-        if not (np.all(labels == np.trunc(labels)) and np.all(np.abs(labels) < 2.0**53)):
+    sizes = [b - a for a, b in zip(bounds, bounds[1:])] + [math.inf]  # the last runs to the end
+
+    def share(k: int) -> Optional[np.ndarray]:
+        try:
+            with open(path, "r", newline="", encoding="utf-8") as fh:
+                fh.seek(bounds[k])
+                lines = _plain_lines(fh, sizes[k])
+                table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2)
+        except ValueError:
             return None
-    return table
+        if table.shape[1] != width or not np.isfinite(table).all():
+            return None
+        if label_idx is not None:
+            labels = table[:, label_idx]
+            if not (np.all(labels == np.trunc(labels)) and np.all(np.abs(labels) < 2.0**53)):
+                return None
+        return table
+
+    tables = run_shares(share, len(bounds), "csv parse")  # [None] when the caller's share declines
+    if any(table is None for table in tables):
+        return None
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
 
 
 def _parse_rows(numbered_rows, width: int, header, label_idx) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randist.anomaly
+import randist.forks
 from randist.anomaly import (
     BoostConfig,
     boost_train_member,
@@ -193,6 +194,18 @@ class TestBoostTrainMember:
             run_anomaly(synth_anomaly(383, 20, 4, seed=1), config)
         assert fits == []  # rejected before any member's first fit
 
+    def test_a_table_too_small_to_filter_is_rejected_before_the_bandwidth_and_the_forks(self, monkeypatch):
+        config = BoostConfig(train=TrainConfig.anomaly_defaults(epochs=1), members=4)
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("ran before the row counts were checked")
+
+        monkeypatch.setattr(randist.anomaly, "process_count", lambda limit: min(limit, 2))
+        monkeypatch.setattr(randist.anomaly, "median_bandwidth", no_call)
+        monkeypatch.setattr(os, "fork", no_call)
+        with pytest.raises(ValueError, match=r"^filtering at round 1 would leave 383 rows, need at least 384 "):
+            fit_ensemble(synth_anomaly(383, 20, 4, seed=1).features, config)
+
 
 class TestEnsemble:
     def test_single_member_reduces_to_boost_train(self, toy):
@@ -246,7 +259,7 @@ class TestEnsemble:
         monkeypatch.setattr(mappings, "median_bandwidth", counted)  # what rff calls
         monkeypatch.setattr("randist.anomaly.median_bandwidth", counted)
         # a forked child's calls land in its own copy of the list
-        monkeypatch.setattr(randist.anomaly, "_member_processes", lambda members: 1)
+        monkeypatch.setattr(randist.anomaly, "process_count", lambda limit: 1)
         return calls
 
     def test_bandwidth_computed_once_up_to_max_points(self, toy, monkeypatch):
@@ -273,7 +286,7 @@ class TestEnsemble:
 
 
 def _processes(monkeypatch, workers: int) -> None:
-    monkeypatch.setattr(randist.anomaly, "_member_processes", lambda members: min(members, workers))
+    monkeypatch.setattr(randist.anomaly, "process_count", lambda limit: min(limit, workers))
 
 
 def _assert_no_child_left():
@@ -297,11 +310,11 @@ class TestMemberProcesses:
     FIVE = BoostConfig(train=_small_cfg(epochs=6), members=5)
 
     def test_processes_are_the_cpus_over_the_blas_threads(self, monkeypatch):
-        processes = randist.anomaly._member_processes
+        processes = randist.forks.process_count
         cpus = len(os.sched_getaffinity(0))
 
         def blas(threads):
-            monkeypatch.setattr(randist.anomaly, "_openblas_num_threads", lambda: lambda: threads)
+            monkeypatch.setattr(randist.forks, "_openblas_num_threads", lambda: lambda: threads)
 
         blas(cpus)  # OpenBLAS's default: one thread per CPU
         assert processes(30) == 1
@@ -309,7 +322,7 @@ class TestMemberProcesses:
         assert processes(1) == 1 and processes(30) == min(30, cpus)
         blas(2)
         assert processes(30) == max(1, cpus // 2)
-        monkeypatch.setattr(randist.anomaly, "_openblas_num_threads", lambda: None)  # another BLAS
+        monkeypatch.setattr(randist.forks, "_openblas_num_threads", lambda: None)  # another BLAS
         assert processes(30) == 1
         blas(1)
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -318,13 +331,13 @@ class TestMemberProcesses:
     def test_blas_threads_are_asked_of_the_loaded_library(self):
         # OpenBLAS reads its thread variables when numpy loads it, so a
         # variable set later changes neither its threads nor the processes
-        if randist.anomaly._openblas_num_threads() is None:
+        if randist.forks._openblas_num_threads() is None:
             pytest.skip("numpy is not linked against OpenBLAS")
         cpus = len(os.sched_getaffinity(0))
         code = (
-            "import os, randist.anomaly as a; before = a._member_processes(30); "
+            "import os, randist.forks as f; before = f.process_count(30); "
             "os.environ['OPENBLAS_NUM_THREADS'] = '64' if before > 1 else '1'; "
-            "print(before, a._member_processes(30))"
+            "print(before, f.process_count(30))"
         )
         src = str(Path(randist.anomaly.__file__).parents[1])
         got = {}

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import randist.anomaly
+import randist.data
+import randist.forks
 from randist import cli
 from randist.anomaly import BoostConfig, run_anomaly
 from randist.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
@@ -104,15 +106,44 @@ class TestAnomalyCommand:
         assert strip_volatile(r1) == strip_volatile(r2)
 
     def test_report_counts_member_processes(self, capsys, anomaly_csv, monkeypatch):
-        monkeypatch.setattr(randist.anomaly, "_openblas_num_threads", lambda: lambda: 1)
+        monkeypatch.setattr(randist.forks, "_openblas_num_threads", lambda: lambda: 1)
         args = ["anomaly", "--input", anomaly_csv, *ANOMALY_ARGS]
         code, report, _ = _run(capsys, args)
         assert code == EXIT_OK
         assert report["timing.member_processes"] == str(min(2, len(os.sched_getaffinity(0))))
-        monkeypatch.setattr(randist.anomaly, "_member_processes", lambda members: 1)
+        monkeypatch.setattr(randist.anomaly, "process_count", lambda limit: 1)
         code, alone, _ = _run(capsys, args)
         assert code == EXIT_OK and alone["timing.member_processes"] == "1"
         assert strip_volatile(alone) == strip_volatile(report)
+
+    def test_reports_are_byte_identical_at_one_and_two_processes(self, capsys, tmp_path, monkeypatch):
+        # two load shares and two member processes against one of each
+        path = tmp_path / "t.csv"
+        write_csv(synth_anomaly(280, 20, 6, seed=3), path)
+        runs = []
+        for p in (1, 2):
+            monkeypatch.setattr(randist.data, "process_count", lambda limit: min(limit, p))
+            monkeypatch.setattr(randist.data, "SHARE_MIN_BYTES", 1)
+            monkeypatch.setattr(randist.anomaly, "process_count", lambda limit: min(limit, p))
+            out = {name: tmp_path / f"{p}.{name}" for name in ("scores", "model")}
+            code, report, _ = _run(capsys, ["anomaly", "--input", str(path), *ANOMALY_ARGS,
+                                            "--out-scores", str(out["scores"]), "--out-model", str(out["model"])])
+            assert code == EXIT_OK
+            assert report["timing.load_processes"] == report["timing.member_processes"] == str(p)
+            assert float(report["timing.load_seconds"]) > 0
+            del report["config.out_scores"], report["config.out_model"]
+            runs.append((strip_volatile(report), out["scores"].read_bytes(), out["model"].read_bytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("task", ["cluster", "project"])
+    def test_cluster_and_project_report_the_load(self, capsys, tmp_path, task):
+        path = tmp_path / "b.csv"
+        write_csv(synth_blobs(2, 20, 3), path)
+        args = {"cluster": ["--m", "4", "--epochs", "1", "--restarts", "1", "--label-column", "label"],
+                "project": ["--k", "4", "--out-matrix", str(tmp_path / "p.csv")]}[task]
+        code, report, _ = _run(capsys, [task, "--input", str(path), *args])
+        assert code == EXIT_OK
+        assert report["timing.load_processes"] == "1" and float(report["timing.load_seconds"]) > 0
 
     def test_identity_source_takes_the_data_width(self, capsys, anomaly_csv):
         args = ["anomaly", "--input", anomaly_csv, "--label-column", "label", "--source", "identity",

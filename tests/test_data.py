@@ -1,5 +1,7 @@
+import contextlib
 import os
 import threading
+import time
 import warnings
 from unittest import mock
 
@@ -19,6 +21,21 @@ from randist.data import (
 )
 from randist.errors import DataError
 from randist.rng import child_seed, stream
+
+SHARES = (1, 2, 3)
+
+
+@contextlib.contextmanager
+def _shares(p: int):
+    """load_csv parses a plain table in p shares (fewer where it has fewer lines)."""
+    with mock.patch.object(data_module, "process_count", lambda limit: min(limit, p)), \
+            mock.patch.object(data_module, "SHARE_MIN_BYTES", 1):
+        yield
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestLoadCsv:
@@ -151,9 +168,10 @@ class TestLoadCsv:
     def test_error_messages(self, tmp_path, text, kwargs, message):
         p = tmp_path / "t.csv"
         p.write_text(text)
-        with pytest.raises(DataError) as err:
-            load_csv(p, **kwargs)
-        assert str(err.value) == message
+        for shares in SHARES:
+            with _shares(shares), pytest.raises(DataError) as err:
+                load_csv(p, **kwargs)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "text,row",
@@ -247,10 +265,14 @@ class TestLoadCsv:
         p = tmp_path_factory.mktemp("plain") / "t.csv"
         p.write_bytes((eol.join(lines) + (eol if last_eol else "")).encode("utf-8"))
         expected = np.array([[float(c.strip()) for c in cells] for cells, _ in grid])
-        with mock.patch.object(data_module, "_parse_rows", side_effect=AssertionError("row loop ran")):
-            data = load_csv(p, label_column="y")
-        assert data.features.tobytes() == expected.tobytes()
-        assert data.labels.tobytes() == np.array([label for _, label in grid], dtype=np.int64).tobytes()
+        for shares in SHARES:
+            with _shares(shares), mock.patch.object(
+                data_module, "_parse_rows", side_effect=AssertionError("row loop ran")
+            ):
+                data = load_csv(p, label_column="y")
+            assert data.features.tobytes() == expected.tobytes()
+            assert data.labels.tobytes() == np.array([label for _, label in grid], dtype=np.int64).tobytes()
+            assert 1 <= data.processes <= min(shares, len(grid))
 
     def test_plain_table_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
         # a silent fallback would keep the results and lose the speed
@@ -263,9 +285,12 @@ class TestLoadCsv:
             raise AssertionError("row loop ran on a plain table")
 
         monkeypatch.setattr(data_module, "_parse_rows", row_loop)
-        back = load_csv(p, label_column="label")
-        assert back.features.tobytes() == data.features.tobytes()
-        assert back.labels.tobytes() == data.labels.tobytes()
+        for shares in SHARES:
+            with _shares(shares):
+                back = load_csv(p, label_column="label")
+            assert back.processes == shares
+            assert back.features.tobytes() == data.features.tobytes()
+            assert back.labels.tobytes() == data.labels.tobytes()
 
     @pytest.mark.parametrize(
         "text,kwargs",
@@ -303,7 +328,10 @@ class TestLoadCsv:
         p.write_bytes(text.encode("utf-8"))
         with mock.patch.object(data_module, "_parse_plain", return_value=None):
             expected = _outcome(p, kwargs)
-        assert _outcome(p, kwargs) == expected
+        for shares in SHARES:
+            with _shares(shares):
+                assert _outcome(p, kwargs) == expected
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("has_header", [True, False])
     def test_one_data_row_loads_without_warning(self, tmp_path, has_header):
@@ -337,10 +365,116 @@ class TestLoadCsv:
         data = Dataset(X, labels=labels)
         p = tmp_path / "rt.csv"
         write_csv(data, p)
-        back = load_csv(p, label_column="label")
-        assert back.features.tobytes() == data.features.tobytes()
-        assert back.labels.tobytes() == data.labels.tobytes()
-        assert back.feature_names == [f"c{i}" for i in range(400)]
+        for shares in SHARES:
+            with _shares(shares):
+                back = load_csv(p, label_column="label")
+            assert back.processes == shares
+            assert back.features.tobytes() == data.features.tobytes()
+            assert back.labels.tobytes() == data.labels.tobytes()
+            assert back.feature_names == [f"c{i}" for i in range(400)]
+        _assert_no_child_left()
+
+
+class TestSharedParse:
+    """A plain table in a seekable file is parsed in shares, one per process;
+    the outcome must not depend on how many there are."""
+
+    @pytest.mark.parametrize("cell", ["x", "nan", '"7"', "1_0", " 3 "])
+    @pytest.mark.parametrize("column", ["b", "y"])
+    def test_a_cell_in_the_last_share_gives_the_one_share_outcome(self, tmp_path, cell, column):
+        rows = [f"{i},{i / 7!r},{i % 3}" for i in range(30)]
+        rows[-2] = f"28,{cell},1" if column == "b" else f"28,4.0,{cell}"  # file line 30
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+        with _shares(1):
+            expected = _outcome(p, {"label_column": "y"})
+        if cell in ("x", "nan"):
+            assert "at row 30" in expected
+        for shares in (2, 3):
+            with _shares(shares):
+                assert _outcome(p, {"label_column": "y"}) == expected
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("last_eol", [True, False])
+    def test_crlf_no_final_newline_and_one_row_shares(self, tmp_path, eol, last_eol):
+        p = tmp_path / "t.csv"
+        rows = ["a,b,y", "1.5,-2,0", "3.5,-4,1", "5e3,66,2"]  # equal lengths: a share each
+        p.write_bytes((eol.join(rows) + (eol if last_eol else "")).encode())
+        with _shares(3), mock.patch.object(data_module, "_parse_rows", side_effect=AssertionError("row loop ran")):
+            data = load_csv(p, label_column="y")
+        assert data.processes == 3
+        assert data.features.tobytes() == np.array([[1.5, -2.0], [3.5, -4.0], [5e3, 66.0]]).tobytes()
+        assert data.labels.tolist() == [0, 1, 2]
+        _assert_no_child_left()
+
+    def test_a_file_below_the_floor_forks_nothing(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        write_csv(Dataset(stream(6).normal(size=(300, 30)), labels=np.arange(300) % 2), p)
+        assert p.stat().st_size < data_module.SHARE_MIN_BYTES
+        monkeypatch.setattr(data_module, "process_count", lambda limit: max(1, limit))  # a CPU per share
+
+        def no_fork():
+            raise AssertionError("forked below the floor")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert load_csv(p, label_column="label").processes == 1
+        # the floor caps the shares: 2.5 floors of rows give two
+        p.write_bytes(b"a\n" + b"1.5\n" * (data_module.SHARE_MIN_BYTES * 5 // 8))
+        assert len(data_module._share_bounds(p, 2)) == 2
+
+    def test_a_child_that_exits_without_a_result_is_named(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        write_csv(Dataset(stream(7).normal(size=(40, 5))), p)
+        parent, real = os.getpid(), np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with _shares(2), pytest.raises(
+            RuntimeError, match=r"^csv parse worker 1 \(pid \d+\) exited without a result \(exit status 7\)$"
+        ):
+            load_csv(p)
+        _assert_no_child_left()
+
+    def test_a_declined_share_ends_the_others(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        write_csv(Dataset(stream(9).normal(size=(40, 5))), p)
+        expected = _outcome(p, {})
+        parent, real = os.getpid(), np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(60)  # killed long before this ends
+            raise ValueError("declined")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        start = time.monotonic()
+        with _shares(3):
+            assert _outcome(p, {}) == expected  # from the row loop
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("stop, error", [(KeyboardInterrupt(), KeyboardInterrupt), (OSError("gone"), DataError)])
+    def test_children_are_killed_when_the_callers_share_stops(self, tmp_path, monkeypatch, stop, error):
+        p = tmp_path / "t.csv"
+        write_csv(Dataset(stream(8).normal(size=(40, 5))), p)
+        parent = os.getpid()
+
+        def loadtxt(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(60)  # killed long before this ends
+            raise stop
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        start = time.monotonic()
+        with _shares(3), pytest.raises(error):
+            load_csv(p)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
 
 
 def _outcome(path, kwargs):
