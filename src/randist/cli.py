@@ -222,6 +222,7 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
     out["loss.last_epoch_total"] = float(result.trace.total[-1])
     out["timing.train_seconds"] = result.train_seconds
     out["timing.cluster_seconds"] = result.cluster_seconds
+    out["timing.train_lanes"] = result.train_lanes
     if cfg.out_assignments:
         rows = ([i, int(a), int(data.labels[i])] for i, a in enumerate(result.assignments))
         _write_csv_atomic(cfg.out_assignments, ["index", "cluster", "label"], rows)

@@ -183,20 +183,38 @@ def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
 
     processes = 1
     if start is None:  # a pipe cannot rewind from the C pass to the row loop
-        table = _parse_rows(itertools.chain([first], rows), width, header, label_idx)
+        tables = [_parse_rows(itertools.chain([first], rows), width, header, label_idx)]
     else:
         bounds = _share_bounds(path, start)
         processes = len(bounds)
-        table = _parse_plain(path, bounds, width, label_idx)
-        if table is None:  # the row loop returns the same table or names the first bad cell
+        tables = _parse_plain(path, bounds, width, label_idx)
+        if tables is None:  # the row loop returns the same table or names the first bad cell
             fh.seek(start)
-            table = _parse_rows(_csv_rows(fh, first[0]), width, header, label_idx)
-    labels = None if label_idx is None else table[:, label_idx].astype(np.int64)
-    features = table if label_idx is None else np.delete(table, label_idx, axis=1)
+            tables = [_parse_rows(_csv_rows(fh, first[0]), width, header, label_idx)]
+    features, labels = _split_labels(tables, label_idx)
     names = None
     if header is not None:
         names = [h for i, h in enumerate(header) if i != label_idx]
     return Dataset(features=features, labels=labels, feature_names=names, processes=processes)
+
+
+def _split_labels(tables: list, label_idx: Optional[int]) -> tuple:
+    """The features and labels of the row-wise parts `tables` of one table,
+    with the label column (if any) taken out: each part is copied into one
+    n x (width - 1) feature array, with no joined table in between."""
+    if label_idx is None:
+        return (tables[0] if len(tables) == 1 else np.concatenate(tables)), None
+    n = sum(table.shape[0] for table in tables)
+    features = np.empty((n, tables[0].shape[1] - 1))
+    labels = np.empty(n, dtype=np.int64)
+    row = 0
+    for table in tables:
+        rows = slice(row, row + table.shape[0])
+        features[rows, :label_idx] = table[:, :label_idx]
+        features[rows, label_idx:] = table[:, label_idx + 1 :]
+        labels[rows] = table[:, label_idx]  # integral values (checked), cast as astype does
+        row = rows.stop
+    return features, labels
 
 
 def _share_bounds(path, start) -> list:
@@ -227,9 +245,10 @@ def _plain_lines(fh, size: float):
             return
 
 
-def _parse_plain(path, bounds: list, width: int, label_idx: Optional[int]) -> Optional[np.ndarray]:
-    """The data rows, one loadtxt pass per share (`run_shares`) from each of
-    `bounds` to the next, or None where they might differ from `_parse_rows`.
+def _parse_plain(path, bounds: list, width: int, label_idx: Optional[int]) -> Optional[list]:
+    """The data rows, one table per share, from one loadtxt pass per share
+    (`run_shares`) from each of `bounds` to the next, or None where they might
+    differ from `_parse_rows`.
 
     Each share reads through its own handle, as a forked child shares the
     caller's file offsets. A share begins after a newline, where a line
@@ -262,7 +281,7 @@ def _parse_plain(path, bounds: list, width: int, label_idx: Optional[int]) -> Op
     tables = run_shares(share, len(bounds), "csv parse")  # [None] when the caller's share declines
     if any(table is None for table in tables):
         return None
-    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+    return tables
 
 
 def _parse_rows(numbered_rows, width: int, header, label_idx) -> np.ndarray:

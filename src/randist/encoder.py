@@ -15,6 +15,19 @@ width, `train` forms the n x n target Gram once and each nb x nb step reads
 its block, gathering mapped rows only for the novelty term; n <= k bounds
 that Gram by the n x k mapped rows it is made from (8n^2 bytes, 8 MB at
 n = 1000).
+
+Once H is formed, a step's pair term (HH^T - TT^T, then R @ H) and its
+auxiliary term (the novelty difference, or the decoder products) are
+independent. Where a CPU is spare (`forks.process_count(2) == 2`, which is
+1 inside a forked share), a step of the nb x nb form that has a second
+branch runs it on a lane: one helper thread that lives for one call to
+`train`. The lane gathers the batch's Gram block while the caller forms H,
+then runs the auxiliary term while the caller forms the pair term; BLAS
+products and large array loops release the interpreter lock, so the two
+overlap. Each branch makes the same calls on the same operands as inline,
+so a lane changes no bit of the result, only the time. The feature-Gram
+form (m and k < nb) is cheap enough that the handover would cost more than
+it saves, so it never starts one.
 """
 from __future__ import annotations
 
@@ -25,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericError
+from .forks import process_count
 from .mappings import RandomMap, apply, row_products
 from .rng import child_seed, stream
 
@@ -123,6 +137,7 @@ class LossTrace:
     total: np.ndarray
     pair: np.ndarray
     aux: np.ndarray
+    lanes: int = 1  # the threads that ran the steps: 2 when a lane ran beside the caller
 
 
 @dataclass
@@ -178,7 +193,8 @@ def grad_batch(
     Xb: np.ndarray,
     targets_b: Optional[np.ndarray],
     config: TrainConfig,
-    gram_b: Optional[np.ndarray] = None,
+    gram_b=None,
+    lane=None,
 ) -> tuple[Gradients, tuple[float, float, float]]:
     """Exact gradients of one batch's objective, plus its (total, pair, aux) losses.
 
@@ -192,6 +208,11 @@ def grad_batch(
     R @ H = H(H^TH) - T(T^TH). The leaky-ReLU subgradient at exactly 0 uses
     the negative-side slope.
 
+    With a lane (an executor of one thread, from `train`) the auxiliary term
+    runs on it while this thread forms the pair term; without one both run
+    here, and the results are the same bits either way. gram_b may also be a
+    future of the block (the lane's gather).
+
     Each loss value is one BLAS dot of its term with itself (np.vdot), with no
     squared temporary. The losses feed no gradient. OpenBLAS splits a dot of
     more than 10,000 entries across its threads, so such a loss value may
@@ -204,6 +225,9 @@ def grad_batch(
     Z = Xb @ model.w.T
     Z += model.b
     H, S = _leaky(Z, model.leaky_slope)
+    aux = None
+    if config.use_aux_loss and lane is not None:
+        aux = lane.submit(_aux_term, model, H, Xb, targets_b, config)
 
     # each term of dH is formed in an array of its own and scaled in place;
     # the first one becomes dH
@@ -219,33 +243,20 @@ def grad_batch(
             dH -= T @ TtH
         else:
             R = H @ H.T
-            R -= T @ T.T if gram_b is None else gram_b
+            if gram_b is None:
+                R -= T @ T.T
+            else:
+                R -= gram_b if isinstance(gram_b, np.ndarray) else gram_b.result()
             loss_pair = float(np.vdot(R, R)) / R.size
             dH = R @ H
         dH *= 4.0 / (nb * nb)
 
     loss_aux = 0.0
     ddec_w = ddec_b = None
-    lam = config.aux_weight
     if config.use_aux_loss:
-        if config.task == "anomaly":
-            term = H - targets_b
-            loss_aux = float(np.vdot(term, term)) / term.size
-            term *= 2.0 * lam / (model.m * nb)
-        else:
-            if not model.has_decoder:
-                raise ValueError("reconstruction loss needs a model with a decoder")
-            res = H @ model.decoder_w.T
-            res += model.decoder_b
-            res -= Xb
-            loss_aux = float(np.vdot(res, res)) / res.size
-            scale = 2.0 * lam / (model.d * nb)
-            ddec_w = res.T @ H
-            ddec_w *= scale
-            ddec_b = res.sum(axis=0)
-            ddec_b *= scale
-            term = res @ model.decoder_w
-            term *= scale
+        loss_aux, term, ddec_w, ddec_b = (
+            _aux_term(model, H, Xb, targets_b, config) if aux is None else aux.result()
+        )
         if dH is None:
             dH = term
         else:
@@ -255,11 +266,42 @@ def grad_batch(
     dw = dH.T @ Xb
     db = dH.sum(axis=0)
 
-    total = loss_pair + lam * loss_aux  # a disabled loss is 0.0 and lam is finite
+    total = loss_pair + config.aux_weight * loss_aux  # a disabled loss is 0.0 and the weight is finite
     if not math.isfinite(total):
         raise NumericError(f"non-finite batch loss {total}")
     grads = Gradients(dw=dw, db=db, ddecoder_w=ddec_w, ddecoder_b=ddec_b)
     return grads, (total, loss_pair, loss_aux)
+
+
+def _aux_term(model: EncoderModel, H: np.ndarray, Xb: np.ndarray, targets_b, config: TrainConfig) -> tuple:
+    """A batch's auxiliary loss, its term of dH and the decoder's gradients
+    (None for the novelty loss): the branch of `grad_batch` a lane can run."""
+    nb = Xb.shape[0]
+    lam = config.aux_weight
+    if config.task == "anomaly":
+        term = H - targets_b
+        loss_aux = float(np.vdot(term, term)) / term.size
+        term *= 2.0 * lam / (model.m * nb)
+        return loss_aux, term, None, None
+    if not model.has_decoder:
+        raise ValueError("reconstruction loss needs a model with a decoder")
+    res = H @ model.decoder_w.T
+    res += model.decoder_b
+    res -= Xb
+    loss_aux = float(np.vdot(res, res)) / res.size
+    scale = 2.0 * lam / (model.d * nb)
+    ddec_w = res.T @ H
+    ddec_w *= scale
+    ddec_b = res.sum(axis=0)
+    ddec_b *= scale
+    term = res @ model.decoder_w
+    term *= scale
+    return loss_aux, term, ddec_w, ddec_b
+
+
+def _block(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[np.ix_(idx, idx)], bit for bit, as two plain gathers, which take less time."""
+    return a[idx][:, idx]
 
 
 def train(
@@ -282,43 +324,60 @@ def train(
 
     model = init_model(config, random_map, seed=child_seed(config.seed, 0))
     novelty = config.use_aux_loss and config.task == "anomaly"
+    k = random_map.out_dim
     targets = apply(random_map, X) if config.use_pair_loss or novelty else None
-    gram = targets @ targets.T if config.use_pair_loss and n <= targets.shape[1] else None
+    gram = targets @ targets.T if config.use_pair_loss and n <= k else None
     # with the pair term served by the Gram, only the novelty term reads the rows
     batch_targets = targets if gram is None or novelty else None
     shuffle_rng = stream(child_seed(config.seed, 1))
+    # a lane for steps of the nb x nb form with a second branch (the gather or
+    # the aux term), where a CPU is spare (see the module docstring)
+    residual = gram is not None or (config.use_pair_loss and max(config.m, k) >= min(config.batch_size, n))
+    lanes = 2 if residual and (gram is not None or config.use_aux_loss) and process_count(2) == 2 else 1
 
     lr = config.learning_rate
     trace = LossTrace(
-        total=np.zeros(config.epochs), pair=np.zeros(config.epochs), aux=np.zeros(config.epochs)
+        total=np.zeros(config.epochs), pair=np.zeros(config.epochs), aux=np.zeros(config.epochs), lanes=lanes
     )
-    for epoch in range(config.epochs):
-        perm = shuffle_rng.permutation(n)
-        total = pair = aux = 0.0  # Python floats: the same IEEE sums as an array, cheaper per step
-        batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            if idx.size < 2:
-                continue
-            targets_b = None if batch_targets is None else batch_targets[idx]
-            gram_b = None if gram is None else gram[np.ix_(idx, idx)]
-            try:
-                grads, (loss_total, loss_pair, loss_aux) = grad_batch(
-                    model, X[idx], targets_b, config, gram_b
-                )
-            except NumericError as err:
-                raise NumericError(f"training diverged at epoch {epoch}: {err}") from err
-            model.w -= lr * grads.dw
-            model.b -= lr * grads.db
-            if grads.ddecoder_w is not None:
-                model.decoder_w -= lr * grads.ddecoder_w
-                model.decoder_b -= lr * grads.ddecoder_b
-            total += loss_total
-            pair += loss_pair
-            aux += loss_aux
-            batches += 1
-        means = (total / batches, pair / batches, aux / batches)
-        if not all(map(math.isfinite, means)):
-            raise NumericError(f"training diverged at epoch {epoch}: mean loss {means[0]}")
-        trace.total[epoch], trace.pair[epoch], trace.aux[epoch] = means
+    lane = None
+    if lanes == 2:
+        # imported here, so that importing randist loads no module it did not
+        from concurrent.futures import ThreadPoolExecutor
+
+        lane = ThreadPoolExecutor(1, thread_name_prefix="randist-lane")
+    try:
+        for epoch in range(config.epochs):
+            perm = shuffle_rng.permutation(n)
+            total = pair = aux = 0.0  # Python floats: the same IEEE sums as an array, cheaper per step
+            batches = 0
+            for start in range(0, n, config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                if idx.size < 2:
+                    continue
+                gram_b = None
+                if gram is not None:
+                    gram_b = _block(gram, idx) if lane is None else lane.submit(_block, gram, idx)
+                targets_b = None if batch_targets is None else batch_targets[idx]
+                try:
+                    grads, (loss_total, loss_pair, loss_aux) = grad_batch(
+                        model, X[idx], targets_b, config, gram_b, lane
+                    )
+                except NumericError as err:
+                    raise NumericError(f"training diverged at epoch {epoch}: {err}") from err
+                model.w -= lr * grads.dw
+                model.b -= lr * grads.db
+                if grads.ddecoder_w is not None:
+                    model.decoder_w -= lr * grads.ddecoder_w
+                    model.decoder_b -= lr * grads.ddecoder_b
+                total += loss_total
+                pair += loss_pair
+                aux += loss_aux
+                batches += 1
+            means = (total / batches, pair / batches, aux / batches)
+            if not all(map(math.isfinite, means)):
+                raise NumericError(f"training diverged at epoch {epoch}: mean loss {means[0]}")
+            trace.total[epoch], trace.pair[epoch], trace.aux[epoch] = means
+    finally:
+        if lane is not None:  # waits for a running branch, cancels the rest: no thread outlives the call
+            lane.shutdown(cancel_futures=True)
     return model, trace

@@ -1,6 +1,11 @@
 """Work split into shares, one per process: the caller runs the first share
 and a forked child each other one. The users, the ensemble's members and the
 CSV parse, are CPU-bound and hold the interpreter lock, so threads would not do.
+The encoder's lane is a thread instead: its two branches of one SGD step are
+BLAS products and large array loops, which release the lock, and they share
+that step's arrays, which a process would have to copy. Inside a share of a
+job of several, `process_count` is 1, so a lane never joins a share's process
+on its CPU.
 """
 from __future__ import annotations
 
@@ -8,6 +13,8 @@ import ctypes
 import functools
 import os
 import pickle
+
+_in_share = False  # True while this process runs a share of a job of several
 
 
 @functools.cache
@@ -38,8 +45,10 @@ def process_count(limit: int) -> int:
     when numpy loads it, so the threads are asked of the library; its default
     of one thread per CPU gives 1. With another BLAS, or where the platform
     cannot tell the CPUs, it is 1: the rule was checked on OpenBLAS only.
+    Inside a share of a `run_shares` job of several it is 1: the job already
+    holds the CPUs.
     """
-    get_threads = _openblas_num_threads() if limit > 1 else None
+    get_threads = _openblas_num_threads() if limit > 1 and not _in_share else None
     if get_threads is None or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(limit, len(os.sched_getaffinity(0)) // max(1, get_threads())))
@@ -55,13 +64,17 @@ def run_shares(work, shares: int, name: str) -> list:
     no handler can unwind a child into the caller's stack or leave it out of
     the kill of every child still running when anything raises, the caller
     is interrupted or work(0) returns None (then the result is [None]).
+    While the shares run, `process_count` is 1 in every one of them.
     """
     if shares == 1:
         return [work(0)]
     import signal  # here, so that importing randist loads no module it did not
 
+    global _in_share
+    outer = _in_share
     children = {}  # share -> (pid, read end of its pipe), until reaped
     try:
+        _in_share = True  # in the caller's share and, inherited, in each child's
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())  # the old mask
         try:
             for k in range(1, shares):
@@ -105,6 +118,7 @@ def run_shares(work, shares: int, name: str) -> list:
             results.append(pickle.loads(data))  # bytes our own child wrote
         return results
     finally:
+        _in_share = outer
         for pid, fh in children.values():
             fh.close()
             try:

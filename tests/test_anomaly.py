@@ -328,6 +328,17 @@ class TestMemberProcesses:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert processes(30) == 1
 
+    def test_a_share_of_a_job_of_several_holds_one_cpu(self, monkeypatch):
+        # so that a member's training starts no lane beside the other shares' processes
+        forks = randist.forks
+        monkeypatch.setattr(forks, "_openblas_num_threads", lambda: lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert forks.process_count(2) == 2
+        assert forks.run_shares(lambda k: forks.process_count(2), 2, "test") == [1, 1]
+        assert forks.run_shares(lambda k: forks.process_count(2), 1, "test") == [2]
+        assert forks.process_count(2) == 2
+        _assert_no_child_left()
+
     def test_blas_threads_are_asked_of_the_loaded_library(self):
         # OpenBLAS reads its thread variables when numpy loads it, so a
         # variable set later changes neither its threads nor the processes

@@ -8,6 +8,7 @@ import pytest
 
 import randist.anomaly
 import randist.data
+import randist.encoder
 import randist.forks
 from randist import cli
 from randist.anomaly import BoostConfig, run_anomaly
@@ -194,6 +195,24 @@ class TestClusterCommand:
         assert len(rows) == 151
         [model] = load_ensemble(model_path)  # a one-member model file
         assert model.has_decoder and model.m == model.random_map.out_dim == 16
+
+
+    def test_a_training_lane_changes_no_output(self, capsys, tmp_path, blob_csv, monkeypatch):
+        # m = batch: each step's decoder branch runs on a lane when a CPU is spare
+        runs = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
+            out = {name: tmp_path / f"{lanes}.{name}" for name in ("assignments", "model")}
+            code, report, _ = _run(
+                capsys,
+                ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "16",
+                 "--batch-size", "16", "--epochs", "3", "--restarts", "2",
+                 "--out-assignments", str(out["assignments"]), "--out-model", str(out["model"])],
+            )
+            assert code == EXIT_OK and report["timing.train_lanes"] == str(lanes)
+            del report["config.out_assignments"], report["config.out_model"]
+            runs.append((strip_volatile(report), out["assignments"].read_bytes(), out["model"].read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestProjectCommand:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import randist.clustering
+import randist.encoder
 from randist.clustering import MAX_ITERS, KMeansResult, _lloyd, _Rows, embed, kmeans, run_clustering
 from randist.data import Dataset, synth_blobs
 from randist.encoder import EncoderModel, TrainConfig
@@ -326,3 +327,16 @@ class TestRunClustering:
         assert pairwise_f(blob_data.labels, relabeled) == pytest.approx(
             result.f_mean, abs=1e-12
         )
+
+    def test_a_training_lane_changes_no_result(self, blob_data, monkeypatch):
+        # m = 24 >= the batch: each step's decoder branch runs on a lane when a CPU is spare
+        results = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
+            results.append(run_clustering(blob_data, self._cfg(epochs=10, batch_size=24), restarts=3))
+        alone, laned = results
+        assert (alone.train_lanes, laned.train_lanes) == (1, 2)
+        assert alone.nmi_values.tobytes() == laned.nmi_values.tobytes()
+        assert alone.f_values.tobytes() == laned.f_values.tobytes()
+        assert alone.assignments.tobytes() == laned.assignments.tobytes()
+        assert alone.embeddings.tobytes() == laned.embeddings.tobytes()

@@ -1,11 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randist.encoder
+import randist.forks
 from randist.data import standardize, synth_blobs
 from randist.encoder import (
+    _block,
     _leaky,
     EncoderModel,
     TrainConfig,
@@ -447,11 +452,11 @@ class TestTrain:
         seen, gathered = [], []
         real_step = randist.encoder.grad_batch
 
-        def per_batch_step(model, Xb, targets_b, config, gram_b=None):
+        def per_batch_step(model, Xb, targets_b, config, gram_b=None, lane=None):
             seen.append(gram_b is not None)
             gathered.append(targets_b is not None)
             T = apply(mapping, Xb) if targets_b is None else targets_b
-            return real_step(model, Xb, T, config)
+            return real_step(model, Xb, T, config, None, lane)
 
         monkeypatch.setattr(randist.encoder, "grad_batch", per_batch_step)
         ref_model, ref_trace = train(X, cfg, mapping)
@@ -506,3 +511,138 @@ class TestTrain:
         cfg = TrainConfig(m=2, epochs=1, task="anomaly", batch_size=2, seed=0)
         with pytest.raises(ValueError, match="columns"):
             train(np.ones((4, 3)), cfg, gaussian_rp(5, 2, seed=0))
+
+
+def _lanes(monkeypatch, lanes: int) -> None:
+    """Let `train` start a lane (lanes=2) or not (1), whatever the CPUs and BLAS threads."""
+    monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
+
+
+def _aux_threads(monkeypatch) -> list:
+    """The names of the threads that run each step's auxiliary branch."""
+    names = []
+    real = randist.encoder._aux_term
+
+    def recording(*args):
+        names.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(randist.encoder, "_aux_term", recording)
+    return names
+
+
+class TestLane:
+    """`train` runs a step's two branches on two threads where a CPU is spare;
+    the result must be the bits of one thread."""
+
+    def _train_both(self, monkeypatch, X, cfg, mapping):
+        runs = []
+        switch = sys.getswitchinterval()
+        for lanes in (1, 2):
+            _lanes(monkeypatch, lanes)
+            before = threading.active_count()
+            sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock as often as they can
+            try:
+                runs.append(train(X, cfg, mapping))
+            finally:
+                sys.setswitchinterval(switch)
+            assert threading.active_count() == before  # the lane is gone on return
+        return runs
+
+    @pytest.mark.parametrize(
+        "task,n,k,use_aux,gram",
+        [
+            ("clustering", 40, 48, True, True),  # the n x n target Gram: gather and decoder on the lane
+            ("clustering", 40, 48, False, True),  # the gather only
+            ("clustering", 80, 24, True, False),  # m = k >= nb without the Gram: the decoder only
+            ("anomaly", 80, 24, True, False),  # m >= nb: the novelty term on the lane
+            ("anomaly", 20, 24, True, True),  # the Gram gather and the novelty term
+        ],
+    )
+    def test_lane_is_bit_identical_to_one_thread(self, monkeypatch, task, n, k, use_aux, gram):
+        X = stream(30).standard_normal((n, 6))
+        mapping = rff(6, k, data=X, seed=31)
+        cfg = TrainConfig(m=k, epochs=4, task=task, batch_size=16, use_aux_loss=use_aux, seed=32)
+        (alone, alone_trace), (laned, laned_trace) = self._train_both(monkeypatch, X, cfg, mapping)
+        assert (alone_trace.lanes, laned_trace.lanes) == (1, 2)
+        for name in ("w", "b", "decoder_w", "decoder_b"):
+            want, got = getattr(alone, name), getattr(laned, name)
+            assert (None if want is None else want.tobytes()) == (None if got is None else got.tobytes())
+        for name in ("total", "pair", "aux"):
+            assert getattr(alone_trace, name).tobytes() == getattr(laned_trace, name).tobytes()
+
+    @pytest.mark.parametrize(
+        "task,m,use_pair,use_aux",
+        [
+            ("anomaly", 8, True, True),  # m, k < nb: the feature-Gram form is not worth a lane
+            ("clustering", 24, False, True),  # no pair term to run beside
+            ("clustering", 24, True, False),  # n > k and no aux term: no second branch
+        ],
+    )
+    def test_no_lane_without_a_wide_step_and_a_second_branch(self, monkeypatch, task, m, use_pair, use_aux):
+        X = stream(33).standard_normal((80, 6))
+        cfg = TrainConfig(m=m, epochs=1, task=task, batch_size=16, use_pair_loss=use_pair,
+                          use_aux_loss=use_aux, seed=34)
+        _lanes(monkeypatch, 2)
+        names = _aux_threads(monkeypatch)
+        _, trace = train(X, cfg, rff(6, m, data=X, seed=35))
+        assert trace.lanes == 1
+        assert set(names) <= {threading.current_thread().name}
+
+    def test_a_lane_needs_a_spare_cpu(self, monkeypatch):
+        X = stream(36).standard_normal((40, 6))
+        cfg = TrainConfig(m=48, epochs=1, task="clustering", batch_size=16, seed=37)
+        mapping = rff(6, 48, data=X, seed=38)
+        monkeypatch.setattr(randist.forks, "_openblas_num_threads", lambda: lambda: 1)
+        monkeypatch.setattr(randist.forks.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert train(X, cfg, mapping)[1].lanes == 1
+        monkeypatch.setattr(randist.forks.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        names = _aux_threads(monkeypatch)
+        assert train(X, cfg, mapping)[1].lanes == 2
+        assert names and all(name.startswith("randist-lane") for name in names)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_with_a_lane_reports_the_same_epoch(self, monkeypatch):
+        # test_divergence_reports_epoch's run at a batch no wider than m, so a lane runs
+        X = TestTrain()._blob_matrix(k=2, per=30, d=6, seed=14)[0]
+        cfg = TrainConfig(m=6, epochs=50, task="anomaly", batch_size=6, learning_rate=1e9, seed=15)
+        mapping = rff(6, 6, data=X, seed=16)
+        messages = []
+        for lanes in (1, 2):
+            _lanes(monkeypatch, lanes)
+            names = _aux_threads(monkeypatch)
+            before = threading.active_count()
+            with pytest.raises(NumericError, match="epoch") as err:
+                train(X, cfg, mapping)
+            assert threading.active_count() == before
+            assert names and all(name.startswith("randist-lane") for name in names) == (lanes == 2)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("where", ["caller", "lane"])
+    def test_an_interrupt_mid_step_leaves_no_thread(self, monkeypatch, where):
+        X = stream(39).standard_normal((40, 6))
+        cfg = TrainConfig(m=48, epochs=3, task="clustering", batch_size=16, seed=40)
+        mapping = rff(6, 48, data=X, seed=41)
+        _lanes(monkeypatch, 2)
+        calls = []
+        name, real = {"caller": ("_leaky", _leaky), "lane": ("_aux_term", randist.encoder._aux_term)}[where]
+
+        def interrupted(*args):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 4:  # the second epoch's first step
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(randist.encoder, name, interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            train(X, cfg, mapping)
+        assert threading.active_count() == before
+        assert calls[-1].startswith("randist-lane") == (where == "lane")
+
+
+def test_block_is_the_ix_gather():
+    a = stream(42).standard_normal((30, 30))
+    idx = stream(43).permutation(30)[:12]
+    assert _block(a, idx).tobytes() == a[np.ix_(idx, idx)].tobytes()
