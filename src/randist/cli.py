@@ -17,7 +17,6 @@ import argparse
 import csv
 import functools
 import io
-import math
 import sys
 import time
 from dataclasses import fields
@@ -27,7 +26,7 @@ import numpy as np
 from ._version import __version__
 from .anomaly import ABLATIONS, SOURCES, BoostConfig, build_map, run_anomaly
 from .clustering import run_clustering
-from .data import _column_index, _csv_rows, _is_label, load_csv, standardize as standardize_dataset
+from .data import _column_index, load_csv, standardize as standardize_dataset
 from .encoder import LOSS_ABLATIONS, TrainConfig
 from .errors import ConfigError, DataError, ModelFileError, NumericError
 from .mappings import apply as apply_map
@@ -222,7 +221,7 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
     out["loss.last_epoch_total"] = float(result.trace.total[-1])
     out["timing.train_seconds"] = result.train_seconds
     out["timing.cluster_seconds"] = result.cluster_seconds
-    out["timing.train_lanes"] = result.train_lanes
+    out["timing.train_lanes"] = result.trace.lanes
     if cfg.out_assignments:
         rows = ([i, int(a), int(data.labels[i])] for i, a in enumerate(result.assignments))
         _write_csv_atomic(cfg.out_assignments, ["index", "cluster", "label"], rows)
@@ -246,45 +245,17 @@ def _cmd_project(cfg: argparse.Namespace, _: None) -> dict:
     return out
 
 
-def _read_eval_columns(cfg: argparse.Namespace) -> tuple:
-    try:
-        with open(cfg.input, "r", newline="", encoding="utf-8") as fh:
-            rows = [cells for _, cells in _csv_rows(fh, 1)]
-    except OSError as err:
-        raise DataError(f"cannot read {cfg.input}: {err}") from err
-    if not rows:
-        raise DataError(f"{cfg.input} is empty")
-    header = None
-    if cfg.has_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise DataError(f"{cfg.input} has no data rows")
-
-    s_idx = _column_index(cfg.score_column, header, len(rows[0]), "score column")
-    l_idx = _column_index(cfg.label_column, header, len(rows[0]), "label column")
-    scores, labels = [], []
-    for r, cells in enumerate(rows, start=2 if cfg.has_header else 1):
-        try:
-            score, label = float(cells[s_idx].strip()), float(cells[l_idx].strip())
-        except (ValueError, IndexError) as err:
-            raise DataError(f"bad row {r} in {cfg.input}: {err}") from None
-        if not math.isfinite(score):
-            raise DataError(f"bad row {r} in {cfg.input}: score {cells[s_idx]!r} is not finite")
-        if not _is_label(label, cells[l_idx]):  # load_csv's rule
-            raise DataError(
-                f"bad row {r} in {cfg.input}: label {cells[l_idx]!r} is not an int64 integer "
-                "that float64 holds exactly"
-            )
-        scores.append(score)
-        labels.append(int(label))
-    return np.asarray(scores), np.asarray(labels)
-
-
 def _cmd_eval(cfg: argparse.Namespace, _: None) -> dict:
-    scores, labels = _read_eval_columns(cfg)
+    data = load_csv(cfg.input, has_header=cfg.has_header)
+    s_idx = _column_index(cfg.score_column, data.feature_names, data.d, "score column")
+    l_idx = _column_index(cfg.label_column, data.feature_names, data.d, "label column")
+    scores, labels = data.features[:, s_idx], data.features[:, l_idx]
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        row = bad[0] + (2 if cfg.has_header else 1)  # load_csv's numbering: file rows from 1
+        raise DataError(f"bad row {row} in {cfg.input}: label {float(labels[bad[0]])!r} is not 0 or 1")
     return {
-        "data.rows": scores.size,
+        "data.rows": data.n,
         "metrics.auc_roc": auc_roc(scores, labels),
         "metrics.auc_pr": auc_pr(scores, labels),
     }

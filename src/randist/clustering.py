@@ -208,7 +208,6 @@ class ClusteringResult:
     assignments: np.ndarray  # from the first restart, for export
     train_seconds: float = 0.0
     cluster_seconds: float = 0.0
-    train_lanes: int = 1  # the threads that ran the SGD steps (see `encoder.train`)
 
 
 def run_clustering(
@@ -271,5 +270,4 @@ def run_clustering(
         assignments=assignments[0],
         train_seconds=t1 - t0,
         cluster_seconds=time.perf_counter() - t1,
-        train_lanes=trace.lanes,
     )

@@ -189,6 +189,7 @@ def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
         processes = len(bounds)
         tables = _parse_plain(path, bounds, width, label_idx)
         if tables is None:  # the row loop returns the same table or names the first bad cell
+            processes = 1
             fh.seek(start)
             tables = [_parse_rows(_csv_rows(fh, first[0]), width, header, label_idx)]
     features, labels = _split_labels(tables, label_idx)

@@ -75,6 +75,8 @@ class TrainConfig:
             problems.append(f"task must be one of {TASKS}, got {self.task!r}")
         if self.seed < 0:
             problems.append(f"seed must be non-negative, got {self.seed}")
+        if not (self.use_pair_loss or self.use_aux_loss):
+            problems.append("no loss enabled: use_pair_loss and use_aux_loss are both off")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -97,8 +99,6 @@ def ablate(config: TrainConfig, ablation: str) -> TrainConfig:
         raise ValueError(f"ablation must be one of {LOSS_ABLATIONS}, got {ablation!r}")
     use_pair = config.use_pair_loss and ablation != "no_pair_loss"
     use_aux = config.use_aux_loss and ablation != "no_aux_loss"
-    if not (use_pair or use_aux):
-        raise ValueError("no loss enabled: ablation removed the only active loss")
     return replace(config, use_pair_loss=use_pair, use_aux_loss=use_aux)
 
 
@@ -219,8 +219,6 @@ def grad_batch(
     differ in its last bits between BLAS thread counts; at one thread count it
     repeats bit for bit, and the gradients never depend on it.
     """
-    if not (config.use_pair_loss or config.use_aux_loss):
-        raise ValueError("no loss enabled")
     nb = Xb.shape[0]
     Z = Xb @ model.w.T
     Z += model.b

@@ -409,7 +409,7 @@ class TestConfigHandling:
             capsys, ["eval", "--input", str(p), "--score-column", "score", "--label-column", "label"]
         )
         assert code == EXIT_IO
-        assert "bad row 4" in err and "'0.5' is not an int64 integer" in err
+        assert "bad row 4" in err and "label 0.5 is not 0 or 1" in err
 
     def test_eval_rejects_label_float64_cannot_hold(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"
@@ -418,7 +418,7 @@ class TestConfigHandling:
             capsys, ["eval", "--input", str(p), "--score-column", "score", "--label-column", "label"]
         )
         assert code == EXIT_IO
-        assert "bad row 3" in err and "'9007199254740993' is not an int64 integer" in err
+        assert "bad row 3" in err and "label 9007199254740992.0 is not 0 or 1" in err
 
     def test_eval_rejects_non_finite_score(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"
@@ -427,7 +427,29 @@ class TestConfigHandling:
             capsys, ["eval", "--input", str(p), "--score-column", "score", "--label-column", "label"]
         )
         assert code == EXIT_IO
-        assert "bad row 3" in err and "score 'nan' is not finite" in err
+        assert "non-finite cell 'nan' at row 3, column 'score'" in err
+
+    def test_eval_rejects_a_label_other_than_0_or_1(self, capsys, tmp_path):
+        # an integer label is not enough: the metrics rank 1s against 0s
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n0.1,0\n0.9,1\n0.4,2\n")
+        code, _, err = _run(capsys, ["eval", "--input", str(p)])
+        assert code == EXIT_IO
+        assert err == f"input/output error: bad row 4 in {p}: label 2.0 is not 0 or 1\n"
+
+    def test_eval_rejects_a_bad_cell_in_a_column_it_does_not_select(self, capsys, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("index,score,label\n0,0.1,0\n1,0.9,1\nx,0.4,0\n")
+        code, _, err = _run(capsys, ["eval", "--input", str(p)])
+        assert code == EXIT_IO
+        assert err == "input/output error: non-numeric cell 'x' at row 4, column 'index'\n"
+
+    def test_eval_reads_a_header_it_is_told_is_absent_as_a_bad_cell(self, capsys, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n0.1,0\n0.9,1\n")
+        code, _, err = _run(capsys, ["eval", "--input", str(p), "--no-has-header", "--score-column", "0"])
+        assert code == EXIT_IO
+        assert err == "input/output error: non-numeric cell 'score' at row 1, column 0\n"
 
     def test_eval_cell_over_csv_field_limit_is_input_error(self, capsys, tmp_path):
         p = tmp_path / "scores.csv"
@@ -448,7 +470,7 @@ class TestConfigHandling:
     )
     def test_eval_selects_columns_as_load_csv_does(self, capsys, tmp_path, flags, message):
         p = tmp_path / "scores.csv"
-        p.write_text("score,label\n0.1,0\n0.9,1\n")
+        p.write_text(("" if "--no-has-header" in flags else "score,label\n") + "0.1,0\n0.9,1\n")
         code, _, err = _run(capsys, ["eval", "--input", str(p), *flags])
         assert code == EXIT_IO
         assert err == f"input/output error: {message}\n"

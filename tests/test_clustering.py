@@ -335,7 +335,7 @@ class TestRunClustering:
             monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
             results.append(run_clustering(blob_data, self._cfg(epochs=10, batch_size=24), restarts=3))
         alone, laned = results
-        assert (alone.train_lanes, laned.train_lanes) == (1, 2)
+        assert (alone.trace.lanes, laned.trace.lanes) == (1, 2)
         assert alone.nmi_values.tobytes() == laned.nmi_values.tobytes()
         assert alone.f_values.tobytes() == laned.f_values.tobytes()
         assert alone.assignments.tobytes() == laned.assignments.tobytes()

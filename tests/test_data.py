@@ -408,6 +408,17 @@ class TestSharedParse:
         assert data.labels.tolist() == [0, 1, 2]
         _assert_no_child_left()
 
+    def test_a_table_the_row_loop_reads_reports_one_process(self, tmp_path):
+        rows = [f"{i},{i / 7!r},{i % 3}" for i in range(30)]
+        rows[3] = '3,"0.5",0'  # a quoted cell: the C pass declines
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+        with _shares(2):
+            data = load_csv(p, label_column="y")
+        assert data.features[3, 1] == 0.5
+        assert data.processes == 1
+        _assert_no_child_left()
+
     def test_a_file_below_the_floor_forks_nothing(self, tmp_path, monkeypatch):
         p = tmp_path / "t.csv"
         write_csv(Dataset(stream(6).normal(size=(300, 30)), labels=np.arange(300) % 2), p)

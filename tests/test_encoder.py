@@ -330,11 +330,11 @@ class TestGradients:
 
     def test_no_loss_enabled(self):
         model, X, T, _ = _grad_case(5)
-        config = TrainConfig(
-            m=3, epochs=1, task="anomaly", batch_size=4,
-            use_pair_loss=False, use_aux_loss=False, seed=0,
-        )
         with pytest.raises(ValueError, match="no loss enabled"):
+            config = TrainConfig(
+                m=3, epochs=1, task="anomaly", batch_size=4,
+                use_pair_loss=False, use_aux_loss=False, seed=0,
+            )
             grad_batch(model, X, T, config)
 
 
@@ -345,11 +345,11 @@ class TestTrain:
 
     def test_no_loss_enabled(self):
         X, _ = self._blob_matrix()
-        cfg = TrainConfig(
-            m=4, epochs=1, task="anomaly", batch_size=16,
-            use_pair_loss=False, use_aux_loss=False, seed=0,
-        )
         with pytest.raises(ValueError, match="no loss enabled"):
+            cfg = TrainConfig(
+                m=4, epochs=1, task="anomaly", batch_size=16,
+                use_pair_loss=False, use_aux_loss=False, seed=0,
+            )
             train(X, cfg, gaussian_rp(10, 4, seed=0))
 
     def test_deterministic(self):

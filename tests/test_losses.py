@@ -179,8 +179,8 @@ class TestBatchObjective:
             assert values == sorted(values) and values[0] < values[-1]
 
     def test_no_loss_enabled(self):
-        config = _config(2, use_pair_loss=False, use_aux_loss=False)
         with pytest.raises(ValueError, match="no loss enabled"):
+            config = _config(2, use_pair_loss=False, use_aux_loss=False)
             _losses(_identity_model(2), np.ones((2, 2)), np.ones((2, 2)), config)
 
     def test_shared_constants_with_grad_batch(self):
