@@ -34,6 +34,11 @@ from .metrics import auc_pr, auc_roc
 from .persist import save_ensemble
 from .report import format_report, write_text_atomic
 
+try:
+    import resource
+except ImportError:  # Windows: the report has no peak-memory keys
+    resource = None
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -170,16 +175,20 @@ def _write_csv_atomic(path, header: list, rows) -> None:
 
 
 def _load(cfg: argparse.Namespace) -> tuple:
-    """The input table, and the report fields of its shape and load."""
+    """The input table, standardized when cfg.standardize is set (the raw copy
+    is then dropped), and the report fields of its shape and load."""
     t0 = time.perf_counter()
     data = load_csv(cfg.input, label_column=cfg.label_column, has_header=cfg.has_header)
-    return data, {"data.rows": data.n, "data.columns": data.d, "timing.load_processes": data.processes,
-                  "timing.load_seconds": time.perf_counter() - t0}
+    out = {"data.rows": data.n, "data.columns": data.d, "timing.load_processes": data.processes,
+           "timing.load_seconds": time.perf_counter() - t0}
+    if cfg.standardize:
+        data = standardize_dataset(data)[0]
+    return data, out
 
 
 def _cmd_anomaly(cfg: argparse.Namespace, boost: BoostConfig) -> dict:
     data, out = _load(cfg)
-    result = run_anomaly(data, boost, ablation=cfg.ablation, standardize=cfg.standardize)
+    result = run_anomaly(data, boost, ablation=cfg.ablation, standardize=False)  # _load did
     cfg.m = result.ensemble.members[0].model.m  # identity's: the data width
     if result.auc_roc is not None:
         out["metrics.auc_roc"] = result.auc_roc
@@ -211,7 +220,7 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
         restarts=cfg.restarts,
         ablation=cfg.ablation,
         source=cfg.source,
-        standardize=cfg.standardize,
+        standardize=False,  # _load did
     )
     out["metrics.nmi_mean"] = result.nmi_mean
     out["metrics.nmi_std"] = result.nmi_std
@@ -232,11 +241,10 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
 
 def _cmd_project(cfg: argparse.Namespace, _: None) -> dict:
     data, out = _load(cfg)
-    X = standardize_dataset(data)[0].features if cfg.standardize else data.features
     t0 = time.perf_counter()
-    mapping = build_map(cfg.source, cfg.k, X, cfg.seed)
+    mapping = build_map(cfg.source, cfg.k, data.features, cfg.seed)
     cfg.k = mapping.out_dim  # identity: the data width
-    projected = apply_map(mapping, X)
+    projected = apply_map(mapping, data.features)
     out["timing.project_seconds"] = time.perf_counter() - t0
     header = [f"p{i}" for i in range(projected.shape[1])]
     _write_csv_atomic(
@@ -320,6 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _peak_rss() -> dict:
+    """The peak resident set of this process and of the largest child it
+    reaped (its image before exec included), in MB of 2**20 bytes."""
+    if resource is None:
+        return {}
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, kB on Linux
+    return {
+        key: resource.getrusage(who).ru_maxrss * unit / 2**20
+        for key, who in (("timing.peak_rss_mb", resource.RUSAGE_SELF),
+                         ("timing.children_peak_rss_mb", resource.RUSAGE_CHILDREN))
+    }
+
+
 _COMMANDS = {
     "anomaly": _cmd_anomaly,
     "cluster": _cmd_cluster,
@@ -331,6 +352,7 @@ _COMMANDS = {
 def run(argv=None) -> int:
     cfg, options = parse_options(argv)
     out = _COMMANDS[cfg.task](cfg, _validate(cfg, options))
+    out.update(_peak_rss())
     out.update({f"config.{key}": getattr(cfg, key) for key in ("task", *options)})
     out["version"] = __version__
     text = format_report(out)

@@ -87,6 +87,7 @@ def median_bandwidth(X: np.ndarray, seed: int = 0) -> float:
         return 1.0
     sq = np.sum(X * X, axis=1)
     G = X @ X.T
+    del X  # a subsample's copy is not needed beside G and the distances
     G *= 2.0
     # the pairs i < j in row-major order, (sq_i + sq_j) - 2G_ij, a block of
     # rows at a time: no n x n distance matrix or mask

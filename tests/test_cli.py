@@ -1,11 +1,16 @@
+import gc
 import inspect
 import os
+import subprocess
+import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randist
 import randist.anomaly
 import randist.data
 import randist.encoder
@@ -174,6 +179,27 @@ class TestAnomalyCommand:
         header = scores_path.read_text().splitlines()[0]
         assert header == "index,score"
 
+    def test_report_gives_the_peak_memory_of_the_run_and_its_children(self, capsys, anomaly_csv, monkeypatch):
+        monkeypatch.setattr(randist.anomaly, "process_count", lambda limit: min(limit, 2))  # a forked member
+        code, report, _ = _run(capsys, ["anomaly", "--input", anomaly_csv, *ANOMALY_ARGS])
+        assert code == EXIT_OK and report["timing.member_processes"] == "2"
+        keys = {"timing.peak_rss_mb", "timing.children_peak_rss_mb"}
+        assert all(float(report[key]) > 0 for key in keys)
+        assert not keys & strip_volatile(report).keys()
+
+    def test_imports_and_runs_without_the_resource_module(self, tmp_path):
+        # as on Windows: the report leaves the peak-memory keys out
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n0.1,0\n0.9,1\n")
+        script = ("import sys; sys.modules['resource'] = None; from randist.cli import main; "
+                  f"sys.exit(main(['eval', '--input', {str(p)!r}]))")
+        src = str(Path(randist.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr
+        report = parse_report(done.stdout)
+        assert report["metrics.auc_roc"] == "1.0" and not any("peak_rss" in key for key in report)
+
 
 class TestClusterCommand:
     def test_report_and_assignments(self, capsys, tmp_path, blob_csv):
@@ -245,6 +271,75 @@ class TestProjectCommand:
         code, _, err = _run(capsys, ["project", "--input", blob_csv])
         assert code == EXIT_CONFIG
         assert "out_matrix" in err
+
+
+@pytest.fixture(scope="module")
+def unscaled_csv(tmp_path_factory):
+    """An anomaly table whose columns are neither centred nor of unit spread."""
+    path = tmp_path_factory.mktemp("data") / "unscaled.csv"
+    data = synth_anomaly(280, 20, 6, seed=3)
+    data.features = data.features * np.linspace(0.5, 2.0, 6) + 1.0
+    write_csv(data, path)
+    return str(path)
+
+
+class TestOneCopyOfTheTable:
+    @pytest.mark.parametrize("task, entry, table, args", [
+        ("anomaly", "run_anomaly", "anomaly_csv", ANOMALY_ARGS),
+        ("cluster", "run_clustering", "blob_csv", ["--label-column", "label", "--m", "8", "--epochs", "2",
+                                                   "--restarts", "1"]),
+        ("project", "build_map", "blob_csv", ["--label-column", "label", "--out-matrix", "p.csv"]),
+    ])
+    def test_the_raw_table_is_dead_once_standardized(self, capsys, tmp_path, monkeypatch, request,
+                                                      task, entry, table, args):
+        loaded, alive = [], []
+        real_entry = getattr(cli, entry)
+
+        def load(*a, **kw):
+            data = load_csv(*a, **kw)
+            loaded.append(weakref.ref(data.features))
+            return data
+
+        def enter(*a, **kw):
+            gc.collect()
+            alive.append(loaded[0]() is not None)
+            return real_entry(*a, **kw)
+
+        monkeypatch.setattr(cli, "load_csv", load)
+        monkeypatch.setattr(cli, entry, enter)
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = _run(capsys, [task, "--input", request.getfixturevalue(table), "--standardize", *args])
+        assert code == EXIT_OK
+        assert alive == [False]
+
+    def test_anomaly_scores_are_the_librarys(self, capsys, tmp_path, unscaled_csv):
+        # at the default rate 0.1 training on the unscaled columns diverges
+        train = TrainConfig.anomaly_defaults(m=12, epochs=15, batch_size=64, learning_rate=0.01, seed=5)
+        config = BoostConfig(train=train, members=2)
+        scores = {}
+        for flag in (True, False):
+            path = tmp_path / f"{flag}.csv"
+            code, _, _ = _run(capsys, ["anomaly", "--input", unscaled_csv, *ANOMALY_ARGS, "--learning-rate", "0.01",
+                                       "--standardize" if flag else "--no-standardize", "--out-scores", str(path)])
+            assert code == EXIT_OK
+            expected = run_anomaly(load_csv(unscaled_csv, label_column="label"), config, standardize=flag).scores
+            scores[flag] = load_csv(path, label_column="label").features[:, 1]
+            assert scores[flag].tobytes() == expected.tobytes()
+        # the CLI standardizes, not the library: the flag still reaches the scores
+        assert not np.array_equal(scores[True], scores[False])
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_cluster_assignments_are_the_librarys(self, capsys, tmp_path, blob_csv, flag):
+        path = tmp_path / "assign.csv"
+        code, _, _ = _run(capsys, ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "8",
+                                   "--epochs", "3", "--batch-size", "32", "--learning-rate", "0.01",
+                                   "--restarts", "3", "--seed", "2",
+                                   "--standardize" if flag else "--no-standardize", "--out-assignments", str(path)])
+        assert code == EXIT_OK
+        config = TrainConfig.clustering_defaults(m=8, epochs=3, batch_size=32, learning_rate=0.01, seed=2)
+        result = run_clustering(load_csv(blob_csv, label_column="label"), config, restarts=3, standardize=flag)
+        got = load_csv(path, label_column="label").features[:, 1]
+        np.testing.assert_array_equal(got, result.assignments)
 
 
 class TestConfigHandling:

@@ -2,6 +2,7 @@ import contextlib
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -553,6 +554,21 @@ class TestStandardize:
         data = Dataset(X)
         out, params = standardize(data)
         np.testing.assert_allclose(out.features * params.stds + params.means, X, atol=1e-9)
+
+    def test_allocates_one_copy_of_the_table(self):
+        X = stream(3).normal(4, 9, size=(2000, 300))
+        X[:, 7] = 2.5
+        data = Dataset(X)
+        tracemalloc.start()
+        try:
+            out, params = standardize(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * X.nbytes  # (X - means) / stds held two n x d arrays at once
+        expected = (X - params.means) / params.stds
+        expected[:, 7] = 0.0
+        assert out.features.tobytes() == expected.tobytes()
 
 
 class TestSynthBlobs:

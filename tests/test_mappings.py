@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,17 @@ class TestMedianBandwidth:
     def test_matches_reference_above_max_points(self):
         X = stream(22).standard_normal((MAX_BANDWIDTH_POINTS + 57, 4))
         assert median_bandwidth(X, seed=3) == median_bandwidth_reference(X, seed=3)
+
+    def test_drops_its_subsample_once_the_gram_is_formed(self):
+        # subsample 4.7 MB, Gram 8 MB, distances 4 MB: the peak holds the last two
+        X = stream(24).standard_normal((1500, 590))
+        tracemalloc.start()
+        try:
+            median_bandwidth(X, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_non_finite_input_raises(self):
         # checked on every row, also on one the subsample leaves out
