@@ -16,7 +16,6 @@ from .encoder import EncoderModel, Gradients, LossTrace, TrainConfig, grad_batch
 from .mappings import (
     RandomMap,
     apply,
-    gaussian_rp,
     identity_map,
     median_bandwidth,
     rff,
@@ -47,7 +46,6 @@ __all__ = [
     "synth_blobs",
     "synth_anomaly",
     "RandomMap",
-    "gaussian_rp",
     "sparse_rp",
     "rff",
     "identity_map",

@@ -215,7 +215,7 @@ def run_anomaly(
     """Full detector: configure per ablation, fit, score, evaluate.
 
     `config.source` selects the frozen mapping. Metrics are filled only
-    when labels are present; scores never need them.
+    when the labels hold both classes; scores never need them.
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
@@ -242,7 +242,7 @@ def run_anomaly(
         train_seconds=t1 - t0,
         score_seconds=time.perf_counter() - t1,
     )
-    if data.labels is not None:
+    if data.labels is not None and data.labels.min() < data.labels.max():
         result.auc_roc = auc_roc(scores, data.labels)
         result.auc_pr = auc_pr(scores, data.labels)
     return result

@@ -186,8 +186,19 @@ def _load(cfg: argparse.Namespace) -> tuple:
     return data, out
 
 
+def _check_labels(labels: np.ndarray, cfg: argparse.Namespace) -> None:
+    """A DataError at the first label that is not 0 or 1, at its file row as
+    load_csv numbers them."""
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        row = bad[0] + (2 if cfg.has_header else 1)
+        raise DataError(f"bad row {row} in {cfg.input}: label {float(labels[bad[0]])!r} is not 0 or 1")
+
+
 def _cmd_anomaly(cfg: argparse.Namespace, boost: BoostConfig) -> dict:
     data, out = _load(cfg)
+    if data.labels is not None:
+        _check_labels(data.labels, cfg)  # before any member trains
     result = run_anomaly(data, boost, ablation=cfg.ablation, standardize=False)  # _load did
     cfg.m = result.ensemble.members[0].model.m  # identity's: the data width
     if result.auc_roc is not None:
@@ -258,10 +269,7 @@ def _cmd_eval(cfg: argparse.Namespace, _: None) -> dict:
     s_idx = _column_index(cfg.score_column, data.feature_names, data.d, "score column")
     l_idx = _column_index(cfg.label_column, data.feature_names, data.d, "label column")
     scores, labels = data.features[:, s_idx], data.features[:, l_idx]
-    bad = np.flatnonzero((labels != 0) & (labels != 1))
-    if bad.size:
-        row = bad[0] + (2 if cfg.has_header else 1)  # load_csv's numbering: file rows from 1
-        raise DataError(f"bad row {row} in {cfg.input}: label {float(labels[bad[0]])!r} is not 0 or 1")
+    _check_labels(labels, cfg)
     return {
         "data.rows": data.n,
         "metrics.auc_roc": auc_roc(scores, labels),

@@ -1,10 +1,7 @@
 """Frozen random mappings that supply supervisory inner products.
 
-Four constructions are available:
+Three constructions are available, one per pipeline source:
 
-* Gaussian random projection: x -> (1/sqrt(K)) A x with A_ij ~ N(0, 1),
-  which preserves norms and inner products in the Johnson-Lindenstrauss
-  sense. Library-only: no pipeline source selects it.
 * Sparse random projection: entries +/- sqrt(1/(density*K)) with
   probability density/2 each, 0 otherwise (very-sparse scheme, density
   1/sqrt(D)); inner products are unbiased.
@@ -25,11 +22,10 @@ import numpy as np
 
 from .rng import child_seed, stream
 
-GAUSSIAN_RP = "gaussian_rp"
 SPARSE_RP = "sparse_rp"
 RFF = "rff"
 IDENTITY = "identity"
-KINDS = (GAUSSIAN_RP, SPARSE_RP, RFF, IDENTITY)
+KINDS = (SPARSE_RP, RFF, IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -47,13 +43,6 @@ class RandomMap:
 def _check_dims(d: int, k: int) -> None:
     if d < 1 or k < 1:
         raise ValueError(f"dimensions must be positive, got d={d}, k={k}")
-
-
-def gaussian_rp(d: int, k: int, seed: int = 0) -> RandomMap:
-    """Dense Gaussian projection; application scales by 1/sqrt(k)."""
-    _check_dims(d, k)
-    weights = stream(seed).standard_normal((k, d))
-    return RandomMap(kind=GAUSSIAN_RP, in_dim=d, out_dim=k, seed=seed, weights=weights)
 
 
 def sparse_rp(d: int, k: int, seed: int = 0) -> RandomMap:
@@ -164,8 +153,6 @@ def apply(mapping: RandomMap, X: np.ndarray, rowwise: bool = False) -> np.ndarra
     dot = row_products if rowwise else (lambda A, W: A @ W.T)
     if mapping.kind == IDENTITY:
         out = X
-    elif mapping.kind == GAUSSIAN_RP:
-        out = dot(X, mapping.weights) / math.sqrt(mapping.out_dim)
     elif mapping.kind == SPARSE_RP:
         out = dot(X, mapping.weights)
     elif mapping.kind == RFF:

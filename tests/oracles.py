@@ -3,8 +3,10 @@
 Everything here is deliberately naive: plain Python loops over pairs,
 ranks and contingency cells, a pair-by-pair objective and gradient, and
 central finite differences for gradients. None of it shares code with the
-package, except the single-vector helpers at the end (`pairwise_target`,
-`jl_audit`), which read a frozen mapping through the package's `apply`.
+package, except `pairwise_target`, which reads a frozen mapping through the
+package's `apply`. `gaussian_projection` is the dense Gaussian map, which no
+pipeline ships: `jl_audit` checks it against the Johnson-Lindenstrauss bound,
+next to the shipped sparse map.
 """
 from __future__ import annotations
 
@@ -305,27 +307,34 @@ class JlAudit:
     bound: float
 
 
-def jl_audit(mapping, X, epsilon: float, n_pairs: int = 2000, seed: int = 0) -> JlAudit:
-    """How often a Gaussian projection moves a sampled pair's inner product
-    by >= epsilon.
+def gaussian_projection(X, k: int, seed: int = 0) -> np.ndarray:
+    """X @ W.T / sqrt(k) with W_ij ~ N(0, 1), a k x d matrix drawn from
+    default_rng(seed): the dense Gaussian random projection."""
+    X = np.asarray(X, dtype=np.float64)
+    W = np.random.default_rng(seed).standard_normal((k, X.shape[1]))
+    return X @ W.T / math.sqrt(k)
+
+
+def jl_audit(X, project, epsilon: float, n_pairs: int = 2000, seed: int = 0) -> JlAudit:
+    """How often the projection `project` (rows of a matrix in, rows out)
+    moves a sampled pair's inner product by >= epsilon.
 
     Rows are rescaled by the largest row norm so every vector has norm <= 1
-    (the preservation guarantee is stated for such vectors). The reported
-    bound is 4 exp(-(eps^2-eps^3) K / 4).
+    (the preservation guarantee is stated for such vectors), then projected.
+    The reported bound is the Gaussian projection's, 4 exp(-(eps^2-eps^3) K / 4)
+    at the projected width K.
     """
-    if mapping.kind != "gaussian_rp":
-        raise ValueError(f"jl_audit requires a gaussian_rp mapping, got {mapping.kind!r}")
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     max_norm = float(np.max(np.linalg.norm(X, axis=1)))
     Xh = X / max_norm if max_norm > 0 else X
-    P = apply(mapping, Xh)
+    P = project(Xh)
     rng = np.random.default_rng(seed)
     i = rng.integers(0, Xh.shape[0], size=n_pairs)
     j = rng.integers(0, Xh.shape[0], size=n_pairs)
     orig = np.sum(Xh[i] * Xh[j], axis=1)
     proj = np.sum(P[i] * P[j], axis=1)
     violation_rate = float(np.mean(np.abs(orig - proj) >= epsilon))
-    bound = 4.0 * math.exp(-(epsilon**2 - epsilon**3) * mapping.out_dim / 4.0)
+    bound = 4.0 * math.exp(-(epsilon**2 - epsilon**3) * P.shape[1] / 4.0)
     return JlAudit(epsilon=epsilon, sample_pairs=n_pairs, violation_rate=violation_rate, bound=bound)

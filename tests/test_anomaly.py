@@ -26,7 +26,7 @@ from randist.data import standardize, synth_anomaly
 from randist.encoder import EncoderModel, TrainConfig, train
 from randist.errors import NumericError
 from randist import mappings
-from randist.mappings import MAX_BANDWIDTH_POINTS, apply, gaussian_rp, identity_map, rff, sparse_rp
+from randist.mappings import MAX_BANDWIDTH_POINTS, apply, identity_map, rff, sparse_rp
 from randist.metrics import auc_pr, auc_roc
 from randist.persist import save_ensemble
 from randist.rng import child_seed, stream
@@ -70,7 +70,7 @@ class TestAnomalyScore:
         n=st.integers(min_value=1, max_value=60),
         d=st.integers(min_value=1, max_value=120),
         m=st.integers(min_value=1, max_value=70),
-        kind=st.sampled_from(["rff", "sparse_rp", "gaussian_rp", "identity"]),
+        kind=st.sampled_from(["rff", "sparse_rp", "identity"]),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_row_scores_do_not_depend_on_the_batch(self, n, d, m, kind, seed):
@@ -78,7 +78,6 @@ class TestAnomalyScore:
         mapping = {
             "rff": lambda: rff(d, m, bandwidth=float(rng.uniform(0.5, 3.0)), seed=seed),
             "sparse_rp": lambda: sparse_rp(d, m, seed=seed),
-            "gaussian_rp": lambda: gaussian_rp(d, m, seed=seed),
             "identity": lambda: identity_map(d),
         }[kind]()
         m = mapping.out_dim

@@ -179,6 +179,30 @@ class TestAnomalyCommand:
         header = scores_path.read_text().splitlines()[0]
         assert header == "index,score"
 
+    def test_one_class_labels_score_without_metrics(self, capsys, tmp_path):
+        # AUCs need both classes: a table of normals alone is scored, not rejected
+        p, scores_path = tmp_path / "normals.csv", tmp_path / "s.csv"
+        write_csv(synth_anomaly(300, 0, 6, seed=3), p)
+        code, report, _ = _run(
+            capsys,
+            ["anomaly", "--input", str(p), *ANOMALY_ARGS, "--epochs", "2", "--out-scores", str(scores_path)],
+        )
+        assert code == EXIT_OK
+        assert not any(key.startswith("metrics.") for key in report)
+        rows = scores_path.read_text().splitlines()
+        assert rows[0] == "index,score,label" and len(rows) == 301
+
+    def test_label_other_than_0_or_1_is_rejected_before_training(self, capsys, tmp_path, monkeypatch):
+        data = synth_anomaly(280, 20, 6, seed=3)
+        data.labels[4] = 2
+        p = tmp_path / "three.csv"
+        write_csv(data, p)
+        trained = []
+        monkeypatch.setattr(randist.anomaly, "boost_train_member", lambda *args: trained.append(args))
+        code, _, err = _run(capsys, ["anomaly", "--input", str(p), *ANOMALY_ARGS])
+        assert code == EXIT_IO and not trained
+        assert err == f"input/output error: bad row 6 in {p}: label 2.0 is not 0 or 1\n"
+
     def test_report_gives_the_peak_memory_of_the_run_and_its_children(self, capsys, anomaly_csv, monkeypatch):
         monkeypatch.setattr(randist.anomaly, "process_count", lambda limit: min(limit, 2))  # a forked member
         code, report, _ = _run(capsys, ["anomaly", "--input", anomaly_csv, *ANOMALY_ARGS])
@@ -199,6 +223,17 @@ class TestAnomalyCommand:
         assert done.returncode == EXIT_OK, done.stderr
         report = parse_report(done.stdout)
         assert report["metrics.auc_roc"] == "1.0" and not any("peak_rss" in key for key in report)
+
+    def test_importing_randist_loads_no_module_it_imports_on_use(self):
+        # signal (the fork runner), concurrent.futures (the training lane) and
+        # decimal (labels from 2**53) are imported where they are used
+        lazy = ("signal", "concurrent.futures", "decimal")
+        script = f"import sys, randist; print(sorted(set({lazy!r}) & sys.modules.keys()))"
+        src = str(Path(randist.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestClusterCommand:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from randist.encoder import EncoderModel, TrainConfig, grad_batch, init_model
 from randist.losses import novelty_rows
-from randist.mappings import apply, gaussian_rp, identity_map
+from randist.mappings import apply, identity_map, sparse_rp
 from randist.rng import stream
 
 from oracles import batch_objective_loop, forward
@@ -25,7 +25,7 @@ def _identity_model(d, slope=0.01, decoder=False):
 
 
 def _random_model(d, m, seed, task="anomaly", use_aux=True):
-    mapping = gaussian_rp(d, m, seed=seed + 1)
+    mapping = sparse_rp(d, m, seed=seed + 1)
     config = TrainConfig(m=m, epochs=1, task=task, batch_size=4, use_aux_loss=use_aux, seed=seed)
     return init_model(config, mapping, seed=seed), config
 
@@ -125,7 +125,7 @@ class TestNoveltyLoss:
         assert novelty_loss(model, x) >= 0.0
 
     def test_dimension_guard(self):
-        mapping = gaussian_rp(3, 4, seed=0)
+        mapping = sparse_rp(3, 4, seed=0)
         model = EncoderModel(
             w=np.zeros((2, 3)), b=np.zeros(2), leaky_slope=0.01, random_map=mapping
         )

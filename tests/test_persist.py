@@ -7,7 +7,7 @@ import pytest
 
 from randist.encoder import TrainConfig, init_model
 from randist.errors import ModelFileError
-from randist.mappings import gaussian_rp, identity_map, rff, sparse_rp
+from randist.mappings import identity_map, rff, sparse_rp
 from randist.persist import (
     FORMAT_VERSION,
     _model_record,
@@ -27,12 +27,11 @@ def _model(mapping, task="anomaly", seed=3):
 @pytest.mark.parametrize(
     "mapping",
     [
-        gaussian_rp(5, 4, seed=1),
         sparse_rp(5, 4, seed=1),
         rff(5, 4, bandwidth=1.5, seed=1),
         identity_map(4),
     ],
-    ids=["gaussian", "sparse", "rff", "identity"],
+    ids=["sparse", "rff", "identity"],
 )
 def test_roundtrip_forward_bit_exact(tmp_path, mapping):
     model = _model(mapping)
@@ -47,7 +46,7 @@ def test_roundtrip_forward_bit_exact(tmp_path, mapping):
 
 
 def test_roundtrip_decoder(tmp_path):
-    model = _model(gaussian_rp(6, 4, seed=2), task="clustering")
+    model = _model(sparse_rp(6, 4, seed=2), task="clustering")
     assert model.has_decoder
     path = tmp_path / "m.rdst"
     save_ensemble(path, [model])
@@ -59,7 +58,7 @@ def test_roundtrip_decoder(tmp_path):
 
 @pytest.mark.parametrize("slope", [float("nan"), -3.0, 2.5])
 def test_leaky_slope_outside_unit_interval_rejected(tmp_path, slope):
-    model = _model(gaussian_rp(5, 4, seed=1))
+    model = _model(sparse_rp(5, 4, seed=1))
     model.leaky_slope = slope
     path = tmp_path / "m.rdst"
     save_ensemble(path, [model])
@@ -68,7 +67,7 @@ def test_leaky_slope_outside_unit_interval_rejected(tmp_path, slope):
 
 
 def test_corrupted_payload_byte_fails_checksum(tmp_path):
-    model = _model(gaussian_rp(5, 4, seed=4))
+    model = _model(sparse_rp(5, 4, seed=4))
     path = tmp_path / "m.rdst"
     save_ensemble(path, [model])
     blob = bytearray(path.read_bytes())
@@ -79,7 +78,7 @@ def test_corrupted_payload_byte_fails_checksum(tmp_path):
 
 
 def test_newer_format_version_rejected(tmp_path):
-    model = _model(gaussian_rp(5, 4, seed=5))
+    model = _model(sparse_rp(5, 4, seed=5))
     path = tmp_path / "m.rdst"
     save_ensemble(path, [model])
     blob = bytearray(path.read_bytes())
@@ -91,7 +90,7 @@ def test_newer_format_version_rejected(tmp_path):
 
 
 def test_truncated_file(tmp_path):
-    model = _model(gaussian_rp(5, 4, seed=6))
+    model = _model(sparse_rp(5, 4, seed=6))
     path = tmp_path / "m.rdst"
     save_ensemble(path, [model])
     path.write_bytes(path.read_bytes()[:20])
@@ -137,7 +136,7 @@ def test_single_model_file_loads_as_one_member(tmp_path):
 
 def test_wrong_container_kind(tmp_path):
     path = tmp_path / "m.rdst"
-    save_ensemble(path, [_model(gaussian_rp(5, 4, seed=7))])
+    save_ensemble(path, [_model(sparse_rp(5, 4, seed=7))])
     _rewrite_header(path, lambda h: h.update(format="randist-other"))
     with pytest.raises(ModelFileError, match="holds 'randist-other', expected an ensemble"):
         load_ensemble(path)
@@ -171,6 +170,9 @@ def _set_shape(name, shape):
         (None, lambda h: h["models"][0].pop("leaky_slope"), "no 'leaky_slope' field"),
         (None, lambda h: h["models"][0].update(leaky_slope="x"), "field 'leaky_slope' is 'x'"),
         (None, lambda h: h["models"][0]["map"].update(kind="bogus"), "map kind 'bogus'"),
+        # the dense Gaussian map is not shipped: a file that names it is malformed
+        (None, lambda h: h["models"][0]["map"].update(kind="gaussian_rp"),
+         r"map kind 'gaussian_rp', expected one of \('sparse_rp', 'rff', 'identity'\)"),
         (None, lambda h: h["models"][0]["map"].pop("in_dim"), "no 'in_dim' field"),
         (None, lambda h: h["models"][0].pop("arrays"), "no 'arrays' field"),
         (None, _set_shape("w", [-1, 5]), r"array 'w' has shape \[-1, 5\]"),
@@ -180,16 +182,16 @@ def _set_shape(name, shape):
         ("decoder", _set_shape("decoder_w", [4, 6]), r"'decoder_w' of shape \[4, 6\], expected \[6, 4\]"),
     ],
     ids=[
-        "no_slope", "text_slope", "bogus_kind", "no_in_dim", "no_arrays", "negative_shape",
+        "no_slope", "text_slope", "bogus_kind", "gaussian_kind", "no_in_dim", "no_arrays", "negative_shape",
         "w_shape", "b_shape", "map_weights_shape", "decoder_shape",
     ],
 )
 def test_malformed_header_is_a_model_file_error(tmp_path, mapping, edit, match):
     # each file passes its checksum; the header names the wrong thing
     if mapping == "decoder":
-        model = _model(gaussian_rp(6, 4, seed=2), task="clustering")
+        model = _model(sparse_rp(6, 4, seed=2), task="clustering")
     else:
-        model = _model(gaussian_rp(5, 4, seed=1))
+        model = _model(sparse_rp(5, 4, seed=1))
     path = tmp_path / "m.rdst"
     save_ensemble(path, [model])
     _rewrite_header(path, edit)
