@@ -23,7 +23,7 @@ from .forks import process_count, run_shares
 # pipeline calls score_rows through this module's global: perfbench wraps it here.
 from .losses import novelty_rows as score_rows
 from .mappings import MAX_BANDWIDTH_POINTS, RandomMap, identity_map, median_bandwidth, rff, sparse_rp
-from .metrics import auc_pr, auc_roc
+from .metrics import auc_pr, auc_roc, check_labels
 from .rng import child_seed
 
 ABLATIONS = LOSS_ABLATIONS + ("no_boosting",)
@@ -221,6 +221,8 @@ def run_anomaly(
         raise ValueError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
     if config is None:
         config = BoostConfig(train=TrainConfig.anomaly_defaults())
+    if data.labels is not None:
+        check_labels(data.labels)  # before any member trains
 
     X = data.features
     if standardize:

@@ -38,7 +38,8 @@ class Dataset:
             raise DataError(
                 f"features must be a non-empty 2-D matrix, got shape {np.shape(self.features)}"
             )
-        if not np.all(np.isfinite(feats)):
+        # with no n x d mask: NaN carries through both, an infinity is one of them
+        if not (np.isfinite(feats.min()) and np.isfinite(feats.max())):
             raise DataError("features contain non-finite values")
         self.features = feats
         if self.labels is not None:

@@ -22,12 +22,12 @@ independent. Where a CPU is spare (`forks.process_count(2) == 2`, which is
 1 inside a forked share), a step of the nb x nb form that has a second
 branch runs it on a lane: one helper thread that lives for one call to
 `train`. The lane gathers the batch's Gram block while the caller forms H,
-then runs the auxiliary term while the caller forms the pair term; BLAS
-products and large array loops release the interpreter lock, so the two
-overlap. Each branch makes the same calls on the same operands as inline,
-so a lane changes no bit of the result, only the time. The feature-Gram
-form (m and k < nb) is cheap enough that the handover would cost more than
-it saves, so it never starts one.
+runs the auxiliary term while the caller forms R, then the second of the
+two column blocks that R @ H and the tail take, beside the first; BLAS
+products and large array loops release the interpreter lock. The blocks
+follow from the step's shape and config, so a lane changes no bit of the
+result, only the time. The feature-Gram form (m and k < nb) is too cheap
+for the handover, so it never starts one.
 """
 from __future__ import annotations
 
@@ -209,9 +209,9 @@ def grad_batch(
     the negative-side slope.
 
     With a lane (an executor of one thread, from `train`) the auxiliary term
-    runs on it while this thread forms the pair term; without one both run
-    here, and the results are the same bits either way. gram_b may also be a
-    future of the block (the lane's gather).
+    and the second of the residual form's two tail blocks run on it; without
+    one all run here, with the same bits (the blocks may differ from one
+    nb x m product within rtol 1e-12). gram_b may also be a future of the block.
 
     Each loss value is one BLAS dot of its term with itself (np.vdot), with no
     squared temporary. The losses feed no gradient. OpenBLAS splits a dot of
@@ -227,9 +227,10 @@ def grad_batch(
     if config.use_aux_loss and lane is not None:
         aux = lane.submit(_aux_term, model, H, Xb, targets_b, config)
 
-    # each term of dH is formed in an array of its own and scaled in place;
-    # the first one becomes dH
-    dH = None
+    # the feature-Gram form's pair term is formed here; the residual form's R @ H and tail run in
+    # column blocks [0, c) and [c, m), c = floor(m / 2) rounded down to a multiple of 8, except
+    # in a short batch of a run whose full batches take the feature form (no Gram, m and k < B)
+    dH, R, c = None, None, 0
     loss_pair = 0.0
     if config.use_pair_loss:
         T = targets_b
@@ -239,6 +240,7 @@ def grad_batch(
             loss_pair /= nb * nb
             dH = H @ HtH
             dH -= T @ TtH
+            dH *= 4.0 / (nb * nb)
         else:
             R = H @ H.T
             if gram_b is None:
@@ -246,29 +248,43 @@ def grad_batch(
             else:
                 R -= gram_b if isinstance(gram_b, np.ndarray) else gram_b.result()
             loss_pair = float(np.vdot(R, R)) / R.size
-            dH = R @ H
-        dH *= 4.0 / (nb * nb)
+            c = model.m // 16 * 8 if gram_b is not None or max(model.m, T.shape[1]) >= config.batch_size else 0
+    if config.use_aux_loss and aux is None:
+        aux = _aux_term(model, H, Xb, targets_b, config)
+    if not config.use_pair_loss:  # the auxiliary term is dH, and the tail adds none
+        dH = (aux if isinstance(aux, tuple) else aux.result())[1]
+    add = aux if config.use_pair_loss else None
 
-    loss_aux = 0.0
-    ddec_w = ddec_b = None
-    if config.use_aux_loss:
-        loss_aux, term, ddec_w, ddec_b = (
-            _aux_term(model, H, Xb, targets_b, config) if aux is None else aux.result()
-        )
-        if dH is None:
-            dH = term
-        else:
-            dH += term
-
-    dH *= S  # dZ
-    dw = dH.T @ Xb
-    db = dH.sum(axis=0)
+    # every block's output is allocated here, not on the lane, which runs the second block if any
+    dw, db = np.empty_like(model.w), np.empty_like(model.b)
+    blocks = [(slice(a, b), dH if R is None else np.empty((nb, b - a))) for a, b in ((0, c), (c, model.m)) if b > a]
+    rest = lane.submit(_tail, *blocks.pop(), R, H, add, S, Xb, dw, db) if lane is not None and c else None
+    for cols, out in blocks:
+        _tail(cols, out, R, H, add, S, Xb, dw, db)
+    if rest is not None:
+        rest.result()
+    aux = aux if aux is None or isinstance(aux, tuple) else aux.result()
+    loss_aux, _, ddec_w, ddec_b = aux or (0.0, None, None, None)
 
     total = loss_pair + config.aux_weight * loss_aux  # a disabled loss is 0.0 and the weight is finite
     if not math.isfinite(total):
         raise NumericError(f"non-finite batch loss {total}")
     grads = Gradients(dw=dw, db=db, ddecoder_w=ddec_w, ddecoder_b=ddec_b)
     return grads, (total, loss_pair, loss_aux)
+
+
+def _tail(cols: slice, dH, R, H, aux, S, Xb, dw, db) -> None:
+    """Columns `cols` of dZ = (R @ H * 4/nb^2 if R else dH, + aux's term) * S into dH,
+    then of dw and db. aux is _aux_term's result, its future or None. dH is an
+    array of its own: numpy's in-place loops over a strided view are ~3x slower."""
+    if R is not None:
+        np.matmul(R, H[:, cols], out=dH)
+        dH *= 4.0 / R.size
+    if aux is not None:
+        dH += (aux if isinstance(aux, tuple) else aux.result())[1][:, cols]
+    dH *= S[:, cols]
+    np.matmul(dH.T, Xb, out=dw[cols])
+    dH.sum(axis=0, out=db[cols])
 
 
 def _aux_term(model: EncoderModel, H: np.ndarray, Xb: np.ndarray, targets_b, config: TrainConfig) -> tuple:

@@ -16,15 +16,21 @@ import math
 import numpy as np
 
 
+def check_labels(labels) -> np.ndarray:
+    """labels as an array, or a ValueError if one is not 0 or 1."""
+    labels = np.asarray(labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
+    return labels
+
+
 def _check_binary(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = check_labels(labels)
     if scores.ndim != 1 or labels.shape != scores.shape:
         raise ValueError(f"scores and labels must be equal-length vectors, got {scores.shape} vs {labels.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("labels must be 0 or 1")
     if labels.min() == labels.max():
         raise ValueError("need at least one positive and one negative label")
     return scores, labels.astype(np.int64)

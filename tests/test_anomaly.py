@@ -576,6 +576,15 @@ class TestRunAnomaly:
         assert result.auc_roc is None and result.auc_pr is None
         assert result.scores.shape == (data.n,)
 
+    def test_label_other_than_0_or_1_is_rejected_before_training(self, toy, monkeypatch):
+        data, _ = toy
+        twos = type(data)(features=data.features.copy(), labels=np.full(data.n, 2))
+        trained = []
+        monkeypatch.setattr(randist.anomaly, "boost_train_member", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            run_anomaly(twos, BoostConfig(train=_small_cfg(epochs=2), members=2))
+        assert not trained
+
     def test_ablation_cannot_remove_only_loss(self, toy):
         data, _ = toy
         cfg = BoostConfig(

@@ -508,6 +508,13 @@ class TestDataset:
         with pytest.raises(DataError, match="non-finite"):
             Dataset(np.array([[1.0, np.inf]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_non_finite_value(self, value):
+        feats = np.arange(12.0).reshape(4, 3)
+        feats[2, 1] = value
+        with pytest.raises(DataError, match="non-finite"):
+            Dataset(feats)
+
     def test_rejects_empty(self):
         with pytest.raises(DataError):
             Dataset(np.empty((0, 3)))

@@ -519,16 +519,17 @@ def _lanes(monkeypatch, lanes: int) -> None:
     monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
 
 
-def _aux_threads(monkeypatch) -> list:
-    """The names of the threads that run each step's auxiliary branch."""
+def _threads(monkeypatch, name: str = "_aux_term") -> list:
+    """The names of the threads that run each call of randist.encoder's `name`:
+    by default each step's auxiliary branch."""
     names = []
-    real = randist.encoder._aux_term
+    real = getattr(randist.encoder, name)
 
     def recording(*args):
         names.append(threading.current_thread().name)
         return real(*args)
 
-    monkeypatch.setattr(randist.encoder, "_aux_term", recording)
+    monkeypatch.setattr(randist.encoder, name, recording)
     return names
 
 
@@ -558,14 +559,21 @@ class TestLane:
             ("clustering", 80, 24, True, False),  # m = k >= nb without the Gram: the decoder only
             ("anomaly", 80, 24, True, False),  # m >= nb: the novelty term on the lane
             ("anomaly", 20, 24, True, True),  # the Gram gather and the novelty term
+            ("clustering", 40, 20, True, False),  # m = 20: tail blocks 8 | 12
+            ("anomaly", 30, 33, True, True),  # m = 33: tail blocks 16 | 17
+            ("clustering", 10, 12, True, True),  # m = 12: one tail block, on the caller
+            ("clustering", 34, 48, True, True),  # a trailing batch of 2 rows
+            ("clustering", 20, 20, False, True),  # no_aux_loss: the gather, then blocks 8 | 12
         ],
     )
     def test_lane_is_bit_identical_to_one_thread(self, monkeypatch, task, n, k, use_aux, gram):
         X = stream(30).standard_normal((n, 6))
         mapping = rff(6, k, data=X, seed=31)
         cfg = TrainConfig(m=k, epochs=4, task=task, batch_size=16, use_aux_loss=use_aux, seed=32)
+        tails = _threads(monkeypatch, "_tail")
         (alone, alone_trace), (laned, laned_trace) = self._train_both(monkeypatch, X, cfg, mapping)
         assert (alone_trace.lanes, laned_trace.lanes) == (1, 2)
+        assert any(name.startswith("randist-lane") for name in tails) == (k >= 16)
         for name in ("w", "b", "decoder_w", "decoder_b"):
             want, got = getattr(alone, name), getattr(laned, name)
             assert (None if want is None else want.tobytes()) == (None if got is None else got.tobytes())
@@ -585,7 +593,7 @@ class TestLane:
         cfg = TrainConfig(m=m, epochs=1, task=task, batch_size=16, use_pair_loss=use_pair,
                           use_aux_loss=use_aux, seed=34)
         _lanes(monkeypatch, 2)
-        names = _aux_threads(monkeypatch)
+        names = _threads(monkeypatch)
         _, trace = train(X, cfg, rff(6, m, data=X, seed=35))
         assert trace.lanes == 1
         assert set(names) <= {threading.current_thread().name}
@@ -598,7 +606,7 @@ class TestLane:
         monkeypatch.setattr(randist.forks.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert train(X, cfg, mapping)[1].lanes == 1
         monkeypatch.setattr(randist.forks.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        names = _aux_threads(monkeypatch)
+        names = _threads(monkeypatch)
         assert train(X, cfg, mapping)[1].lanes == 2
         assert names and all(name.startswith("randist-lane") for name in names)
 
@@ -611,7 +619,7 @@ class TestLane:
         messages = []
         for lanes in (1, 2):
             _lanes(monkeypatch, lanes)
-            names = _aux_threads(monkeypatch)
+            names = _threads(monkeypatch)
             before = threading.active_count()
             with pytest.raises(NumericError, match="epoch") as err:
                 train(X, cfg, mapping)
@@ -641,6 +649,40 @@ class TestLane:
             train(X, cfg, mapping)
         assert threading.active_count() == before
         assert calls[-1].startswith("randist-lane") == (where == "lane")
+
+
+def test_short_last_batch_of_a_feature_form_run_is_one_tail_block(monkeypatch):
+    # batches of 32, 32 and 8 rows at m = k = 20: the full ones take the feature form and the
+    # last the residual form, whose tail stays whole in such a run
+    X = stream(48).standard_normal((72, 6))
+    cfg = TrainConfig(m=20, epochs=2, task="anomaly", batch_size=32, seed=49)
+    widths = []
+    real_tail = randist.encoder._tail
+
+    def recording(cols, dH, *args):
+        widths.append(dH.shape)
+        return real_tail(cols, dH, *args)
+
+    monkeypatch.setattr(randist.encoder, "_tail", recording)
+    train(X, cfg, rff(6, 20, data=X, seed=50))
+    assert widths == [(32, 20), (32, 20), (8, 20)] * 2
+
+
+def test_two_tail_blocks_match_one_product():
+    # at nb = 64, m = 300 the blocks' R @ H need not be the bits of one product
+    # (OpenBLAS 0.3.31 differs there), so the tail is held to a tolerance
+    nb, m = 64, 300
+    X = stream(44).standard_normal((nb, 6))
+    mapping = rff(6, m, data=X, seed=45)
+    cfg = TrainConfig(m=m, epochs=1, task="clustering", batch_size=nb, seed=46)
+    model = init_model(cfg, mapping, seed=47)
+    T = apply(mapping, X)
+    grads, _ = grad_batch(model, X, T, cfg)
+    H, S = _leaky(X @ model.w.T + model.b, model.leaky_slope)
+    dH = (H @ H.T - T @ T.T) @ H * (4.0 / (nb * nb)) + randist.encoder._aux_term(model, H, X, T, cfg)[1]
+    dH *= S
+    np.testing.assert_allclose(grads.dw, dH.T @ X, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grads.db, dH.sum(axis=0), rtol=1e-12, atol=0)
 
 
 def test_block_is_the_ix_gather():
