@@ -272,7 +272,7 @@ def _parse_plain(path, bounds: list, width: int, label_idx: Optional[int]) -> Op
                 table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2)
         except ValueError:
             return None
-        if table.shape[1] != width or not np.isfinite(table).all():
+        if table.shape[1] != width or (table.size and not (np.isfinite(table.min()) and np.isfinite(table.max()))):
             return None
         if label_idx is not None:
             labels = table[:, label_idx]

@@ -255,14 +255,14 @@ def grad_batch(
         dH = (aux if isinstance(aux, tuple) else aux.result())[1]
     add = aux if config.use_pair_loss else None
 
-    # every block's output is allocated here, not on the lane, which runs the second block if any
-    dw, db = np.empty_like(model.w), np.empty_like(model.b)
-    blocks = [(slice(a, b), dH if R is None else np.empty((nb, b - a))) for a, b in ((0, c), (c, model.m)) if b > a]
-    rest = lane.submit(_tail, *blocks.pop(), R, H, add, S, Xb, dw, db) if lane is not None and c else None
-    for cols, out in blocks:
-        _tail(cols, out, R, H, add, S, Xb, dw, db)
-    if rest is not None:
-        rest.result()
+    if not c:  # one block, whose dw and db are fresh products
+        dw, db = _tail(slice(None), dH, R, H, add, S, Xb)
+    else:  # both blocks' outputs are allocated here, not on the lane, which runs the second
+        dw, db = np.empty_like(model.w), np.empty_like(model.b)
+        first, second = [(slice(a, b), np.empty((nb, b - a))) for a, b in ((0, c), (c, model.m))]
+        rest = lane.submit(_tail, *second, R, H, add, S, Xb, dw, db) if lane is not None else None
+        _tail(*first, R, H, add, S, Xb, dw, db)
+        _tail(*second, R, H, add, S, Xb, dw, db) if rest is None else rest.result()
     aux = aux if aux is None or isinstance(aux, tuple) else aux.result()
     loss_aux, _, ddec_w, ddec_b = aux or (0.0, None, None, None)
 
@@ -273,16 +273,18 @@ def grad_batch(
     return grads, (total, loss_pair, loss_aux)
 
 
-def _tail(cols: slice, dH, R, H, aux, S, Xb, dw, db) -> None:
-    """Columns `cols` of dZ = (R @ H * 4/nb^2 if R else dH, + aux's term) * S into dH,
-    then of dw and db. aux is _aux_term's result, its future or None. dH is an
-    array of its own: numpy's in-place loops over a strided view are ~3x slower."""
+def _tail(cols: slice, dH, R, H, aux, S, Xb, dw=None, db=None):
+    """Columns `cols` of dZ = (R @ H * 4/nb^2 if R else dH, + aux's term) * S, in dH when given,
+    then of dw and db: into dw and db when given, else returned fresh. aux is _aux_term's result,
+    its future or None. A block's dH is its own array: strided in-place loops are ~3x slower."""
     if R is not None:
-        np.matmul(R, H[:, cols], out=dH)
+        dH = np.matmul(R, H[:, cols], out=dH)
         dH *= 4.0 / R.size
     if aux is not None:
         dH += (aux if isinstance(aux, tuple) else aux.result())[1][:, cols]
     dH *= S[:, cols]
+    if dw is None:
+        return dH.T @ Xb, dH.sum(axis=0)
     np.matmul(dH.T, Xb, out=dw[cols])
     dH.sum(axis=0, out=db[cols])
 

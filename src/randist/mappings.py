@@ -58,14 +58,13 @@ def sparse_rp(d: int, k: int, seed: int = 0) -> RandomMap:
 
 
 MAX_BANDWIDTH_POINTS = 1000  # median_bandwidth subsamples larger inputs
-BANDWIDTH_BLOCK = 128  # rows of squared distances median_bandwidth forms at a time
 
 
 def median_bandwidth(X: np.ndarray, seed: int = 0) -> float:
     """Median of pairwise distances over a uniform subsample of <= MAX_BANDWIDTH_POINTS
     rows. Raises ValueError when X holds a nan or an inf, subsampled or not."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if not np.isfinite(X).all():
+    if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
         raise ValueError("median_bandwidth needs finite rows, got a nan or an inf")
     n = X.shape[0]
     if n > MAX_BANDWIDTH_POINTS:
@@ -76,20 +75,19 @@ def median_bandwidth(X: np.ndarray, seed: int = 0) -> float:
         return 1.0
     sq = np.sum(X * X, axis=1)
     G = X @ X.T
-    del X  # a subsample's copy is not needed beside G and the distances
+    del X  # a subsample's copy is not needed beside G
     G *= 2.0
-    # the pairs i < j in row-major order, (sq_i + sq_j) - 2G_ij, a block of
-    # rows at a time: no n x n distance matrix or mask
-    d2 = np.empty(n * (n - 1) // 2)
-    cols = np.arange(n)
+    # the pairs i < j in row-major order, (sq_i + sq_j) - 2G_ij, packed into G's own buffer:
+    # row i's end at flat position (i+1)(n-1) - i(i+1)/2 <= (i+1)n, so no write reaches a
+    # row not yet read, and row i itself is read into `row` before its write
+    d2 = G.reshape(-1)
     pos = 0
-    for lo in range(0, n - 1, BANDWIDTH_BLOCK):
-        hi = min(lo + BANDWIDTH_BLOCK, n - 1)
-        block = sq[lo:hi, None] + sq[lo + 1:]
-        block -= G[lo:hi, lo + 1:]
-        upper = block[cols[lo:hi, None] < cols[lo + 1:]]
-        d2[pos:pos + upper.size] = upper
-        pos += upper.size
+    for i in range(n - 1):
+        row = sq[i] + sq[i + 1:]
+        row -= G[i, i + 1:]
+        d2[pos:pos + row.size] = row
+        pos += row.size
+    d2 = d2[:pos]
     # np.median's middle one or two, selected on the squared distances: sqrt
     # is monotone, so only they need it.
     half = d2.size // 2

@@ -200,8 +200,10 @@ def kmeans_loop(X, k: int, max_iters: int = 300, seed: int = 0):
 
 
 def median_bandwidth_reference(X, max_points: int = 1000, seed: int = 0) -> float:
-    """The package's median heuristic before it selected the middle pairs with
-    a partition: every pair's distance through triu_indices, then np.median."""
+    """The median heuristic the package must equal bit for bit: the whole n x n
+    matrix of (sq_i + sq_j) - 2 G_ij from one X @ X.T, the pairs i < j through
+    triu_indices, then np.median. The package packs the same pairs into its
+    Gram's buffer and selects the middle ones with a partition."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     if n > max_points:

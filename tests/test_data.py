@@ -380,7 +380,7 @@ class TestSharedParse:
     """A plain table in a seekable file is parsed in shares, one per process;
     the outcome must not depend on how many there are."""
 
-    @pytest.mark.parametrize("cell", ["x", "nan", '"7"', "1_0", " 3 "])
+    @pytest.mark.parametrize("cell", ["x", "nan", "inf", "-inf", '"7"', "1_0", " 3 "])
     @pytest.mark.parametrize("column", ["b", "y"])
     def test_a_cell_in_the_last_share_gives_the_one_share_outcome(self, tmp_path, cell, column):
         rows = [f"{i},{i / 7!r},{i % 3}" for i in range(30)]
@@ -389,7 +389,7 @@ class TestSharedParse:
         p.write_text("a,b,y\n" + "\n".join(rows) + "\n")
         with _shares(1):
             expected = _outcome(p, {"label_column": "y"})
-        if cell in ("x", "nan"):
+        if cell in ("x", "nan", "inf", "-inf"):
             assert "at row 30" in expected
         for shares in (2, 3):
             with _shares(shares):

@@ -659,9 +659,9 @@ def test_short_last_batch_of_a_feature_form_run_is_one_tail_block(monkeypatch):
     widths = []
     real_tail = randist.encoder._tail
 
-    def recording(cols, dH, *args):
-        widths.append(dH.shape)
-        return real_tail(cols, dH, *args)
+    def recording(cols, dH, R, H, *args):
+        widths.append(H[:, cols].shape)
+        return real_tail(cols, dH, R, H, *args)
 
     monkeypatch.setattr(randist.encoder, "_tail", recording)
     train(X, cfg, rff(6, 20, data=X, seed=50))

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from randist.data import standardize, synth_anomaly, synth_blobs
 from randist.mappings import (
-    BANDWIDTH_BLOCK,
     MAX_BANDWIDTH_POINTS,
     apply,
     identity_map,
@@ -265,6 +265,15 @@ class TestJlAudit:
             jl_audit(np.ones((3, 4)), lambda A: apply(m, A), epsilon=0.6)
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMedianBandwidth:
     def test_positive_and_deterministic(self):
         X = stream(17).standard_normal((50, 4))
@@ -302,11 +311,11 @@ class TestMedianBandwidth:
                 X = X[rng.integers(0, n, size=n)]
             assert median_bandwidth(X, seed=case) == median_bandwidth_reference(X, seed=case)
 
-    @pytest.mark.parametrize(
-        "n", [BANDWIDTH_BLOCK - 1, BANDWIDTH_BLOCK, BANDWIDTH_BLOCK + 1, 2 * BANDWIDTH_BLOCK + 1]
-    )
+    @pytest.mark.parametrize("n", [127, 128, 129, 257, 1000, 1001])
     def test_matches_reference_at_block_edges(self, n):
-        # the pairs are formed BANDWIDTH_BLOCK rows at a time
+        # pair counts of both parities, the largest table taken whole and the
+        # smallest one subsampled: row i's pairs are packed into the Gram's
+        # buffer behind the rows still to be read
         X = stream(30 + n).standard_normal((n, 5))
         for rows in (X, np.round(X)):
             assert median_bandwidth(rows) == median_bandwidth_reference(rows)
@@ -315,16 +324,29 @@ class TestMedianBandwidth:
         X = stream(22).standard_normal((MAX_BANDWIDTH_POINTS + 57, 4))
         assert median_bandwidth(X, seed=3) == median_bandwidth_reference(X, seed=3)
 
+    @pytest.mark.parametrize(
+        "make, shape",
+        [(synth_anomaly, (950, 50, 16)), (synth_blobs, (4, 250, 32)), (synth_anomaly, (1463, 104, 590))],
+        ids=["anomaly-paper", "cluster-wide", "cli-anomaly-wide"],  # the last is subsampled
+    )
+    def test_matches_reference_at_workload_shapes(self, make, shape):
+        X = standardize(make(*shape, seed=31))[0].features
+        assert median_bandwidth(X, seed=5) == median_bandwidth_reference(X, seed=5)
+
     def test_drops_its_subsample_once_the_gram_is_formed(self):
-        # subsample 4.7 MB, Gram 8 MB, distances 4 MB: the peak holds the last two
+        # subsample 4.7 MB and Gram 8 MB; the distances are packed into the Gram
         X = stream(24).standard_normal((1500, 590))
-        tracemalloc.start()
-        try:
-            median_bandwidth(X, seed=4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert _traced_peak(lambda: median_bandwidth(X, seed=4)) < 12.5 * 2**20
+
+    def test_peak_is_the_gram(self):
+        # no second array of distances: the n x n Gram and a row at a time
+        n = 950
+        X = stream(25).standard_normal((n, 16))
+        assert _traced_peak(lambda: median_bandwidth(X)) < 8 * n * n + 256 * 2**10
+
+    def test_empty_input_falls_back(self):
+        for shape in ((0,), (0, 3), (4, 0)):
+            assert median_bandwidth(np.empty(shape)) == median_bandwidth_reference(np.empty(shape)) == 1.0
 
     def test_non_finite_input_raises(self):
         # checked on every row, also on one the subsample leaves out
@@ -332,7 +354,7 @@ class TestMedianBandwidth:
         drawn = stream(0).choice(n, size=MAX_BANDWIDTH_POINTS, replace=False)  # seed 0's subsample
         left_out = int(np.setdiff1d(np.arange(n), drawn)[0])
         for rows, row in ((30, 4), (n, left_out)):
-            for bad in (np.nan, np.inf):
+            for bad in (np.nan, np.inf, -np.inf):
                 X = stream(23).standard_normal((rows, 2))
                 X[row, 1] = bad
                 with pytest.raises(ValueError, match="finite"):
