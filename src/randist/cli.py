@@ -1,6 +1,6 @@
 """Command-line harness.
 
-Subcommands: anomaly, cluster, project, eval. Options come from
+Subcommands: anomaly, cluster, eval. Options come from
 an optional flat `key = value` config file plus command-line flags. A
 subcommand's parser declares each option it takes, as a flag and as a
 config key, once: its type, its valid values and any default the CLI owns.
@@ -8,8 +8,8 @@ A config file's values become the parser's defaults, so a flag wins over
 the file and the file over the default. The library configs (TrainConfig,
 BoostConfig) own the training defaults and their checks. The run report
 echoes every resolved option (including filled-in defaults) as sorted
-`key = value` lines, followed by metric, loss-trace and per-phase timing
-fields.
+`key = value` lines, followed by metric, baseline, loss-trace and
+per-phase timing fields.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from dataclasses import fields
 import numpy as np
 
 from ._version import __version__
-from .anomaly import ABLATIONS, SOURCES, BoostConfig, build_map, run_anomaly
-from .clustering import run_clustering
+from .anomaly import ABLATIONS, SOURCES, BoostConfig, run_anomaly
+from .clustering import restart_scores, run_clustering
 from .data import _column_index, load_csv, standardize as standardize_dataset
 from .encoder import LOSS_ABLATIONS, TrainConfig
 from .errors import ConfigError, DataError, ModelFileError, NumericError
@@ -137,11 +137,10 @@ def _library_config(cfg: argparse.Namespace, options: dict, problems: list):
 
 def _validate(cfg: argparse.Namespace, options: dict):
     """Check cfg before any input is read and return its library config (None
-    for project and eval). Every problem, the library's included, is raised
-    at once, one per line."""
+    for eval). Every problem, the library's included, is raised at once, one
+    per line."""
     problems = []
     task = cfg.task
-    library = None
     if not cfg.input:
         problems.append("input file is required")
     for name, action in options.items():  # a config-file value skips argparse's check
@@ -150,17 +149,9 @@ def _validate(cfg: argparse.Namespace, options: dict):
             problems.append(f"{name} must be one of {action.choices}, got {value!r}")
     if task == "anomaly" and cfg.source == "identity" and cfg.m is not None:
         problems.append(f"m cannot be set with source = identity, whose width is the data's, got m = {cfg.m}")
-    if task in ("anomaly", "cluster"):
-        library = _library_config(cfg, options, problems)
+    library = None if task == "eval" else _library_config(cfg, options, problems)
     if task == "cluster" and cfg.restarts < 1:
         problems.append(f"restarts must be >= 1, got {cfg.restarts}")
-    if task == "project":
-        if cfg.k < 1 and cfg.source != "identity":
-            problems.append(f"projection dimension k must be >= 1, got {cfg.k}")
-        if cfg.seed < 0:
-            problems.append(f"seed must be non-negative, got {cfg.seed}")
-        if not cfg.out_matrix:
-            problems.append("project needs out_matrix")
     if problems:  # BoostConfig repeats a bad anomaly source
         raise ConfigError("invalid configuration:\n" + "\n".join(dict.fromkeys(problems)))
     return library
@@ -237,6 +228,14 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
     out["metrics.nmi_std"] = result.nmi_std
     out["metrics.f_mean"] = result.f_mean
     out["metrics.f_std"] = result.f_std
+    result.embeddings = None  # unread here: free H before eta(X) and its Gram (8 MB each at 1000 x 1024)
+    t0 = time.perf_counter()  # the same restarts on the frozen space eta(X) the encoder learned from
+    nmis, fs, _ = restart_scores(apply_map(result.model.random_map, data.features), data.labels,
+                                 cfg.restarts, cfg.seed)
+    out["timing.baseline_seconds"] = time.perf_counter() - t0
+    for name, values in (("nmi", nmis), ("f", fs)):
+        out[f"baseline.frozen.{name}_mean"] = float(values.mean())
+        out[f"baseline.frozen.{name}_std"] = float(values.std())
     out["loss.first_epoch_total"] = float(result.trace.total[0])
     out["loss.last_epoch_total"] = float(result.trace.total[-1])
     out["timing.train_seconds"] = result.train_seconds
@@ -247,20 +246,6 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
         _write_csv_atomic(cfg.out_assignments, ["index", "cluster", "label"], rows)
     if cfg.out_model:
         save_ensemble(cfg.out_model, [result.model])
-    return out
-
-
-def _cmd_project(cfg: argparse.Namespace, _: None) -> dict:
-    data, out = _load(cfg)
-    t0 = time.perf_counter()
-    mapping = build_map(cfg.source, cfg.k, data.features, cfg.seed)
-    cfg.k = mapping.out_dim  # identity: the data width
-    projected = apply_map(mapping, data.features)
-    out["timing.project_seconds"] = time.perf_counter() - t0
-    header = [f"p{i}" for i in range(projected.shape[1])]
-    _write_csv_atomic(
-        cfg.out_matrix, header, ([repr(float(v)) for v in row] for row in projected)
-    )
     return out
 
 
@@ -285,13 +270,10 @@ def _add_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-report", dest="out_report")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_train_common(p: argparse.ArgumentParser, ablations: tuple) -> None:
     _add_io(p)
     p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--seed", type=int, default=0)
-
-
-def _add_train_common(p: argparse.ArgumentParser, ablations: tuple) -> None:
     p.add_argument("--source", choices=SOURCES, default="rff")
     p.add_argument("--ablation", choices=ablations, default="none")
     p.add_argument("--m", type=int)
@@ -310,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add("anomaly", help="train the detector ensemble and score every row")
-    _add_common(p)
     _add_train_common(p, ABLATIONS)
     p.add_argument("--members", type=int)
     p.add_argument("--filter-fraction", dest="filter_fraction", type=float)
@@ -318,16 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-scores", dest="out_scores")
 
     p = add("cluster", help="learn an embedding and K-means it against labels")
-    _add_common(p)
     _add_train_common(p, LOSS_ABLATIONS)
     p.add_argument("--restarts", type=int, default=30)
     p.add_argument("--out-assignments", dest="out_assignments")
-
-    p = add("project", help="apply a frozen random mapping and write the matrix")
-    _add_common(p)
-    p.add_argument("--source", choices=SOURCES, default="rff")
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--out-matrix", dest="out_matrix")
 
     p = add("eval", help="compute ranking metrics from a scores+labels CSV")
     _add_io(p)
@@ -352,7 +326,6 @@ def _peak_rss() -> dict:
 _COMMANDS = {
     "anomaly": _cmd_anomaly,
     "cluster": _cmd_cluster,
-    "project": _cmd_project,
     "eval": _cmd_eval,
 }
 

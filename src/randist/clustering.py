@@ -9,7 +9,8 @@ centroids' coordinates. The restarts run in lockstep: each
 Lloyd round forms the centroid products of every restart still running
 from one product over their stacked row weights, so the rows or their
 Gram are read once per round. Each restart keeps its own random stream,
-seeding, repair and convergence test; `kmeans` is the one-restart call.
+seeding, repair and convergence test; `kmeans` is the one-restart call,
+and `restart_scores` scores a run of restarts against labels.
 """
 from __future__ import annotations
 
@@ -194,6 +195,21 @@ def _lloyd(rows: _Rows, k: int, max_iters: int, seeds: list) -> list:
     return restarts
 
 
+def restart_scores(X: np.ndarray, labels: np.ndarray, restarts: int, seed: int) -> tuple:
+    """K-means the rows of X `restarts` times, with k the number of distinct
+    labels and restart r seeded child_seed(seed, 20_000 + r): each restart's
+    NMI and pairwise F against the labels, and the first restart's assignments."""
+    k = int(np.unique(labels).size)
+    seeds = [child_seed(seed, 20_000 + r) for r in range(restarts)]
+    # with n <= width the n x n Gram is no larger than X (8n^2 bytes), and each
+    # Lloyd round reads it once instead of reading X twice
+    rows = _Rows(X, np.sum(X * X, axis=1), X @ X.T if X.shape[0] <= X.shape[1] else None)
+    assignments = [r.assignments for r in _lloyd(rows, k, MAX_ITERS, seeds)]
+    nmi_values = np.array([nmi(labels, a) for a in assignments])
+    f_values = np.array([pairwise_f(labels, a) for a in assignments])
+    return nmi_values, f_values, assignments[0]
+
+
 @dataclass
 class ClusteringResult:
     nmi_mean: float
@@ -247,16 +263,7 @@ def run_clustering(
     H = embed(model, X)
     t1 = time.perf_counter()
 
-    k = int(np.unique(data.labels).size)
-    seeds = [child_seed(cfg.seed, 20_000 + r) for r in range(restarts)]
-    # with n <= m the n x n Gram is no larger than H (8n^2 bytes), and each
-    # Lloyd round reads it once instead of reading H twice
-    rows = _Rows(H, np.sum(H * H, axis=1), H @ H.T if H.shape[0] <= H.shape[1] else None)
-
-    assignments = [r.assignments for r in _lloyd(rows, k, MAX_ITERS, seeds)]
-
-    nmi_values = np.array([nmi(data.labels, a) for a in assignments])
-    f_values = np.array([pairwise_f(data.labels, a) for a in assignments])
+    nmi_values, f_values, assignments = restart_scores(H, data.labels, restarts, cfg.seed)
     return ClusteringResult(
         nmi_mean=float(nmi_values.mean()),
         nmi_std=float(nmi_values.std()),
@@ -267,7 +274,7 @@ def run_clustering(
         model=model,
         trace=trace,
         embeddings=H,
-        assignments=assignments[0],
+        assignments=assignments,
         train_seconds=t1 - t0,
         cluster_seconds=time.perf_counter() - t1,
     )

@@ -43,7 +43,14 @@ class Dataset:
             raise DataError("features contain non-finite values")
         self.features = feats
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind not in "biu":  # the cast would truncate 0.5 and turn NaN into -2**63
+                values = labels.astype(np.float64)
+                bad = np.flatnonzero(~((values == np.trunc(values)) & (values >= -(2.0**63)) & (values < 2.0**63)))
+                if bad.size:
+                    i = bad[0]
+                    raise DataError(f"label {float(values[i])!r} at index {i} is not an integer in [-2**63, 2**63)")
+            labels = labels.astype(np.int64, copy=False)
             if labels.shape != (feats.shape[0],):
                 raise DataError(
                     f"labels must have length {feats.shape[0]}, got shape {labels.shape}"

@@ -18,7 +18,7 @@ import randist.forks
 from randist import cli
 from randist.anomaly import BoostConfig, run_anomaly
 from randist.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from randist.clustering import run_clustering
+from randist.clustering import restart_scores, run_clustering
 from randist.data import load_csv, standardize, synth_anomaly, synth_blobs, write_csv
 from randist.encoder import TrainConfig
 from randist.metrics import auc_pr, auc_roc
@@ -141,16 +141,6 @@ class TestAnomalyCommand:
             runs.append((strip_volatile(report), out["scores"].read_bytes(), out["model"].read_bytes()))
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("task", ["cluster", "project"])
-    def test_cluster_and_project_report_the_load(self, capsys, tmp_path, task):
-        path = tmp_path / "b.csv"
-        write_csv(synth_blobs(2, 20, 3), path)
-        args = {"cluster": ["--m", "4", "--epochs", "1", "--restarts", "1", "--label-column", "label"],
-                "project": ["--k", "4", "--out-matrix", str(tmp_path / "p.csv")]}[task]
-        code, report, _ = _run(capsys, [task, "--input", str(path), *args])
-        assert code == EXIT_OK
-        assert report["timing.load_processes"] == "1" and float(report["timing.load_seconds"]) > 0
-
     def test_identity_source_takes_the_data_width(self, capsys, anomaly_csv):
         args = ["anomaly", "--input", anomaly_csv, "--label-column", "label", "--source", "identity",
                 "--epochs", "5", "--members", "2", "--batch-size", "96"]
@@ -257,6 +247,45 @@ class TestClusterCommand:
         [model] = load_ensemble(model_path)  # a one-member model file
         assert model.has_decoder and model.m == model.random_map.out_dim == 16
 
+    def test_report_gives_the_load(self, capsys, tmp_path):
+        path = tmp_path / "b.csv"
+        write_csv(synth_blobs(2, 20, 3), path)
+        args = ["--m", "4", "--epochs", "1", "--restarts", "1", "--label-column", "label"]
+        code, report, _ = _run(capsys, ["cluster", "--input", str(path), *args])
+        assert code == EXIT_OK
+        assert report["timing.load_processes"] == "1" and float(report["timing.load_seconds"]) > 0
+
+    def test_identity_frozen_baseline_is_k_means_on_the_standardized_table(self, capsys, blob_csv):
+        code, report, _ = _run(
+            capsys,
+            ["cluster", "--input", blob_csv, "--label-column", "label", "--source", "identity", "--m", "8",
+             "--epochs", "2", "--learning-rate", "0.01", "--restarts", "3", "--seed", "2"],
+        )
+        assert code == EXIT_OK and float(report["timing.baseline_seconds"]) > 0
+        data = standardize(load_csv(blob_csv, label_column="label"))[0]
+        nmis, fs, _ = restart_scores(data.features, data.labels, 3, 2)
+        baseline = {key: value for key, value in report.items() if key.startswith("baseline.")}
+        assert baseline == {
+            "baseline.frozen.nmi_mean": repr(float(nmis.mean())),
+            "baseline.frozen.nmi_std": repr(float(nmis.std())),
+            "baseline.frozen.f_mean": repr(float(fs.mean())),
+            "baseline.frozen.f_std": repr(float(fs.std())),
+        }
+
+    def test_frozen_baseline_is_the_same_across_repeats_and_lanes(self, capsys, blob_csv, monkeypatch):
+        # m = batch: each step's decoder branch runs on a lane when a CPU is spare
+        baselines = []
+        for lanes in (1, 2, 2):
+            monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
+            code, report, _ = _run(
+                capsys,
+                ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "16",
+                 "--batch-size", "16", "--epochs", "3", "--restarts", "3"],
+            )
+            assert code == EXIT_OK and report["timing.train_lanes"] == str(lanes)
+            baselines.append({key: value for key, value in report.items() if key.startswith("baseline.")})
+        assert len(baselines[0]) == 4
+        assert baselines[0] == baselines[1] == baselines[2]
 
     def test_a_training_lane_changes_no_output(self, capsys, tmp_path, blob_csv, monkeypatch):
         # m = batch: each step's decoder branch runs on a lane when a CPU is spare
@@ -276,38 +305,6 @@ class TestClusterCommand:
         assert runs[0] == runs[1]
 
 
-class TestProjectCommand:
-    def test_identity_projection_equals_standardized_input(self, capsys, tmp_path, blob_csv):
-        out = tmp_path / "proj.csv"
-        code, report, _ = _run(
-            capsys,
-            ["project", "--input", blob_csv, "--label-column", "label",
-             "--source", "identity", "--out-matrix", str(out)],
-        )
-        assert code == EXIT_OK
-        assert report["config.k"] == "10"
-        data = load_csv(blob_csv, label_column="label")
-        expected = standardize(data)[0].features
-        got = load_csv(out).features
-        np.testing.assert_allclose(got, expected, atol=1e-15)
-
-    def test_rff_projection_shape(self, capsys, tmp_path, blob_csv):
-        out = tmp_path / "proj.csv"
-        code, report, _ = _run(
-            capsys,
-            ["project", "--input", blob_csv, "--label-column", "label",
-             "--k", "7", "--out-matrix", str(out)],
-        )
-        assert code == EXIT_OK
-        got = load_csv(out)
-        assert got.d == 7 and got.n == 150
-
-    def test_requires_out_matrix(self, capsys, blob_csv):
-        code, _, err = _run(capsys, ["project", "--input", blob_csv])
-        assert code == EXIT_CONFIG
-        assert "out_matrix" in err
-
-
 @pytest.fixture(scope="module")
 def unscaled_csv(tmp_path_factory):
     """An anomaly table whose columns are neither centred nor of unit spread."""
@@ -323,7 +320,6 @@ class TestOneCopyOfTheTable:
         ("anomaly", "run_anomaly", "anomaly_csv", ANOMALY_ARGS),
         ("cluster", "run_clustering", "blob_csv", ["--label-column", "label", "--m", "8", "--epochs", "2",
                                                    "--restarts", "1"]),
-        ("project", "build_map", "blob_csv", ["--label-column", "label", "--out-matrix", "p.csv"]),
     ])
     def test_the_raw_table_is_dead_once_standardized(self, capsys, tmp_path, monkeypatch, request,
                                                       task, entry, table, args):
@@ -447,9 +443,8 @@ class TestConfigHandling:
             ("eval", "--standardize"),
             ("eval", "--seed=1"),
             ("eval", "--members=2"),
-            ("project", "--members=2"),
         ],
-        ids=["--standardize", "--seed=1", "--members=2", "project---members=2"],
+        ids=["--standardize", "--seed=1", "--members=2"],
     )
     def test_eval_takes_no_training_options(self, capsys, task, flag):
         with pytest.raises(SystemExit) as exc:
@@ -506,9 +501,9 @@ class TestConfigHandling:
         assert "Traceback" not in err
 
     def test_cell_over_csv_field_limit_is_input_error(self, capsys, tmp_path):
-        p, out = tmp_path / "long.csv", tmp_path / "proj.csv"
+        p, out = tmp_path / "long.csv", tmp_path / "scores.csv"
         p.write_text("a,b\n1," + "2" * 200_001 + "\n3,4\n")
-        code, _, err = _run(capsys, ["project", "--input", str(p), "--k", "4", "--out-matrix", str(out)])
+        code, _, err = _run(capsys, ["anomaly", "--input", str(p), "--out-scores", str(out)])
         assert code == EXIT_IO
         assert "cannot read row 2: field larger than field limit" in err
         assert "Traceback" not in err
@@ -643,7 +638,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "task, flag",
         [(task, flag) for task in ("anomaly", "cluster") for flag in ("--bandwidth", "--density", "--leaky-slope")]
-        + [("cluster", "--kmeans-max-iters"), ("project", "--bandwidth"), ("project", "--density")],
+        + [("cluster", "--kmeans-max-iters")],
     )
     def test_removed_option_is_unknown(self, capsys, tmp_path, task, flag):
         # fixed values now: the median-heuristic rff bandwidth, srp density 1/sqrt(d),
@@ -658,6 +653,13 @@ class TestConfigHandling:
         code, _, err = _run(capsys, [task, "--config", str(cfg), "--input", "data.csv"])
         assert code == EXIT_CONFIG
         assert f"line 1: unknown config key {key!r}" in err
+
+    def test_project_is_not_a_subcommand(self, capsys):
+        # the frozen space it wrote out is rd.apply(map, X), and cluster reports K-means on it
+        with pytest.raises(SystemExit) as exc:
+            main(["project", "--input", "data.csv", "--out-matrix", "p.csv"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument task: invalid choice: 'project'" in capsys.readouterr().err
 
     def test_bad_choice_in_config_file_listed_with_library_problems(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -703,10 +705,8 @@ class TestCliOwnedDefaults:
         ("anomaly", "has_header", True, "false", False, ["--has-header"], True),
         ("cluster", "has_header", True, "no", False, ["--has-header"], True),
         ("anomaly", "standardize", True, "false", False, ["--standardize"], True),
-        ("project", "standardize", True, "0", False, ["--standardize"], True),
     ]
-    IDS = ["cluster-restarts", "anomaly-has_header", "cluster-has_header",
-           "anomaly-standardize", "project-standardize"]
+    IDS = ["cluster-restarts", "anomaly-has_header", "cluster-has_header", "anomaly-standardize"]
 
     def _parse(self, tmp_path, task, line=None, flags=()):
         argv = [task, "--input", "data.csv", *flags]
@@ -764,11 +764,9 @@ class TestShippedConfigs:
         return values, cfg, options
 
     def test_every_config_is_covered(self):
-        assert sorted(p.stem for p in self.CONFIGS.glob("*.cfg")) == [
-            "anomaly", "cluster", "eval", "project"
-        ]
+        assert sorted(p.stem for p in self.CONFIGS.glob("*.cfg")) == ["anomaly", "cluster", "eval"]
 
-    @pytest.mark.parametrize("task", ["anomaly", "cluster", "eval", "project"])
+    @pytest.mark.parametrize("task", ["anomaly", "cluster", "eval"])
     def test_config_resolves(self, task):
         values, cfg, _ = self._resolve(task)
         assert all(getattr(cfg, key) == value for key, value in values.items() if value is not None)

@@ -3,7 +3,9 @@ import pytest
 
 import randist.clustering
 import randist.encoder
-from randist.clustering import MAX_ITERS, KMeansResult, _lloyd, _Rows, embed, kmeans, run_clustering
+from randist.clustering import (
+    MAX_ITERS, KMeansResult, _lloyd, _Rows, embed, kmeans, restart_scores, run_clustering,
+)
 from randist.data import Dataset, synth_blobs
 from randist.encoder import EncoderModel, TrainConfig
 from randist.mappings import identity_map
@@ -306,6 +308,15 @@ class TestRunClustering:
         ]
         np.testing.assert_array_equal(result.nmi_values, [nmi(blob_data.labels, a) for a in lloyd])
         np.testing.assert_array_equal(result.assignments, lloyd[0])
+
+    @pytest.mark.parametrize("m", [24, 192])  # K-means on the embedding's rows, and on its Gram
+    def test_restart_scores_are_the_pipelines(self, blob_data, m):
+        cfg = self._cfg(m=m, epochs=10)
+        result = run_clustering(blob_data, cfg, restarts=4)
+        nmis, fs, assignments = restart_scores(result.embeddings, blob_data.labels, 4, cfg.seed)
+        assert nmis.tobytes() == result.nmi_values.tobytes()
+        assert fs.tobytes() == result.f_values.tobytes()
+        assert assignments.tobytes() == result.assignments.tobytes()
 
     def test_identity_source(self, blob_data):
         # raw-Gram targets scale with d, so this source needs a gentler rate

@@ -519,6 +519,33 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0.0, 0.5, 2.0], "label 0.5 at index 1 is not an integer in [-2**63, 2**63)"),
+        ([0.0, 1.7, np.nan], "label 1.7 at index 1 is not an integer in [-2**63, 2**63)"),
+        ([1.0, np.nan, 0.0], "label nan at index 1 is not an integer in [-2**63, 2**63)"),
+        ([np.inf, 0.0, 1.0], "label inf at index 0 is not an integer in [-2**63, 2**63)"),
+        ([0.0, 1.0, 2.0**63], "label 9.223372036854776e+18 at index 2 is not an integer in [-2**63, 2**63)"),
+    ])
+    def test_rejects_a_label_that_is_not_an_int64(self, labels, message):
+        # a cast would truncate 0.5 and 1.7 and turn NaN into -2**63
+        with pytest.raises(DataError) as err:
+            Dataset(np.ones((3, 2)), labels=np.array(labels))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0, -(2.0**63)], np.array([0.0, 1.0, 2.0], dtype=object)])
+    def test_integral_float_labels_are_cast(self, labels):
+        data = Dataset(np.ones((3, 2)), labels=np.array(labels))
+        assert data.labels.dtype == np.int64
+        np.testing.assert_array_equal(data.labels, np.asarray(labels, dtype=np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.bool_])
+    def test_integer_labels_keep_their_values(self, dtype):
+        labels = np.array([0, 1, 1], dtype=dtype)
+        data = Dataset(np.ones((3, 2)), labels=labels)
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1, 1]
+        if dtype is np.int64:
+            assert data.labels is labels  # no copy on the path every loaded table takes
+
 
 class TestStandardize:
     def test_two_point_column(self):
