@@ -148,13 +148,12 @@ def fit_ensemble(X: np.ndarray, config: BoostConfig) -> Ensemble:
     MAX_BANDWIDTH_POINTS rows the median heuristic takes no subsample, so
     every rff member would compute the same bandwidth: it is computed once.
 
-    The members are split into one strided share per process
-    (`forks.process_count`, at most one per member) and trained by
-    `forks.run_shares`; they are put back in seed order. A member's
-    arithmetic does not depend on the process that runs it, so the ensemble
-    is bit-identical at any process count. Each share stops at its first
-    failing member, and the lowest-numbered of those is raised: the member
-    one process would have failed on.
+    The members are split into runs of consecutive seeds, one per process
+    (`forks.process_count`, at most one per member), trained by
+    `forks.run_shares` and joined in seed order. A member's arithmetic does
+    not depend on the process that runs it, so the ensemble is bit-identical
+    at any process count. `run_shares` raises the first failing run's error,
+    the lowest-numbered failing member's: the one one process would raise.
     """
     X = np.asarray(X, dtype=np.float64)
     _check_filter_rows(X.shape[0], config)
@@ -162,29 +161,14 @@ def fit_ensemble(X: np.ndarray, config: BoostConfig) -> Ensemble:
         config = replace(config, bandwidth=median_bandwidth(X))
     seeds = [child_seed(config.train.seed, i) for i in range(config.members)]
     workers = process_count(len(seeds))
+    bounds = [len(seeds) * w // workers for w in range(workers + 1)]
 
-    def share(w: int) -> tuple:
-        # share w's members, trained until one raises, and what stopped them (None if none did)
-        done = []
-        try:
-            for s in seeds[w::workers]:
-                # the module global, so that a wrapper set on it applies in a child too
-                done.append(boost_train_member(X, config, s))
-        except Exception as err:
-            if w == 0 and not done:
-                raise  # member 0 failed: no child's member comes before it
-            return done, err
-        return done, None
+    def share(w: int) -> list:
+        # the module global, so that a wrapper set on it applies in a child too
+        return [boost_train_member(X, config, s) for s in seeds[bounds[w] : bounds[w + 1]]]
 
     shares = run_shares(share, workers, "ensemble")
-    # share w's members are w, w + workers, ...; it stopped at number w + workers * len(done)
-    failed = [(w + workers * len(done), err) for w, (done, err) in enumerate(shares) if err is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    members = [None] * len(seeds)
-    for w, (done, _) in enumerate(shares):
-        members[w::workers] = done
-    return Ensemble(members=members, processes=workers)
+    return Ensemble(members=[member for done in shares for member in done], processes=workers)
 
 
 def ensemble_score(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:

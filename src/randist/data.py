@@ -43,13 +43,16 @@ class Dataset:
             raise DataError("features contain non-finite values")
         self.features = feats
         if self.labels is not None:
-            labels = np.asarray(self.labels)
+            labels = values = np.asarray(self.labels)
+            bad = ()
             if labels.dtype.kind not in "biu":  # the cast would truncate 0.5 and turn NaN into -2**63
                 values = labels.astype(np.float64)
                 bad = np.flatnonzero(~((values == np.trunc(values)) & (values >= -(2.0**63)) & (values < 2.0**63)))
-                if bad.size:
-                    i = bad[0]
-                    raise DataError(f"label {float(values[i])!r} at index {i} is not an integer in [-2**63, 2**63)")
+            elif labels.dtype.kind == "u" and labels.dtype.itemsize == 8:  # the cast would wrap 2**63 to -2**63
+                bad = np.flatnonzero(labels >= 2**63)
+            if len(bad):
+                i = bad[0]
+                raise DataError(f"label {values[i].item()!r} at index {i} is not an integer in [-2**63, 2**63)")
             labels = labels.astype(np.int64, copy=False)
             if labels.shape != (feats.shape[0],):
                 raise DataError(
@@ -194,10 +197,10 @@ def _read_table(fh, path, label_column, has_header: bool) -> Dataset:
         tables = [_parse_rows(itertools.chain([first], rows), width, header, label_idx)]
     else:
         bounds = _share_bounds(path, start)
-        processes = len(bounds)
-        tables = _parse_plain(path, bounds, width, label_idx)
-        if tables is None:  # the row loop returns the same table or names the first bad cell
-            processes = 1
+        try:
+            tables = _parse_plain(path, bounds, width, label_idx)
+            processes = len(bounds)
+        except ValueError:  # the row loop returns the same table or names the first bad cell
             fh.seek(start)
             tables = [_parse_rows(_csv_rows(fh, first[0]), width, header, label_idx)]
     features, labels = _split_labels(tables, label_idx)
@@ -254,10 +257,10 @@ def _plain_lines(fh, size: float):
             return
 
 
-def _parse_plain(path, bounds: list, width: int, label_idx: Optional[int]) -> Optional[list]:
+def _parse_plain(path, bounds: list, width: int, label_idx: Optional[int]) -> list:
     """The data rows, one table per share, from one loadtxt pass per share
-    (`run_shares`) from each of `bounds` to the next, or None where they might
-    differ from `_parse_rows`.
+    (`run_shares`) from each of `bounds` to the next; a ValueError where they
+    might differ from `_parse_rows`, and any other error (an OSError) as is.
 
     Each share reads through its own handle, as a forked child shares the
     caller's file offsets. A share begins after a newline, where a line
@@ -271,26 +274,20 @@ def _parse_plain(path, bounds: list, width: int, label_idx: Optional[int]) -> Op
     """
     sizes = [b - a for a, b in zip(bounds, bounds[1:])] + [math.inf]  # the last runs to the end
 
-    def share(k: int) -> Optional[np.ndarray]:
-        try:
-            with open(path, "r", newline="", encoding="utf-8") as fh:
-                fh.seek(bounds[k])
-                lines = _plain_lines(fh, sizes[k])
-                table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            return None
+    def share(k: int) -> np.ndarray:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            fh.seek(bounds[k])
+            lines = _plain_lines(fh, sizes[k])
+            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2)
         if table.shape[1] != width or (table.size and not (np.isfinite(table.min()) and np.isfinite(table.max()))):
-            return None
+            raise ValueError("not a plain table")
         if label_idx is not None:
             labels = table[:, label_idx]
             if not (np.all(labels == np.trunc(labels)) and np.all(np.abs(labels) < 2.0**53)):
-                return None
+                raise ValueError("labels the row loop must check")
         return table
 
-    tables = run_shares(share, len(bounds), "csv parse")  # [None] when the caller's share declines
-    if any(table is None for table in tables):
-        return None
-    return tables
+    return run_shares(share, len(bounds), "csv parse")
 
 
 def _parse_rows(numbered_rows, width: int, header, label_idx) -> np.ndarray:

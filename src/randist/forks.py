@@ -5,7 +5,8 @@ The encoder's lane is a thread instead: its two branches of one SGD step are
 BLAS products and large array loops, which release the lock, and they share
 that step's arrays, which a process would have to copy. Inside a share of a
 job of several, `process_count` is 1, so a lane never joins a share's process
-on its CPU.
+on its CPU. A share fails by raising, and the caller raises the exception of
+the first share that failed, in share order, wherever that share ran.
 """
 from __future__ import annotations
 
@@ -20,14 +21,18 @@ _in_share = False  # True while this process runs a share of a job of several
 @functools.cache
 def _openblas_num_threads():
     """The loaded OpenBLAS's thread-count getter, or None where no OpenBLAS
-    is mapped into this process or its mappings cannot be read."""
+    is mapped into this process, or its mappings or library cannot be read."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            # the sixth field is the path, any bytes and spaces; " (deleted)" follows one replaced on disk
+            libs = {line.split(maxsplit=5)[5].rstrip("\n") for line in fh if "openblas" in line and ".so" in line}
     except OSError:
         return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
+    for path in sorted(lib for lib in libs if not lib.endswith(" (deleted)")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            return None
         for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                        "openblas_get_num_threads"):
             fn = getattr(lib, symbol, None)
@@ -57,14 +62,16 @@ def process_count(limit: int) -> int:
 def run_shares(work, shares: int, name: str) -> list:
     """[work(0), ..., work(shares - 1)]: work(0) runs in the caller and each
     other share in a forked child, which inherits the inputs and pickles back
-    its result, or nothing if it raises or is interrupted (a RuntimeError
-    naming `name` and the share). A child leaves through os._exit, so no
-    cleanup of the parent's (open files, atexit handlers, test fixtures) runs
-    twice. Signals are held until every child is in its try and recorded, so
-    no handler can unwind a child into the caller's stack or leave it out of
-    the kill of every child still running when anything raises, the caller
-    is interrupted or work(0) returns None (then the result is [None]).
-    While the shares run, `process_count` is 1 in every one of them.
+    its result or the Exception it raised. The first share that raised, in
+    share order, has its exception raised here. A child that sends back
+    nothing readable (it is interrupted, or what it sends does not pickle or
+    unpickle) is a RuntimeError naming `name` and the share. A child leaves
+    through os._exit, so no cleanup of the parent's (open files, atexit
+    handlers, test fixtures) runs twice. Signals are held until every child
+    is in its try and recorded, so no handler can unwind a child into the
+    caller's stack or leave it out of the kill of every child still running
+    when anything raises or the caller is interrupted. While the shares run,
+    `process_count` is 1 in every one of them.
     """
     if shares == 1:
         return [work(0)]
@@ -90,8 +97,12 @@ def run_shares(work, shares: int, name: str) -> list:
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                         os.close(read_fd)
+                        try:
+                            outcome = (True, work(k))
+                        except Exception as err:
+                            outcome = (False, err)
                         # all or nothing: what fails to pickle is sent as no result at all
-                        data = pickle.dumps(work(k), protocol=pickle.HIGHEST_PROTOCOL)
+                        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
                         with os.fdopen(write_fd, "wb") as fh:
                             fh.write(data)
                         status = 0
@@ -102,20 +113,22 @@ def run_shares(work, shares: int, name: str) -> list:
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = [work(0)]
-        if results[0] is None:  # the caller's share abandons the job
-            return results
         for k in range(1, shares):
             pid, fh = children[k]
             with fh:
                 data = fh.read()
             status = os.waitpid(pid, 0)[1]
             del children[k]
-            if not data:
+            try:
+                done, result = pickle.loads(data)  # bytes our own child wrote
+            except Exception as err:  # no bytes, or an exception whose __init__ its args do not fit
                 raise RuntimeError(
                     f"{name} worker {k} (pid {pid}) exited without a result "
                     f"(exit status {os.waitstatus_to_exitcode(status)})"
-                )
-            results.append(pickle.loads(data))  # bytes our own child wrote
+                ) from err
+            if not done:
+                raise result
+            results.append(result)
         return results
     finally:
         _in_share = outer

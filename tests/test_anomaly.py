@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -288,6 +290,13 @@ def _processes(monkeypatch, workers: int) -> None:
     monkeypatch.setattr(randist.anomaly, "process_count", lambda limit: min(limit, workers))
 
 
+class _TwoArgError(Exception):
+    """Pickles but does not unpickle: unpickling calls __init__ with its one message."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -326,6 +335,71 @@ class TestMemberProcesses:
         blas(1)
         monkeypatch.delattr(os, "sched_getaffinity")
         assert processes(30) == 1
+
+    def test_a_mapped_openblas_that_cannot_be_opened_gives_one_process(self, tmp_path, monkeypatch):
+        # a library replaced on disk since it was mapped, or one gone, is the
+        # documented fallback of one process; a path with a space is read whole,
+        # and a mapped file whose name is not UTF-8 is passed over
+        forks = randist.forks
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            real = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line and ".so" in line})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def lookup(*paths):
+            text = "".join(f"7f0000-7f1000 r-xp 00000000 08:01 1234       {path}\n" for path in paths)
+            maps = text.encode("utf-8", "surrogateescape")
+            monkeypatch.setattr(forks, "open", lambda path, encoding, errors: io.TextIOWrapper(
+                io.BytesIO(maps), encoding=encoding, errors=errors), raising=False)
+            forks._openblas_num_threads.cache_clear()
+            try:
+                return forks._openblas_num_threads(), forks.process_count(30)
+            finally:
+                forks._openblas_num_threads.cache_clear()
+
+        assert lookup(str(tmp_path / "libopenblas.so")) == (None, 1)
+        if not real:
+            return  # numpy is not linked against OpenBLAS
+        assert lookup(f"{real[0]} (deleted)") == (None, 1)
+        (tmp_path / "a dir").mkdir()
+        (tmp_path / "a dir" / "libopenblas.so").symlink_to(real[0])
+        get_threads, processes = lookup("/data/caf\udce9.bin", str(tmp_path / "a dir" / "libopenblas.so"))
+        assert get_threads() >= 1 and processes == max(1, 2 // get_threads())
+
+    def test_a_childs_exception_is_raised_as_itself(self):
+        # share 2 fails first in time, but share 1 comes first in share order
+        def work(k):
+            if k == 1:
+                time.sleep(0.2)
+                raise FileNotFoundError(errno.ENOENT, "gone", "t.csv")
+            if k == 2:
+                raise ValueError("share 2")
+            return k
+
+        with pytest.raises(FileNotFoundError) as info:
+            randist.forks.run_shares(work, 3, "test")
+        assert type(info.value) is FileNotFoundError
+        assert (info.value.errno, info.value.strerror, info.value.filename) == (errno.ENOENT, "gone", "t.csv")
+        _assert_no_child_left()
+        with pytest.raises(ValueError, match="^share 2$"):
+            randist.forks.run_shares(lambda k: k if k < 2 else work(k), 3, "test")
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("unreadable, status", [
+        (lambda: lambda: None, 1),  # a result that does not pickle
+        (lambda: _TwoArgError("share", "failed"), 0),  # an exception that does not unpickle
+    ], ids=["result", "exception"])
+    def test_what_does_not_cross_the_pipe_names_its_worker(self, unreadable, status):
+        def work(k):
+            if k != 2:
+                return k
+            value = unreadable()
+            if isinstance(value, Exception):
+                raise value
+            return value
+
+        with pytest.raises(RuntimeError, match=rf"^test worker 2 \(pid \d+\) exited without a result \(exit status {status}\)$"):
+            randist.forks.run_shares(work, 3, "test")
+        _assert_no_child_left()
 
     def test_a_share_of_a_job_of_several_holds_one_cpu(self, monkeypatch):
         # so that a member's training starts no lane beside the other shares' processes
@@ -371,14 +445,25 @@ class TestMemberProcesses:
         assert fit_ensemble(X, self.FIVE).processes == 1
 
     def test_members_are_bit_identical_at_any_process_count(self, toy, tmp_path, monkeypatch):
-        # 2 and 3 processes split 5 members into uneven strided shares
+        # 2 and 3 processes split 5 members into uneven runs of consecutive members
         _, X = toy
+        number = {child_seed(self.FIVE.train.seed, i): i for i in range(5)}
+
+        def change(X, config, member_seed, real):
+            (tmp_path / f"member-{number[member_seed]}").write_text(str(os.getpid()))
+            return real(X, config, member_seed)
+
+        _wrap_member(monkeypatch, change)
         runs = {}
-        for workers in (1, 2, 3):
+        for workers, layout in ((1, [{0, 1, 2, 3, 4}]), (2, [{0, 1}, {2, 3, 4}]), (3, [{0}, {1, 2}, {3, 4}])):
             _processes(monkeypatch, workers)
             ensemble = fit_ensemble(X, self.FIVE)
             _assert_no_child_left()
             assert ensemble.processes == workers
+            pids = {}  # the members each process trained, the caller's first
+            for i in range(5):
+                pids.setdefault(int((tmp_path / f"member-{i}").read_text()), set()).add(i)
+            assert list(pids.values()) == layout and next(iter(pids)) == os.getpid()
             path = tmp_path / f"{workers}.rdst"
             save_ensemble(path, [m.model for m in ensemble.members])
             runs[workers] = (ensemble, ensemble_score(ensemble, X).tobytes(), path.read_bytes())
@@ -429,8 +514,9 @@ class TestMemberProcesses:
         assert raised[0][0] is error
         assert raised[1] == raised[2] == raised[0]
 
-    # at 2 processes members 0, 2, 4 are the caller's; at 3, members 0 and 3
-    @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (1, 4)])
+    # at 2 processes members 0 and 1 are the caller's, at 3 member 0: (3,) fails
+    # in a child alone, and (2, 4) at 3 processes in two children
+    @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (1, 4), (3,), (2, 4)])
     def test_the_lowest_numbered_failing_member_is_raised(self, toy, monkeypatch, failing):
         _, X = toy
         seeds = {child_seed(self.FIVE.train.seed, i): i for i in failing}
@@ -497,7 +583,7 @@ class TestMemberProcesses:
 
     def test_a_child_that_exits_without_a_result_is_named(self, toy, monkeypatch):
         _, X = toy
-        parent, seed = os.getpid(), child_seed(self.FIVE.train.seed, 2)
+        parent, seed = os.getpid(), child_seed(self.FIVE.train.seed, 3)
 
         def change(X, config, member_seed, real):
             if member_seed == seed and os.getpid() != parent:
@@ -505,7 +591,7 @@ class TestMemberProcesses:
             return real(X, config, member_seed)
 
         _wrap_member(monkeypatch, change)
-        _processes(monkeypatch, 3)  # member 2 is the first of worker 2's share
+        _processes(monkeypatch, 3)  # member 3 is the first of worker 2's share
         with pytest.raises(RuntimeError, match=r"worker 2 \(pid \d+\) exited without a result \(exit status 7\)"):
             fit_ensemble(X, self.FIVE)
         _assert_no_child_left()

@@ -327,7 +327,7 @@ class TestLoadCsv:
     def test_declined_tables_match_the_row_loop(self, tmp_path, text, kwargs):
         p = tmp_path / "t.csv"
         p.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(data_module, "_parse_plain", return_value=None):
+        with mock.patch.object(data_module, "_parse_plain", side_effect=ValueError("declined")):
             expected = _outcome(p, kwargs)
         for shares in SHARES:
             with _shares(shares):
@@ -419,6 +419,23 @@ class TestSharedParse:
         assert data.features[3, 1] == 0.5
         assert data.processes == 1
         _assert_no_child_left()
+        # a decline in the caller's share (the first row) or in a child's (the
+        # last) gives the row loop's table, the C pass's bytes
+        rows[3] = f"3,{3 / 7!r},0"
+        p.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+        with _shares(3):
+            want = load_csv(p, label_column="y")
+        assert want.processes == 3
+        for row in (0, 29):
+            quoted = rows.copy()
+            quoted[row] = f'"{row}",' + rows[row].split(",", 1)[1]
+            p.write_text("a,b,y\n" + "\n".join(quoted) + "\n")
+            with _shares(3), mock.patch.object(data_module, "_parse_rows", wraps=data_module._parse_rows) as loop:
+                data = load_csv(p, label_column="y")
+            assert loop.call_count == 1 and data.processes == 1
+            assert data.features.tobytes() == want.features.tobytes()
+            assert data.labels.tobytes() == want.labels.tobytes()
+            _assert_no_child_left()
 
     def test_a_file_below_the_floor_forks_nothing(self, tmp_path, monkeypatch):
         p = tmp_path / "t.csv"
@@ -468,6 +485,22 @@ class TestSharedParse:
         with _shares(3):
             assert _outcome(p, {}) == expected  # from the row loop
         assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_a_childs_os_error_is_a_data_error(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        write_csv(Dataset(stream(7).normal(size=(40, 5))), p)
+        parent, real = os.getpid(), np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            if os.getpid() != parent:
+                raise OSError(5, "Input/output error")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with _shares(3), pytest.raises(DataError) as info:
+            load_csv(p)
+        assert str(info.value) == f"cannot read {p}: [Errno 5] Input/output error"
         _assert_no_child_left()
 
     @pytest.mark.parametrize("stop, error", [(KeyboardInterrupt(), KeyboardInterrupt), (OSError("gone"), DataError)])
@@ -525,6 +558,10 @@ class TestDataset:
         ([1.0, np.nan, 0.0], "label nan at index 1 is not an integer in [-2**63, 2**63)"),
         ([np.inf, 0.0, 1.0], "label inf at index 0 is not an integer in [-2**63, 2**63)"),
         ([0.0, 1.0, 2.0**63], "label 9.223372036854776e+18 at index 2 is not an integer in [-2**63, 2**63)"),
+        # the cast would wrap a uint64 2**63 to -2**63
+        (np.array([0, 2**63, 1], dtype=np.uint64), "label 9223372036854775808 at index 1 is not an integer in [-2**63, 2**63)"),
+        (np.array([2**64 - 1, 0, 2**63], dtype=np.uint64),
+         "label 18446744073709551615 at index 0 is not an integer in [-2**63, 2**63)"),
     ])
     def test_rejects_a_label_that_is_not_an_int64(self, labels, message):
         # a cast would truncate 0.5 and 1.7 and turn NaN into -2**63
@@ -538,13 +575,17 @@ class TestDataset:
         assert data.labels.dtype == np.int64
         np.testing.assert_array_equal(data.labels, np.asarray(labels, dtype=np.float64))
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.bool_])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.bool_, np.uint64])
     def test_integer_labels_keep_their_values(self, dtype):
         labels = np.array([0, 1, 1], dtype=dtype)
         data = Dataset(np.ones((3, 2)), labels=labels)
         assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1, 1]
         if dtype is np.int64:
             assert data.labels is labels  # no copy on the path every loaded table takes
+
+    def test_uint64_labels_below_2_63_are_kept(self):
+        data = Dataset(np.zeros((2, 1)), labels=np.array([1, 2**63 - 1], dtype=np.uint64))
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, 2**63 - 1]
 
 
 class TestStandardize:
