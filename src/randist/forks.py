@@ -64,14 +64,15 @@ def run_shares(work, shares: int, name: str) -> list:
     other share in a forked child, which inherits the inputs and pickles back
     its result or the Exception it raised. The first share that raised, in
     share order, has its exception raised here. A child that sends back
-    nothing readable (it is interrupted, or what it sends does not pickle or
-    unpickle) is a RuntimeError naming `name` and the share. A child leaves
-    through os._exit, so no cleanup of the parent's (open files, atexit
-    handlers, test fixtures) runs twice. Signals are held until every child
-    is in its try and recorded, so no handler can unwind a child into the
-    caller's stack or leave it out of the kill of every child still running
-    when anything raises or the caller is interrupted. While the shares run,
-    `process_count` is 1 in every one of them.
+    nothing (it is interrupted, or what it would send does not pickle) or
+    what does not unpickle is a RuntimeError naming `name`, the share and
+    which of the two it was. A child leaves through os._exit, so no cleanup
+    of the parent's (open files, atexit handlers, test fixtures) runs
+    twice. Signals are held until every child is in its try and recorded,
+    so no handler can unwind a child into the caller's stack or leave it out
+    of the kill of every child still running when anything raises or the
+    caller is interrupted. While the shares run, `process_count` is 1 in
+    every one of them.
     """
     if shares == 1:
         return [work(0)]
@@ -117,15 +118,15 @@ def run_shares(work, shares: int, name: str) -> list:
             pid, fh = children[k]
             with fh:
                 data = fh.read()
-            status = os.waitpid(pid, 0)[1]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[k]
+            worker = f"{name} worker {k} (pid {pid})"
+            if not data:
+                raise RuntimeError(f"{worker} exited without a result (exit status {status})")
             try:
                 done, result = pickle.loads(data)  # bytes our own child wrote
-            except Exception as err:  # no bytes, or an exception whose __init__ its args do not fit
-                raise RuntimeError(
-                    f"{name} worker {k} (pid {pid}) exited without a result "
-                    f"(exit status {os.waitstatus_to_exitcode(status)})"
-                ) from err
+            except Exception as err:  # cut short, or an exception whose __init__ its args do not fit
+                raise RuntimeError(f"{worker} sent a result that could not be read (exit status {status})") from err
             if not done:
                 raise result
             results.append(result)

@@ -1,11 +1,11 @@
 import errno
 import io
 import os
+import re
 import subprocess
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +32,8 @@ from randist.mappings import MAX_BANDWIDTH_POINTS, apply, identity_map, rff, spa
 from randist.metrics import auc_pr, auc_roc
 from randist.persist import save_ensemble
 from randist.rng import child_seed, stream
+
+from conftest import child_env
 
 
 def _small_cfg(n_rows=None, **overrides):
@@ -147,9 +149,10 @@ class TestBoostTrainMember:
         assert member.train_rows == r1 - removal_count(0.05, r1) < n
 
     def test_rows_are_copied_only_once_one_is_dropped(self, toy, monkeypatch):
-        # round 0's fit and round 1's filter read the caller's array itself
+        # round 0's fit and round 1's filter read the caller's array itself;
+        # round 1 trains on the rest once the highest-scoring rows are dropped
         _, X = toy
-        seen = []
+        seen, scored = [], []
         real_train, real_score = randist.anomaly.train, randist.anomaly.score_rows
 
         def spy_train(rows, config, mapping):
@@ -158,7 +161,8 @@ class TestBoostTrainMember:
 
         def spy_score(model, rows):
             seen.append(("score", rows))
-            return real_score(model, rows)
+            scored.append(real_score(model, rows))
+            return scored[-1]
 
         monkeypatch.setattr(randist.anomaly, "train", spy_train)
         monkeypatch.setattr(randist.anomaly, "score_rows", spy_score)
@@ -167,6 +171,9 @@ class TestBoostTrainMember:
         assert [what for what, _ in seen] == ["train", "score", "train"]
         assert seen[0][1] is X and seen[1][1] is X
         assert seen[2][1] is not X and seen[2][1].shape == (member.train_rows, X.shape[1])
+        # of rows that score the same, the earlier is dropped first
+        dropped = sorted(range(len(X)), key=lambda i: (-scored[0][i], i))[: removal_count(0.05, len(X))]
+        assert seen[2][1].tobytes() == np.delete(X, dropped, axis=0).tobytes()
 
     def test_error_when_too_few_rows_left(self):
         data = synth_anomaly(36, 4, 4, seed=9)
@@ -384,11 +391,12 @@ class TestMemberProcesses:
             randist.forks.run_shares(lambda k: k if k < 2 else work(k), 3, "test")
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("unreadable, status", [
-        (lambda: lambda: None, 1),  # a result that does not pickle
-        (lambda: _TwoArgError("share", "failed"), 0),  # an exception that does not unpickle
+    @pytest.mark.parametrize("unreadable, what", [
+        (lambda: lambda: None, "exited without a result (exit status 1)"),  # a result that does not pickle
+        # an exception that does not unpickle
+        (lambda: _TwoArgError("share", "failed"), "sent a result that could not be read (exit status 0)"),
     ], ids=["result", "exception"])
-    def test_what_does_not_cross_the_pipe_names_its_worker(self, unreadable, status):
+    def test_what_does_not_cross_the_pipe_names_its_worker(self, unreadable, what):
         def work(k):
             if k != 2:
                 return k
@@ -397,7 +405,7 @@ class TestMemberProcesses:
                 raise value
             return value
 
-        with pytest.raises(RuntimeError, match=rf"^test worker 2 \(pid \d+\) exited without a result \(exit status {status}\)$"):
+        with pytest.raises(RuntimeError, match=rf"^test worker 2 \(pid \d+\) {re.escape(what)}$"):
             randist.forks.run_shares(work, 3, "test")
         _assert_no_child_left()
 
@@ -423,12 +431,9 @@ class TestMemberProcesses:
             "os.environ['OPENBLAS_NUM_THREADS'] = '64' if before > 1 else '1'; "
             "print(before, f.process_count(30))"
         )
-        src = str(Path(randist.anomaly.__file__).parents[1])
         got = {}
         for threads in ("1", str(cpus)):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+            out = subprocess.run([sys.executable, "-c", code], env=child_env(threads), capture_output=True,
                                  text=True, check=True).stdout.split()
             got[threads] = [int(v) for v in out]
         assert got["1"] == [min(30, cpus)] * 2

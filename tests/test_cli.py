@@ -25,6 +25,8 @@ from randist.metrics import auc_pr, auc_roc
 from randist.persist import load_ensemble
 from randist.report import parse_report, strip_volatile
 
+from conftest import child_env
+
 
 @pytest.fixture(scope="module")
 def anomaly_csv(tmp_path_factory):
@@ -122,7 +124,13 @@ class TestAnomalyCommand:
         assert code == EXIT_OK and alone["timing.member_processes"] == "1"
         assert strip_volatile(alone) == strip_volatile(report)
 
-    def test_reports_are_byte_identical_at_one_and_two_processes(self, capsys, tmp_path, monkeypatch):
+    # identity's members train at the data's width, so it takes no m
+    @pytest.mark.parametrize("args", [
+        ANOMALY_ARGS,
+        [*ANOMALY_ARGS, "--source", "srp"],
+        [*ANOMALY_ARGS[:2], *ANOMALY_ARGS[4:], "--source", "identity", "--learning-rate", "0.001"],
+    ], ids=["rff", "srp", "identity"])
+    def test_reports_are_byte_identical_at_one_and_two_processes(self, capsys, tmp_path, monkeypatch, args):
         # two load shares and two member processes against one of each
         path = tmp_path / "t.csv"
         write_csv(synth_anomaly(280, 20, 6, seed=3), path)
@@ -132,7 +140,7 @@ class TestAnomalyCommand:
             monkeypatch.setattr(randist.data, "SHARE_MIN_BYTES", 1)
             monkeypatch.setattr(randist.anomaly, "process_count", lambda limit: min(limit, p))
             out = {name: tmp_path / f"{p}.{name}" for name in ("scores", "model")}
-            code, report, _ = _run(capsys, ["anomaly", "--input", str(path), *ANOMALY_ARGS,
+            code, report, _ = _run(capsys, ["anomaly", "--input", str(path), *args,
                                             "--out-scores", str(out["scores"]), "--out-model", str(out["model"])])
             assert code == EXIT_OK
             assert report["timing.load_processes"] == report["timing.member_processes"] == str(p)
@@ -207,9 +215,8 @@ class TestAnomalyCommand:
         p.write_text("score,label\n0.1,0\n0.9,1\n")
         script = ("import sys; sys.modules['resource'] = None; from randist.cli import main; "
                   f"sys.exit(main(['eval', '--input', {str(p)!r}]))")
-        src = str(Path(randist.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(1),
+                              timeout=60)
         assert done.returncode == EXIT_OK, done.stderr
         report = parse_report(done.stdout)
         assert report["metrics.auc_roc"] == "1.0" and not any("peak_rss" in key for key in report)
@@ -219,9 +226,8 @@ class TestAnomalyCommand:
         # decimal (labels from 2**53) are imported where they are used
         lazy = ("signal", "concurrent.futures", "decimal")
         script = f"import sys, randist; print(sorted(set({lazy!r}) & sys.modules.keys()))"
-        src = str(Path(randist.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(1),
+                              timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
@@ -770,6 +776,20 @@ class TestShippedConfigs:
     def test_config_resolves(self, task):
         values, cfg, _ = self._resolve(task)
         assert all(getattr(cfg, key) == value for key, value in values.items() if value is not None)
+
+    def test_configs_run_and_write_the_outputs_they_name(self, capsys, tmp_path, monkeypatch, anomaly_csv, blob_csv):
+        monkeypatch.chdir(tmp_path)  # the outputs' paths are relative
+        for task, args in (("anomaly", ["--input", anomaly_csv, "--members", "2", "--epochs", "5",
+                                        "--batch-size", "64"]),
+                           ("eval", ["--input", "scores.csv"]),
+                           ("cluster", ["--input", blob_csv, "--m", "16", "--epochs", "3", "--batch-size", "32",
+                                        "--restarts", "3"])):
+            code, _, _ = _run(capsys, [task, "--config", str(self.CONFIGS / f"{task}.cfg"), *args])
+            assert code == EXIT_OK
+        written = {path.name: path.stat().st_size for path in tmp_path.iterdir()}
+        assert sorted(written) == ["anomaly_report.txt", "assignments.csv", "cluster_report.txt",
+                                   "eval_report.txt", "scores.csv"]
+        assert all(written.values())
 
     @pytest.mark.parametrize("task", ["anomaly", "cluster"])
     def test_config_restates_library_defaults(self, task):
