@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, standardize as standardize_dataset
-from .encoder import LOSS_ABLATIONS, EncoderModel, LossTrace, TrainConfig, ablate, train
+from .encoder import EncoderModel, LossTrace, TrainConfig, train
 from .forks import process_count, run_shares
 # a row's anomaly score is its novelty value (higher is more anomalous). The
 # pipeline calls score_rows through this module's global: perfbench wraps it here.
@@ -26,7 +26,6 @@ from .mappings import MAX_BANDWIDTH_POINTS, RandomMap, identity_map, median_band
 from .metrics import auc_pr, auc_roc, check_labels
 from .rng import child_seed
 
-ABLATIONS = LOSS_ABLATIONS + ("no_boosting",)
 SOURCES = ("rff", "srp", "identity")
 
 
@@ -193,16 +192,13 @@ class AnomalyResult:
 def run_anomaly(
     data: Dataset,
     config: Optional[BoostConfig] = None,
-    ablation: str = "none",
     standardize: bool = True,
 ) -> AnomalyResult:
-    """Full detector: configure per ablation, fit, score, evaluate.
+    """Full detector: fit, score, evaluate.
 
     `config.source` selects the frozen mapping. Metrics are filled only
     when the labels hold both classes; scores never need them.
     """
-    if ablation not in ABLATIONS:
-        raise ValueError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
     if config is None:
         config = BoostConfig(train=TrainConfig.anomaly_defaults())
     if data.labels is not None:
@@ -212,14 +208,8 @@ def run_anomaly(
     if standardize:
         X = standardize_dataset(data)[0].features
 
-    cfg = replace(
-        config,
-        train=ablate(config.train, "none" if ablation == "no_boosting" else ablation),
-        filter_rounds=0 if ablation == "no_boosting" else config.filter_rounds,
-    )
-
     t0 = time.perf_counter()
-    ensemble = fit_ensemble(X, cfg)
+    ensemble = fit_ensemble(X, config)
     t1 = time.perf_counter()
     scores = ensemble_score(ensemble, X)
     result = AnomalyResult(

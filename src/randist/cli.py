@@ -24,10 +24,10 @@ from dataclasses import fields
 import numpy as np
 
 from ._version import __version__
-from .anomaly import ABLATIONS, SOURCES, BoostConfig, run_anomaly
+from .anomaly import SOURCES, BoostConfig, run_anomaly
 from .clustering import restart_scores, run_clustering
 from .data import _column_index, load_csv, standardize as standardize_dataset
-from .encoder import LOSS_ABLATIONS, TrainConfig
+from .encoder import TrainConfig
 from .errors import ConfigError, DataError, ModelFileError, NumericError
 from .mappings import apply as apply_map
 from .metrics import auc_pr, auc_roc
@@ -43,6 +43,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+# each --ablation name and the library config fields it sets; cluster runs
+# no filter rounds, so it takes every name but the last
+ABLATIONS = {
+    "none": {},
+    "no_pair_loss": {"use_pair_loss": False},
+    "no_aux_loss": {"use_aux_loss": False},
+    "no_boosting": {"filter_rounds": 0},
+}
 
 
 def _coerce(key: str, raw: str, options: dict):
@@ -110,14 +119,18 @@ def parse_options(argv=None) -> tuple:
 def _library_config(cfg: argparse.Namespace, options: dict, problems: list):
     """The TrainConfig of a cluster run, or the BoostConfig of an anomaly run.
 
-    It is built from the options given; the library fills in the others and
-    checks every value. Its problems join `problems`, and the values it
-    resolves are written back to cfg for the report.
+    It is built from the options given and the fields cfg.ablation sets,
+    which win over an option; the library fills in the others and checks
+    every value. Its problems join `problems`, and the values it resolves are
+    written back to cfg for the report.
     """
+    ablation = ABLATIONS.get(cfg.ablation, {})  # a bad name is a choice problem already
 
     def build(config_type, make, **fixed):
-        names = [f.name for f in fields(config_type) if f.name in options]
+        own = {f.name for f in fields(config_type)}
+        names = [name for name in options if name in own]
         given = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
+        given.update((name, value) for name, value in ablation.items() if name in own)
         try:
             config = make(**given, **fixed)
         except ValueError as err:  # the library joins its problems with "; "
@@ -143,6 +156,8 @@ def _validate(cfg: argparse.Namespace, options: dict):
     task = cfg.task
     if not cfg.input:
         problems.append("input file is required")
+    if task == "cluster" and cfg.label_column is None:
+        problems.append("label_column is required: clustering evaluation needs ground-truth labels")
     for name, action in options.items():  # a config-file value skips argparse's check
         value = getattr(cfg, name)
         if action.choices is not None and value not in action.choices:
@@ -190,7 +205,7 @@ def _cmd_anomaly(cfg: argparse.Namespace, boost: BoostConfig) -> dict:
     data, out = _load(cfg)
     if data.labels is not None:
         _check_labels(data.labels, cfg)  # before any member trains
-    result = run_anomaly(data, boost, ablation=cfg.ablation, standardize=False)  # _load did
+    result = run_anomaly(data, boost, standardize=False)  # _load did
     cfg.m = result.ensemble.members[0].model.m  # identity's: the data width
     if result.auc_roc is not None:
         out["metrics.auc_roc"] = result.auc_roc
@@ -220,7 +235,6 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
         data,
         train_cfg,
         restarts=cfg.restarts,
-        ablation=cfg.ablation,
         source=cfg.source,
         standardize=False,  # _load did
     )
@@ -292,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add("anomaly", help="train the detector ensemble and score every row")
-    _add_train_common(p, ABLATIONS)
+    _add_train_common(p, tuple(ABLATIONS))
     p.add_argument("--members", type=int)
     p.add_argument("--filter-fraction", dest="filter_fraction", type=float)
     p.add_argument("--filter-rounds", dest="filter_rounds", type=int)
     p.add_argument("--out-scores", dest="out_scores")
 
     p = add("cluster", help="learn an embedding and K-means it against labels")
-    _add_train_common(p, LOSS_ABLATIONS)
+    _add_train_common(p, tuple(ABLATIONS)[:-1])
     p.add_argument("--restarts", type=int, default=30)
     p.add_argument("--out-assignments", dest="out_assignments")
 

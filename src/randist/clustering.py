@@ -23,7 +23,7 @@ import numpy as np
 
 from .anomaly import build_map
 from .data import Dataset, standardize as standardize_dataset
-from .encoder import EncoderModel, LossTrace, TrainConfig, ablate, train
+from .encoder import EncoderModel, LossTrace, TrainConfig, train
 from .metrics import nmi, pairwise_f
 from .rng import child_seed, stream
 
@@ -230,7 +230,6 @@ def run_clustering(
     data: Dataset,
     config: Optional[TrainConfig] = None,
     restarts: int = 30,
-    ablation: str = "none",
     source: str = "rff",
     standardize: bool = True,
 ) -> ClusteringResult:
@@ -238,9 +237,9 @@ def run_clustering(
 
     k is the number of distinct ground-truth labels, which must be present.
     The reconstruction auxiliary loss is on by default and removed by
-    ablation='no_aux_loss'; 'no_pair_loss' keeps only the reconstruction
-    loss. Reported NMI/F statistics are mean and population std over
-    restarts.
+    config.use_aux_loss = False; config.use_pair_loss = False keeps only the
+    reconstruction loss. Reported NMI/F statistics are mean and population
+    std over restarts.
     """
     if data.labels is None:
         raise ValueError("clustering evaluation needs ground-truth labels")
@@ -250,20 +249,19 @@ def run_clustering(
         config = TrainConfig.clustering_defaults()
     if config.task != "clustering":
         raise ValueError(f"clustering pipeline needs task='clustering', got {config.task!r}")
-    cfg = ablate(config, ablation)
 
     X = data.features
     if standardize:
         X = standardize_dataset(data)[0].features
 
-    mapping = build_map(source, cfg.m, X, child_seed(cfg.seed, 10_000))
+    mapping = build_map(source, config.m, X, child_seed(config.seed, 10_000))
 
     t0 = time.perf_counter()
-    model, trace = train(X, cfg, mapping)
+    model, trace = train(X, config, mapping)
     H = embed(model, X)
     t1 = time.perf_counter()
 
-    nmi_values, f_values, assignments = restart_scores(H, data.labels, restarts, cfg.seed)
+    nmi_values, f_values, assignments = restart_scores(H, data.labels, restarts, config.seed)
     return ClusteringResult(
         nmi_mean=float(nmi_values.mean()),
         nmi_std=float(nmi_values.std()),

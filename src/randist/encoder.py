@@ -32,7 +32,7 @@ for the handover, so it never starts one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,7 +43,6 @@ from .mappings import RandomMap, apply, row_products
 from .rng import child_seed, stream
 
 TASKS = ("anomaly", "clustering")
-LOSS_ABLATIONS = ("none", "no_pair_loss", "no_aux_loss")
 LEAKY_SLOPE = 0.01  # the encoder's activation; model files store it per model
 
 
@@ -91,15 +90,6 @@ class TrainConfig:
         args = dict(m=1024, epochs=1000, task="clustering")
         args.update(overrides)
         return cls(**args)
-
-
-def ablate(config: TrainConfig, ablation: str) -> TrainConfig:
-    """config with the loss that `ablation` (one of LOSS_ABLATIONS) names switched off."""
-    if ablation not in LOSS_ABLATIONS:
-        raise ValueError(f"ablation must be one of {LOSS_ABLATIONS}, got {ablation!r}")
-    use_pair = config.use_pair_loss and ablation != "no_pair_loss"
-    use_aux = config.use_aux_loss and ablation != "no_aux_loss"
-    return replace(config, use_pair_loss=use_pair, use_aux_loss=use_aux)
 
 
 @dataclass

@@ -43,9 +43,9 @@ ANOMALY_DATA_SEED = 7
 CLUSTER_SEED = 9
 
 
-def _anomaly_config():
+def _anomaly_config(**train):
     return BoostConfig(
-        train=TrainConfig.anomaly_defaults(seed=ANOMALY_SEED),
+        train=TrainConfig.anomaly_defaults(seed=ANOMALY_SEED, **train),
         members=10,
         filter_fraction=0.05,
         filter_rounds=1,
@@ -57,9 +57,9 @@ def _anomaly_config():
 def anomaly_runs():
     data = synth_anomaly(950, 50, 16, seed=ANOMALY_DATA_SEED)
     t0 = time.perf_counter()
-    full = run_anomaly(data, _anomaly_config(), ablation="none")
-    no_pair = run_anomaly(data, _anomaly_config(), ablation="no_pair_loss")
-    no_aux = run_anomaly(data, _anomaly_config(), ablation="no_aux_loss")
+    full = run_anomaly(data, _anomaly_config())
+    no_pair = run_anomaly(data, _anomaly_config(use_pair_loss=False))
+    no_aux = run_anomaly(data, _anomaly_config(use_aux_loss=False))
     elapsed = time.perf_counter() - t0
     return {"data": data, "full": full, "no_pair": no_pair, "no_aux": no_aux, "seconds": elapsed}
 
@@ -231,7 +231,7 @@ def test_criterion_6_end_to_end_clustering(clustering_run):
 
 
 def test_criterion_7_determinism(anomaly_runs, clustering_run):
-    repeat_full = run_anomaly(anomaly_runs["data"], _anomaly_config(), ablation="none")
+    repeat_full = run_anomaly(anomaly_runs["data"], _anomaly_config())
     anomaly_same = (
         np.array_equal(repeat_full.scores, anomaly_runs["full"].scores)
         and _anomaly_report(repeat_full) == _anomaly_report(anomaly_runs["full"])
@@ -274,7 +274,7 @@ def test_criterion_9_secom_optional():
     cfg = BoostConfig(
         train=TrainConfig.anomaly_defaults(seed=ANOMALY_SEED), members=10, source="rff"
     )
-    result = run_anomaly(data, cfg, ablation="none")
+    result = run_anomaly(data, cfg)
     elapsed = time.perf_counter() - t0
     ok = 0.50 <= result.auc_roc <= 0.65 and elapsed < 600.0
     _report_line(9, ok, f"secom auc_roc={result.auc_roc:.4f}, {elapsed:.0f}s")

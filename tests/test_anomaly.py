@@ -631,8 +631,8 @@ class TestRunAnomaly:
 
     def test_no_boosting_keeps_full_training_set(self, toy):
         data, _ = toy
-        cfg = BoostConfig(train=_small_cfg(epochs=2), members=1, filter_rounds=2)
-        result = run_anomaly(data, cfg, ablation="no_boosting")
+        cfg = BoostConfig(train=_small_cfg(epochs=2), members=1, filter_rounds=0)
+        result = run_anomaly(data, cfg)
         assert result.ensemble.members[0].train_rows == data.n
 
     def test_identity_source_forces_k_to_d(self, toy):
@@ -675,19 +675,6 @@ class TestRunAnomaly:
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             run_anomaly(twos, BoostConfig(train=_small_cfg(epochs=2), members=2))
         assert not trained
-
-    def test_ablation_cannot_remove_only_loss(self, toy):
-        data, _ = toy
-        cfg = BoostConfig(
-            train=_small_cfg(epochs=2, use_aux_loss=False), members=1, filter_rounds=0
-        )
-        with pytest.raises(ValueError, match="no loss enabled"):
-            run_anomaly(data, cfg, ablation="no_pair_loss")
-
-    def test_unknown_ablation(self, toy):
-        data, _ = toy
-        with pytest.raises(ValueError, match="ablation"):
-            run_anomaly(data, ablation="bogus")
 
     def test_scale_invariance_of_metrics(self, toy):
         data, _ = toy

@@ -125,12 +125,15 @@ class TestAnomalyCommand:
         assert strip_volatile(alone) == strip_volatile(report)
 
     # identity's members train at the data's width, so it takes no m
-    @pytest.mark.parametrize("args", [
-        ANOMALY_ARGS,
-        [*ANOMALY_ARGS, "--source", "srp"],
-        [*ANOMALY_ARGS[:2], *ANOMALY_ARGS[4:], "--source", "identity", "--learning-rate", "0.001"],
-    ], ids=["rff", "srp", "identity"])
-    def test_reports_are_byte_identical_at_one_and_two_processes(self, capsys, tmp_path, monkeypatch, args):
+    # no_boosting runs no filter round, so the report echoes 0 rounds over the flag's 2
+    @pytest.mark.parametrize("args, filter_rounds", [
+        (ANOMALY_ARGS, "1"),
+        ([*ANOMALY_ARGS, "--source", "srp"], "1"),
+        ([*ANOMALY_ARGS[:2], *ANOMALY_ARGS[4:], "--source", "identity", "--learning-rate", "0.001"], "1"),
+        ([*ANOMALY_ARGS, "--ablation", "no_boosting", "--filter-rounds", "2"], "0"),
+    ], ids=["rff", "srp", "identity", "no_boosting"])
+    def test_reports_are_byte_identical_at_one_and_two_processes(self, capsys, tmp_path, monkeypatch, args,
+                                                                  filter_rounds):
         # two load shares and two member processes against one of each
         path = tmp_path / "t.csv"
         write_csv(synth_anomaly(280, 20, 6, seed=3), path)
@@ -145,6 +148,7 @@ class TestAnomalyCommand:
             assert code == EXIT_OK
             assert report["timing.load_processes"] == report["timing.member_processes"] == str(p)
             assert float(report["timing.load_seconds"]) > 0
+            assert report["config.filter_rounds"] == filter_rounds
             del report["config.out_scores"], report["config.out_model"]
             runs.append((strip_volatile(report), out["scores"].read_bytes(), out["model"].read_bytes()))
         assert runs[0] == runs[1]
@@ -349,14 +353,23 @@ class TestOneCopyOfTheTable:
         assert code == EXIT_OK
         assert alive == [False]
 
-    def test_anomaly_scores_are_the_librarys(self, capsys, tmp_path, unscaled_csv):
+    @pytest.mark.parametrize("ablation, train_fields, boost_fields", [
+        ("none", {}, {}),
+        ("no_pair_loss", {"use_pair_loss": False}, {}),
+        ("no_aux_loss", {"use_aux_loss": False}, {}),
+        ("no_boosting", {}, {"filter_rounds": 0}),
+    ], ids=["none", "no_pair_loss", "no_aux_loss", "no_boosting"])
+    def test_anomaly_scores_are_the_librarys(self, capsys, tmp_path, unscaled_csv, ablation, train_fields,
+                                             boost_fields):
         # at the default rate 0.1 training on the unscaled columns diverges
-        train = TrainConfig.anomaly_defaults(m=12, epochs=15, batch_size=64, learning_rate=0.01, seed=5)
-        config = BoostConfig(train=train, members=2)
+        train = TrainConfig.anomaly_defaults(m=12, epochs=15, batch_size=64, learning_rate=0.01, seed=5,
+                                             **train_fields)
+        config = BoostConfig(train=train, members=2, **boost_fields)
         scores = {}
         for flag in (True, False):
             path = tmp_path / f"{flag}.csv"
             code, _, _ = _run(capsys, ["anomaly", "--input", unscaled_csv, *ANOMALY_ARGS, "--learning-rate", "0.01",
+                                       "--ablation", ablation,
                                        "--standardize" if flag else "--no-standardize", "--out-scores", str(path)])
             assert code == EXIT_OK
             expected = run_anomaly(load_csv(unscaled_csv, label_column="label"), config, standardize=flag).scores
@@ -365,15 +378,20 @@ class TestOneCopyOfTheTable:
         # the CLI standardizes, not the library: the flag still reaches the scores
         assert not np.array_equal(scores[True], scores[False])
 
-    @pytest.mark.parametrize("flag", [True, False])
-    def test_cluster_assignments_are_the_librarys(self, capsys, tmp_path, blob_csv, flag):
+    @pytest.mark.parametrize("flag, ablation, fields", [
+        (True, "none", {}),
+        (False, "none", {}),
+        (True, "no_pair_loss", {"use_pair_loss": False}),
+        (True, "no_aux_loss", {"use_aux_loss": False}),
+    ], ids=["True", "False", "no_pair_loss", "no_aux_loss"])
+    def test_cluster_assignments_are_the_librarys(self, capsys, tmp_path, blob_csv, flag, ablation, fields):
         path = tmp_path / "assign.csv"
         code, _, _ = _run(capsys, ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "8",
                                    "--epochs", "3", "--batch-size", "32", "--learning-rate", "0.01",
-                                   "--restarts", "3", "--seed", "2",
+                                   "--restarts", "3", "--seed", "2", "--ablation", ablation,
                                    "--standardize" if flag else "--no-standardize", "--out-assignments", str(path)])
         assert code == EXIT_OK
-        config = TrainConfig.clustering_defaults(m=8, epochs=3, batch_size=32, learning_rate=0.01, seed=2)
+        config = TrainConfig.clustering_defaults(m=8, epochs=3, batch_size=32, learning_rate=0.01, seed=2, **fields)
         result = run_clustering(load_csv(blob_csv, label_column="label"), config, restarts=3, standardize=flag)
         got = load_csv(path, label_column="label").features[:, 1]
         np.testing.assert_array_equal(got, result.assignments)
@@ -435,13 +453,18 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "epochs" in err and "learning_rate" in err and "members" in err
 
-    @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--aux-weight", "-1"), ("--members", "0")])
-    def test_library_problem_found_before_input_is_read(self, capsys, tmp_path, flag, value):
+    @pytest.mark.parametrize("task, args, problem", [
+        ("anomaly", ["--m", "0"], "m must be"),
+        ("anomaly", ["--aux-weight", "-1"], "aux_weight must be"),
+        ("anomaly", ["--members", "0"], "members must be"),
+        ("cluster", [], "label_column is required: clustering evaluation needs ground-truth labels"),
+    ], ids=["--m-0", "--aux-weight--1", "--members-0", "cluster-without-labels"])
+    def test_library_problem_found_before_input_is_read(self, capsys, tmp_path, task, args, problem):
         code, _, err = _run(
-            capsys, ["anomaly", "--input", str(tmp_path / "missing.csv"), flag, value]
+            capsys, [task, "--input", str(tmp_path / "missing.csv"), *args]
         )
         assert code == EXIT_CONFIG
-        assert f"{flag[2:].replace('-', '_')} must be" in err
+        assert problem in err
 
     @pytest.mark.parametrize(
         "task, flag",
@@ -671,7 +694,8 @@ class TestConfigHandling:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("ablation = bogus\nsource = nope\nepochs = 0\n")
         code, _, err = _run(
-            capsys, ["cluster", "--config", str(cfg), "--input", str(tmp_path / "missing.csv")]
+            capsys, ["cluster", "--config", str(cfg), "--input", str(tmp_path / "missing.csv"),
+                     "--label-column", "label"]
         )
         assert code == EXIT_CONFIG
         assert err == (
@@ -700,6 +724,30 @@ class TestConfigHandling:
             main([task, "--input", "data.csv", flag])
         assert exc.value.code == EXIT_CONFIG
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestAblations:
+    def _resolve(self, task, *flags):
+        """The fields of the library config a run resolves to, a BoostConfig's TrainConfig's among them."""
+        cfg, options = cli.parse_options([task, "--input", "data.csv", "--label-column", "label", *flags])
+        values = asdict(cli._validate(cfg, options))
+        return {**values.pop("train", {}), **values}
+
+    CASES = [
+        ("anomaly", "none", {}),
+        ("anomaly", "no_pair_loss", {"use_pair_loss": False}),
+        ("anomaly", "no_aux_loss", {"use_aux_loss": False}),
+        ("anomaly", "no_boosting", {"filter_rounds": 0}),
+        ("cluster", "none", {}),
+        ("cluster", "no_pair_loss", {"use_pair_loss": False}),
+        ("cluster", "no_aux_loss", {"use_aux_loss": False}),
+    ]
+
+    @pytest.mark.parametrize("task, ablation, changed", CASES, ids=[f"{t}-{a}" for t, a, _ in CASES])
+    def test_sets_only_its_fields(self, task, ablation, changed):
+        plain = self._resolve(task, "--aux-weight", "0.5", "--seed", "4")
+        ablated = self._resolve(task, "--aux-weight", "0.5", "--seed", "4", "--ablation", ablation)
+        assert {key: value for key, value in ablated.items() if plain[key] != value} == changed
 
 
 class TestCliOwnedDefaults:
@@ -742,7 +790,8 @@ class TestCliOwnedDefaults:
 
 def _library_defaults(task: str) -> dict:
     """The defaults the library owns for a task's options: its config
-    dataclasses' fields and its pipeline function's keyword defaults."""
+    dataclasses' fields and its pipeline function's keyword defaults.
+    `ablation` is not among them: the command line owns it."""
     if task == "anomaly":
         boost = BoostConfig(train=TrainConfig.anomaly_defaults())
         owners, pipeline = [asdict(boost.train), asdict(boost)], run_anomaly
@@ -763,7 +812,8 @@ class TestShippedConfigs:
 
     def _resolve(self, task, config_file=True):
         path = str(self.CONFIGS / f"{task}.cfg")
-        argv = [task, "--input", "data.csv"] + (["--config", path] if config_file else [])
+        labels = ["--label-column", "label"] if task == "cluster" and not config_file else []
+        argv = [task, "--input", "data.csv", *labels] + (["--config", path] if config_file else [])
         cfg, options = cli.parse_options(argv)
         values = cli._parse_config_file(path, options) if config_file else {}
         cli._validate(cfg, options)
@@ -793,12 +843,13 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("task", ["anomaly", "cluster"])
     def test_config_restates_library_defaults(self, task):
-        # `ablation = none` reads as unset, so its resolved value is compared
-        values, cfg, _ = self._resolve(task)
+        values, cfg, options = self._resolve(task)
         defaults = _library_defaults(task)
         owned = sorted(set(values) & set(defaults))
-        assert {"m", "epochs", "learning_rate", "seed", "source", "ablation"} <= set(owned)
+        assert {"m", "epochs", "learning_rate", "seed", "source"} <= set(owned)
         assert {key: getattr(cfg, key) for key in owned} == {key: defaults[key] for key in owned}
+        # `ablation = none` reads as unset, so its resolved value is compared
+        assert "ablation" in values and cfg.ablation == options["ablation"].default == "none"
 
     @pytest.mark.parametrize("task", ["anomaly", "cluster"])
     def test_unset_options_take_library_defaults(self, task):

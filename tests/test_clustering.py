@@ -255,12 +255,12 @@ class TestRunClustering:
         assert result.nmi_std == 0.0 and result.f_std == 0.0
 
     def test_no_aux_ablation_trains_without_decoder(self, blob_data):
-        result = run_clustering(blob_data, self._cfg(), restarts=2, ablation="no_aux_loss")
+        result = run_clustering(blob_data, self._cfg(use_aux_loss=False), restarts=2)
         assert not result.model.has_decoder
         assert result.nmi_mean > 0.5
 
     def test_no_pair_ablation_is_reconstruction_only(self, blob_data):
-        result = run_clustering(blob_data, self._cfg(), restarts=2, ablation="no_pair_loss")
+        result = run_clustering(blob_data, self._cfg(use_pair_loss=False), restarts=2)
         assert result.model.has_decoder
         assert np.all(result.trace.pair == 0.0)
 

@@ -14,7 +14,6 @@ from randist.encoder import (
     _leaky,
     EncoderModel,
     TrainConfig,
-    ablate,
     grad_batch,
     init_model,
     train,
@@ -75,21 +74,6 @@ class TestTrainConfig:
             TrainConfig(m=0, epochs=0, batch_size=1)
         message = str(err.value)
         assert "m must" in message and "epochs must" in message and "batch_size" in message
-
-
-class TestAblate:
-    @pytest.mark.parametrize(
-        "ablation,pair,aux",
-        [("none", True, True), ("no_pair_loss", False, True), ("no_aux_loss", True, False)],
-    )
-    def test_switches_off_the_named_loss(self, ablation, pair, aux):
-        cfg = ablate(TrainConfig(m=3, epochs=2, aux_weight=0.5, seed=4), ablation)
-        assert (cfg.use_pair_loss, cfg.use_aux_loss) == (pair, aux)
-        assert (cfg.m, cfg.epochs, cfg.aux_weight, cfg.seed) == (3, 2, 0.5, 4)
-
-    def test_unknown_ablation(self):
-        with pytest.raises(ValueError, match="ablation must be one of"):
-            ablate(TrainConfig(m=3, epochs=1), "no_boosting")
 
 
 _EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
