@@ -29,6 +29,7 @@ from .clustering import restart_scores, run_clustering
 from .data import _column_index, load_csv, standardize as standardize_dataset
 from .encoder import TrainConfig
 from .errors import ConfigError, DataError, ModelFileError, NumericError
+from .forks import spare_lane
 from .mappings import apply as apply_map
 from .metrics import auc_pr, auc_roc
 from .persist import save_ensemble
@@ -244,8 +245,9 @@ def _cmd_cluster(cfg: argparse.Namespace, train_cfg: TrainConfig) -> dict:
     out["metrics.f_std"] = result.f_std
     result.embeddings = None  # unread here: free H before eta(X) and its Gram (8 MB each at 1000 x 1024)
     t0 = time.perf_counter()  # the same restarts on the frozen space eta(X) the encoder learned from
-    nmis, fs, _ = restart_scores(apply_map(result.model.random_map, data.features), data.labels,
-                                 cfg.restarts, cfg.seed)
+    with spare_lane() as lane:
+        nmis, fs, _ = restart_scores(apply_map(result.model.random_map, data.features), data.labels,
+                                     cfg.restarts, cfg.seed, lane)
     out["timing.baseline_seconds"] = time.perf_counter() - t0
     for name, values in (("nmi", nmis), ("f", fs)):
         out[f"baseline.frozen.{name}_mean"] = float(values.mean())

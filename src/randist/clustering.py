@@ -11,6 +11,14 @@ from one product over their stacked row weights, so the rows or their
 Gram are read once per round. Each restart keeps its own random stream,
 seeding, repair and convergence test; `kmeans` is the one-restart call,
 and `restart_scores` scores a run of restarts against labels.
+
+`run_clustering` holds one lane (`forks.spare_lane`) for its whole call and
+shares it with `train`, `embed` and `restart_scores`. The lane runs the
+second block of each large one-off product: the embedding's second row
+block, the second side of the rows' Gram (`mappings.gram_product`) and,
+in each Lloyd round, the second row block of the stacked row weights'
+product. The blocks follow from shapes alone and run in turn without a
+lane, so results are the same bits with and without one.
 """
 from __future__ import annotations
 
@@ -24,6 +32,8 @@ import numpy as np
 from .anomaly import build_map
 from .data import Dataset, standardize as standardize_dataset
 from .encoder import EncoderModel, LossTrace, TrainConfig, train
+from .forks import halves, spare_lane
+from .mappings import gram_product
 from .metrics import nmi, pairwise_f
 from .rng import child_seed, stream
 
@@ -38,10 +48,11 @@ class KMeansResult:
     iterations_run: int
 
 
-def embed(model: EncoderModel, data) -> np.ndarray:
-    """Rows of the learned representation for a Dataset or matrix."""
+def embed(model: EncoderModel, data, lane=None) -> np.ndarray:
+    """Rows of the learned representation for a Dataset or matrix, in two
+    row blocks, the second on the lane when one is given."""
     X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
-    return model.forward_batch(X)
+    return model.forward_batch(X, lane=lane)
 
 
 class _Rows(NamedTuple):
@@ -70,19 +81,28 @@ def _row_dists(rows: _Rows, idx) -> np.ndarray:
     return _dists(x2, X @ X[idx].T if K is None else K[:, idx], x2[idx])
 
 
-def _centroid_dists(rows: _Rows, As: list):
+def _centroid_dists(rows: _Rows, As: list, lane=None):
     """Squared distances of every row to each restart's centroids A X (A: k x n
     row weights), one n x k matrix per restart in turn. The centroid products
     of all restarts come from one product over their stacked row weights, so
-    the rows (or their Gram) are read once per round, not once per restart."""
+    the rows (or their Gram) are read once per round, not once per restart.
+    That product runs in two blocks of the stacked rows, the second on the
+    lane when one is given."""
     X, x2, K = rows
     k = As[0].shape[0]
     A = np.vstack(As)
     if K is None:
-        C = A @ X
-        P, c2 = (X @ C.T).T, np.sum(C * C, axis=1)
+        C, Pt = np.empty((A.shape[0], X.shape[1])), np.empty((X.shape[0], A.shape[0]))
+
+        def block(a, b):
+            np.matmul(A[a:b], X, out=C[a:b])
+            np.matmul(X, C[a:b].T, out=Pt[:, a:b])
+
+        halves(lane, block, A.shape[0])
+        P, c2 = Pt.T, np.sum(C * C, axis=1)
     else:
-        P = A @ K
+        P = np.empty((A.shape[0], K.shape[1]))
+        halves(lane, lambda a, b: np.matmul(A[a:b], K, out=P[a:b]), A.shape[0])
         c2 = np.sum(A * P, axis=1)
     for j in range(0, A.shape[0], k):  # P[j, i] = c_j . x_i
         yield _dists(x2, P[j : j + k].T, c2[j : j + k])
@@ -171,10 +191,11 @@ class _Restart:
         )
 
 
-def _lloyd(rows: _Rows, k: int, max_iters: int, seeds: list) -> list:
+def _lloyd(rows: _Rows, k: int, max_iters: int, seeds: list, lane=None) -> list:
     """One K-means restart per seed, run in lockstep: each round forms the
     distances of every restart still running from one shared product (see
-    `_centroid_dists`); seeding, repair and convergence stay per restart.
+    `_centroid_dists`, which takes the lane); seeding, repair and convergence
+    stay per restart.
     Returns the final restart states; `result` forms a restart's centroids,
     which the clustering pipeline never reads."""
     n = rows.X.shape[0]
@@ -185,26 +206,28 @@ def _lloyd(rows: _Rows, k: int, max_iters: int, seeds: list) -> list:
     restarts = [_Restart(rows, k, seed) for seed in seeds]
     running = restarts
     for _ in range(max_iters):
-        dists = _centroid_dists(rows, [r.A for r in running])
+        dists = _centroid_dists(rows, [r.A for r in running], lane)
         running = [r for r, d2 in zip(running, dists) if not r.step(d2)]
         if not running:
             break
     else:
-        for r, d2 in zip(running, _centroid_dists(rows, [r.A for r in running])):
+        for r, d2 in zip(running, _centroid_dists(rows, [r.A for r in running], lane)):
             r.settle(d2)
     return restarts
 
 
-def restart_scores(X: np.ndarray, labels: np.ndarray, restarts: int, seed: int) -> tuple:
+def restart_scores(X: np.ndarray, labels: np.ndarray, restarts: int, seed: int, lane=None) -> tuple:
     """K-means the rows of X `restarts` times, with k the number of distinct
     labels and restart r seeded child_seed(seed, 20_000 + r): each restart's
-    NMI and pairwise F against the labels, and the first restart's assignments."""
+    NMI and pairwise F against the labels, and the first restart's assignments.
+    The lane, when given, runs the second block of the Gram and of each
+    Lloyd round's product."""
     k = int(np.unique(labels).size)
     seeds = [child_seed(seed, 20_000 + r) for r in range(restarts)]
     # with n <= width the n x n Gram is no larger than X (8n^2 bytes), and each
     # Lloyd round reads it once instead of reading X twice
-    rows = _Rows(X, np.sum(X * X, axis=1), X @ X.T if X.shape[0] <= X.shape[1] else None)
-    assignments = [r.assignments for r in _lloyd(rows, k, MAX_ITERS, seeds)]
+    rows = _Rows(X, np.sum(X * X, axis=1), gram_product(X, lane) if X.shape[0] <= X.shape[1] else None)
+    assignments = [r.assignments for r in _lloyd(rows, k, MAX_ITERS, seeds, lane)]
     nmi_values = np.array([nmi(labels, a) for a in assignments])
     f_values = np.array([pairwise_f(labels, a) for a in assignments])
     return nmi_values, f_values, assignments[0]
@@ -256,12 +279,12 @@ def run_clustering(
 
     mapping = build_map(source, config.m, X, child_seed(config.seed, 10_000))
 
-    t0 = time.perf_counter()
-    model, trace = train(X, config, mapping)
-    H = embed(model, X)
-    t1 = time.perf_counter()
-
-    nmi_values, f_values, assignments = restart_scores(H, data.labels, restarts, config.seed)
+    with spare_lane() as lane:  # one lane for the whole run (see the module docstring)
+        t0 = time.perf_counter()
+        model, trace = train(X, config, mapping, lane)
+        H = embed(model, X, lane)
+        t1 = time.perf_counter()
+        nmi_values, f_values, assignments = restart_scores(H, data.labels, restarts, config.seed, lane)
     return ClusteringResult(
         nmi_mean=float(nmi_values.mean()),
         nmi_std=float(nmi_values.std()),

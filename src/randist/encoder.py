@@ -18,28 +18,32 @@ n = 1000).
 
 Once H is formed, a step's pair term (HH^T - TT^T, then R @ H) and its
 auxiliary term (the novelty difference, or the decoder products) are
-independent. Where a CPU is spare (`forks.process_count(2) == 2`, which is
-1 inside a forked share), a step of the nb x nb form that has a second
-branch runs it on a lane: one helper thread that lives for one call to
-`train`. The lane gathers the batch's Gram block while the caller forms H,
-runs the auxiliary term while the caller forms R, then the second of the
-two column blocks that R @ H and the tail take, beside the first; BLAS
-products and large array loops release the interpreter lock. The blocks
-follow from the step's shape and config, so a lane changes no bit of the
-result, only the time. The feature-Gram form (m and k < nb) is too cheap
-for the handover, so it never starts one.
+independent. A lane (`forks.spare_lane`: one helper thread, where a CPU is
+spare) can run the second of each pair of blocks. `train` takes the
+caller's lane, as `run_clustering` passes one for its whole call, or starts
+its own for the call when a step can use it. With the n x n target Gram,
+the lane maps the second of the rows' two blocks (`forks.halves`) and forms
+the Gram's block [c, n)^2 (`mappings.gram_product`). A step of the nb x nb
+form that has a second branch runs it on the lane: the lane gathers the
+batch's Gram block while the caller forms H, runs the auxiliary term while
+the caller forms R, then the second of the two column blocks that R @ H and
+the tail take, beside the first; BLAS products and large array loops
+release the interpreter lock. All blocks follow from shapes and config, so
+a lane changes no bit of the result, only the time. The feature-Gram form
+(m and k < nb) is too cheap for the handover, so its steps never use one.
 """
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NumericError
-from .forks import process_count
-from .mappings import RandomMap, apply, row_products
+from .forks import halves, spare_lane
+from .mappings import RandomMap, apply, gram_product, row_products
 from .rng import child_seed, stream
 
 TASKS = ("anomaly", "clustering")
@@ -113,13 +117,24 @@ class EncoderModel:
     def has_decoder(self) -> bool:
         return self.decoder_w is not None
 
-    def forward_batch(self, X: np.ndarray, rowwise: bool = False) -> np.ndarray:
-        """Embed the rows of X; rowwise=True makes each row independent of the others."""
+    def forward_batch(self, X: np.ndarray, rowwise: bool = False, lane=None) -> np.ndarray:
+        """Embed the rows of X; rowwise=True makes each row independent of the others.
+        Otherwise the rows go in two blocks (`forks.halves`), the second on the
+        lane when one is given, into arrays allocated here."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"expected an N x {self.d} matrix, got shape {X.shape}")
-        z = (row_products(X, self.w) if rowwise else X @ self.w.T) + self.b
-        return _leaky(z, self.leaky_slope)[0]
+        if rowwise:
+            return _leaky(row_products(X, self.w) + self.b, self.leaky_slope)[0]
+        H, S = np.empty((X.shape[0], self.m)), np.empty((X.shape[0], self.m))
+
+        def rows(a, b):
+            z = np.matmul(X[a:b], self.w.T, out=H[a:b])
+            z += self.b
+            _leaky(z, self.leaky_slope, S[a:b])
+
+        halves(lane, rows, X.shape[0])
+        return H
 
 
 @dataclass
@@ -138,11 +153,12 @@ class Gradients:
     ddecoder_b: Optional[np.ndarray] = None
 
 
-def _leaky(Z: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
+def _leaky(Z: np.ndarray, slope: float, S: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     # leaky ReLU H = Z * S and its derivative S, branch-free; for slope in [0, 1]
     # (1 - slope) + slope == 1, so H is np.where(Z > 0, Z, slope * Z) bit for bit.
-    # Z is overwritten with H: every caller passes a fresh pre-activation.
-    S = (Z > 0.0) * (1.0 - slope)
+    # Z is overwritten with H: every caller passes a fresh pre-activation. S, when
+    # given, receives the derivative, so nothing of Z's size is allocated here.
+    S = (Z > 0.0) * (1.0 - slope) if S is None else np.multiply(np.greater(Z, 0.0, out=S), 1.0 - slope, out=S)
     S += slope
     Z *= S
     return Z, S
@@ -311,13 +327,15 @@ def _block(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def train(
-    X: np.ndarray, config: TrainConfig, random_map: RandomMap
+    X: np.ndarray, config: TrainConfig, random_map: RandomMap, lane=None
 ) -> tuple[EncoderModel, LossTrace]:
     """Plain SGD over within-batch pair products; returns model and loss trace.
 
     Deterministic in (X, config, random_map): the shuffle and the
     initialization both derive from config.seed. A trailing shuffled batch
-    of a single row is dropped (it cannot be paired).
+    of a single row is dropped (it cannot be paired). lane is the caller's
+    (see the module docstring); without one, `train` starts its own for the
+    call where a CPU is spare and its steps can use it.
     """
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     if X.ndim != 2:
@@ -331,27 +349,28 @@ def train(
     model = init_model(config, random_map, seed=child_seed(config.seed, 0))
     novelty = config.use_aux_loss and config.task == "anomaly"
     k = random_map.out_dim
-    targets = apply(random_map, X) if config.use_pair_loss or novelty else None
-    gram = targets @ targets.T if config.use_pair_loss and n <= k else None
-    # with the pair term served by the Gram, only the novelty term reads the rows
-    batch_targets = targets if gram is None or novelty else None
+    use_gram = config.use_pair_loss and n <= k
     shuffle_rng = stream(child_seed(config.seed, 1))
-    # a lane for steps of the nb x nb form with a second branch (the gather or
-    # the aux term), where a CPU is spare (see the module docstring)
-    residual = gram is not None or (config.use_pair_loss and max(config.m, k) >= min(config.batch_size, n))
-    lanes = 2 if residual and (gram is not None or config.use_aux_loss) and process_count(2) == 2 else 1
+    # steps of the nb x nb form with a second branch (the gather or the aux term) use a lane
+    residual = use_gram or (config.use_pair_loss and max(config.m, k) >= min(config.batch_size, n))
+    laned = residual and (use_gram or config.use_aux_loss)
 
     lr = config.learning_rate
-    trace = LossTrace(
-        total=np.zeros(config.epochs), pair=np.zeros(config.epochs), aux=np.zeros(config.epochs), lanes=lanes
-    )
-    lane = None
-    if lanes == 2:
-        # imported here, so that importing randist loads no module it did not
-        from concurrent.futures import ThreadPoolExecutor
-
-        lane = ThreadPoolExecutor(1, thread_name_prefix="randist-lane")
-    try:
+    with spare_lane() if lane is None and laned else nullcontext(lane) as lane:
+        gram = None
+        if use_gram:  # the rows in two blocks, then their Gram, each with a block on the lane
+            targets = np.empty((n, k))
+            halves(lane, lambda a, b: apply(random_map, X[a:b], out=targets[a:b]), n)
+            gram = gram_product(targets, lane)
+        else:
+            targets = apply(random_map, X) if config.use_pair_loss or novelty else None
+        # with the pair term served by the Gram, only the novelty term reads the rows
+        batch_targets = targets if gram is None or novelty else None
+        lane = lane if laned else None
+        trace = LossTrace(
+            total=np.zeros(config.epochs), pair=np.zeros(config.epochs), aux=np.zeros(config.epochs),
+            lanes=1 if lane is None else 2,
+        )
         for epoch in range(config.epochs):
             perm = shuffle_rng.permutation(n)
             total = pair = aux = 0.0  # Python floats: the same IEEE sums as an array, cheaper per step
@@ -383,7 +402,4 @@ def train(
             if not all(map(math.isfinite, means)):
                 raise NumericError(f"training diverged at epoch {epoch}: mean loss {means[0]}")
             trace.total[epoch], trace.pair[epoch], trace.aux[epoch] = means
-    finally:
-        if lane is not None:  # waits for a running branch, cancels the rest: no thread outlives the call
-            lane.shutdown(cancel_futures=True)
     return model, trace

@@ -1,12 +1,19 @@
 """Work split into shares, one per process: the caller runs the first share
 and a forked child each other one. The users, the ensemble's members and the
 CSV parse, are CPU-bound and hold the interpreter lock, so threads would not do.
-The encoder's lane is a thread instead: its two branches of one SGD step are
-BLAS products and large array loops, which release the lock, and they share
-that step's arrays, which a process would have to copy. Inside a share of a
-job of several, `process_count` is 1, so a lane never joins a share's process
-on its CPU. A share fails by raising, and the caller raises the exception of
-the first share that failed, in share order, wherever that share ran.
+
+The lane of a clustering run or of one encoder's training is a thread
+instead (`spare_lane`): one helper thread that runs the second block of a
+large product (`beside`, `halves`), or the second branch of an SGD step,
+while the caller runs the first. Those blocks are BLAS products and
+in-place array loops, which release the lock, and they write into arrays
+the caller allocated, which a process would have to copy back; so a lane
+allocates nothing large for them. The blocks follow from shapes alone and run in turn without a
+lane, so a lane changes no bit of a result, only the time. Inside a share of
+a job of several, `process_count` is 1, so a lane never joins a share's
+process on its CPU. A share fails by raising, and the caller raises the
+exception of the first share that failed, in share order, wherever that
+share ran.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ import ctypes
 import functools
 import os
 import pickle
+from contextlib import contextmanager
 
 _in_share = False  # True while this process runs a share of a job of several
 
@@ -140,3 +148,41 @@ def run_shares(work, shares: int, name: str) -> list:
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass
+
+
+@contextmanager
+def spare_lane():
+    """A lane for the length of a with block: an executor of one thread,
+    named randist-lane, where a CPU is spare (process_count(2) == 2), else
+    None. On leaving the block it waits for a running block and cancels the
+    rest, so no thread outlives it, also when the block raises."""
+    if process_count(2) != 2:
+        yield None
+        return
+    # imported here, so that importing randist loads no module it did not
+    from concurrent.futures import ThreadPoolExecutor
+
+    lane = ThreadPoolExecutor(1, thread_name_prefix="randist-lane")
+    try:
+        yield lane
+    finally:
+        lane.shutdown(cancel_futures=True)
+
+
+def beside(lane, first, second) -> None:
+    """first() here while second() runs on the lane, or second() after
+    first() where lane is None. Both write disjoint parts of arrays that the
+    caller allocated, and neither returns anything."""
+    rest = None if lane is None else lane.submit(second)
+    first()
+    second() if rest is None else rest.result()
+
+
+def halves(lane, block, n: int) -> None:
+    """block(0, h) and block(h, n) `beside` each other, with h = n // 16 * 8
+    (n / 2 rounded down to a multiple of 8); block(0, n) alone below n = 16."""
+    h = n // 16 * 8
+    if not h:
+        block(0, n)
+        return
+    beside(lane, functools.partial(block, 0, h), functools.partial(block, h, n))

@@ -286,7 +286,7 @@ class TestClusterCommand:
         # m = batch: each step's decoder branch runs on a lane when a CPU is spare
         baselines = []
         for lanes in (1, 2, 2):
-            monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
+            monkeypatch.setattr(randist.forks, "process_count", lambda limit: min(limit, lanes))
             code, report, _ = _run(
                 capsys,
                 ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "16",
@@ -301,7 +301,7 @@ class TestClusterCommand:
         # m = batch: each step's decoder branch runs on a lane when a CPU is spare
         runs = []
         for lanes in (1, 2):
-            monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
+            monkeypatch.setattr(randist.forks, "process_count", lambda limit: min(limit, lanes))
             out = {name: tmp_path / f"{lanes}.{name}" for name in ("assignments", "model")}
             code, report, _ = _run(
                 capsys,

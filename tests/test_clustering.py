@@ -1,13 +1,19 @@
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import randist.clustering
 import randist.encoder
+import randist.forks
 from randist.clustering import (
     MAX_ITERS, KMeansResult, _lloyd, _Rows, embed, kmeans, restart_scores, run_clustering,
 )
 from randist.data import Dataset, synth_blobs
 from randist.encoder import EncoderModel, TrainConfig
+from randist.errors import NumericError
 from randist.mappings import identity_map
 from randist.metrics import nmi, pairwise_f
 from randist.rng import child_seed, stream
@@ -343,7 +349,7 @@ class TestRunClustering:
         # m = 24 >= the batch: each step's decoder branch runs on a lane when a CPU is spare
         results = []
         for lanes in (1, 2):
-            monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
+            monkeypatch.setattr(randist.forks, "process_count", lambda limit: min(limit, lanes))
             results.append(run_clustering(blob_data, self._cfg(epochs=10, batch_size=24), restarts=3))
         alone, laned = results
         assert (alone.trace.lanes, laned.trace.lanes) == (1, 2)
@@ -351,3 +357,101 @@ class TestRunClustering:
         assert alone.f_values.tobytes() == laned.f_values.tobytes()
         assert alone.assignments.tobytes() == laned.assignments.tobytes()
         assert alone.embeddings.tobytes() == laned.embeddings.tobytes()
+
+
+def _lane_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("randist-lane")]
+
+
+@pytest.fixture
+def lane_blocks(monkeypatch):
+    """(function that holds the block, thread that ran it) for each block a lane
+    runs, while `forks.spare_lane` starts a lane whatever the CPUs and BLAS threads."""
+    monkeypatch.setattr(randist.forks, "process_count", lambda limit: min(limit, 2))
+    ran = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            where = getattr(fn, "func", fn).__qualname__
+
+            def block():
+                ran.append((where, threading.current_thread().name))
+                return fn(*args, **kwargs)
+
+            return super().submit(block)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return ran
+
+
+class TestRunLane:
+    """`run_clustering` holds one lane for the whole call; the second block of
+    each one-off product runs on it, and the results are the bits of one thread."""
+
+    SHAPES = {  # name: (clusters, rows per cluster, columns, m)
+        "bench": (4, 250, 32, 1024),  # targets, both Grams, embedding and Lloyd products split
+        "odd n": (3, 85, 8, 1024),  # 255 rows: both Grams split at c = 72
+        "n < 16": (3, 5, 4, 32),  # one block each
+        "n > m": (4, 100, 8, 64),  # no Gram: Lloyd's products from the rows
+        "one cluster": (1, 60, 8, 64),
+    }
+
+    def _run(self, monkeypatch, shape):
+        k, per, d, m = self.SHAPES[shape]
+        restarts = []
+
+        def recording(*args, **kwargs):
+            out = _lloyd(*args, **kwargs)
+            restarts.append([r.assignments for r in out])
+            return out
+
+        monkeypatch.setattr(randist.clustering, "_lloyd", recording)
+        cfg = TrainConfig.clustering_defaults(m=m, epochs=2, seed=5)
+        return run_clustering(synth_blobs(k, per, d, seed=4), cfg, restarts=30), restarts[0]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_lane_changes_no_result(self, monkeypatch, lane_blocks, shape):
+        monkeypatch.setattr(randist.forks, "process_count", lambda limit: 1)
+        alone, alone_restarts = self._run(monkeypatch, shape)
+        assert lane_blocks == []
+        monkeypatch.setattr(randist.forks, "process_count", lambda limit: min(limit, 2))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock as often as they can
+        try:
+            laned, laned_restarts = self._run(monkeypatch, shape)
+        finally:
+            sys.setswitchinterval(switch)
+        assert alone.embeddings.tobytes() == laned.embeddings.tobytes()
+        assert [a.tobytes() for a in alone_restarts] == [a.tobytes() for a in laned_restarts]
+        assert alone.nmi_values.tobytes() == laned.nmi_values.tobytes()
+        assert alone.f_values.tobytes() == laned.f_values.tobytes()
+        assert {thread for _, thread in lane_blocks} <= {"randist-lane_0"}
+        if shape == "bench":
+            where = [name for name, _ in lane_blocks]
+            assert where.count("train.<locals>.<lambda>") == 1  # the targets' second row block
+            assert where.count("gram_product.<locals>.<lambda>") == 2  # the target and K-means Grams
+            assert where.count("EncoderModel.forward_batch.<locals>.rows") == 1
+            assert where.count("_centroid_dists.<locals>.<lambda>") >= 1  # Lloyd rounds
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stop", ["returns", "diverges", "interrupted"])
+    def test_no_lane_outlives_the_run(self, monkeypatch, lane_blocks, stop):
+        cfg = TrainConfig.clustering_defaults(m=256, epochs=2, seed=6,
+                                              learning_rate=1e9 if stop == "diverges" else 0.1)
+        alive = []
+
+        def interrupted(self, d2):
+            alive.extend(_lane_threads())
+            raise KeyboardInterrupt
+
+        if stop == "interrupted":
+            monkeypatch.setattr(randist.clustering._Restart, "step", interrupted)
+        data = synth_blobs(4, 50, 8, seed=7)
+        if stop == "returns":
+            run_clustering(data, cfg, restarts=3)
+        else:
+            with pytest.raises(NumericError if stop == "diverges" else KeyboardInterrupt):
+                run_clustering(data, cfg, restarts=3)
+        assert lane_blocks  # a lane ran
+        assert alive or stop != "interrupted"
+        assert _lane_threads() == []

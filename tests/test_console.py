@@ -28,7 +28,11 @@ CASES = {  # name: (table, argv, the report key that counts the split)
     # the lane; m = 16 splits the tail into column blocks 8 | 8, m = 20 into 8 | 12
     "lanes m=16": (lambda: synth_blobs(4, 100, 8), [*CLUSTER, "--m", "16"], "timing.train_lanes"),
     "lanes m=20": (lambda: synth_blobs(4, 100, 8), [*CLUSTER, "--m", "20"], "timing.train_lanes"),
+    # n = 200 <= m: the target Gram and both K-means Grams are formed, in blocks
+    # with one on the lane; so are the targets, the embedding and Lloyd's products
+    "grams m=1024": (lambda: synth_blobs(4, 50, 8), [*CLUSTER, "--m", "1024"], "timing.train_lanes"),
 }
+LANES = [case for case in CASES if case.startswith(("lanes", "grams"))]
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +80,7 @@ def test_outputs_are_byte_identical_however_the_work_is_split(runs, case):
     assert alone[2] == threaded[2]
 
 
-@pytest.mark.parametrize("case", ["lanes m=16", "lanes m=20"])
+@pytest.mark.parametrize("case", LANES)
 def test_the_frozen_baseline_does_not_change_with_the_lane(runs, case):
     default, threaded, alone = ({k: v for k, v in runs[case, run][0].items() if k.startswith("baseline.frozen.")}
                                 for run in RUNS)

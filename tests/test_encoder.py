@@ -500,7 +500,7 @@ class TestTrain:
 
 def _lanes(monkeypatch, lanes: int) -> None:
     """Let `train` start a lane (lanes=2) or not (1), whatever the CPUs and BLAS threads."""
-    monkeypatch.setattr(randist.encoder, "process_count", lambda limit: min(limit, lanes))
+    monkeypatch.setattr(randist.forks, "process_count", lambda limit: min(limit, lanes))
 
 
 def _threads(monkeypatch, name: str = "_aux_term") -> list:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from randist.data import standardize, synth_anomaly, synth_blobs
 from randist.mappings import (
     MAX_BANDWIDTH_POINTS,
     apply,
+    gram_product,
     identity_map,
     median_bandwidth,
     rff,
@@ -164,6 +166,16 @@ class TestApply:
             rtol=1e-12,
         )
 
+    def test_row_blocks_into_out_are_the_rows_bits(self):
+        X = stream(6).standard_normal((2000, 6))
+        for m in (sparse_rp(6, 240, seed=1), rff(6, 240, bandwidth=1.2, seed=1), identity_map(6)):
+            out = np.empty((2000, m.out_dim))
+            for a, b in ((0, 1000), (1000, 2000)):
+                block = out[a:b]
+                # a lane maps a block: nothing of the block's size is allocated
+                assert _traced_peak(lambda: apply(m, X[a:b], out=block)) < block.nbytes // 8
+            assert out.tobytes() == apply(m, X).tobytes()
+
     def test_dimension_mismatch(self):
         m = sparse_rp(4, 2, seed=0)
         with pytest.raises(ValueError, match="columns"):
@@ -183,6 +195,30 @@ class TestApply:
         m = sparse_rp(3, 2, seed=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             m.out_dim = 5
+
+
+class TestGramProduct:
+    """A @ A.T in three blocks of its upper triangle, the last on a lane when one is given."""
+
+    @pytest.mark.parametrize("shape", [(1000, 1024), (1000, 32)])  # the targets' and the blobs' widths
+    def test_equals_one_product_at_the_benchmarks_shapes(self, shape):
+        A = stream(7).standard_normal(shape)
+        R = gram_product(A)
+        assert R.tobytes() == (A @ A.T).tobytes()
+        assert R.tobytes() == R.T.copy().tobytes()
+        with ThreadPoolExecutor(1) as lane:
+            assert gram_product(A, lane).tobytes() == R.tobytes()
+
+    def test_random_shapes(self):
+        rng = stream(8)
+        with ThreadPoolExecutor(1) as lane:
+            for _ in range(40):
+                n, d = int(rng.integers(1, 301)), int(rng.integers(1, 1025))
+                A = rng.random((n, d))  # entries >= 0: no cancellation, so every entry meets the rtol
+                R = gram_product(A)
+                np.testing.assert_allclose(R, A @ A.T, rtol=1e-12, atol=0.0)
+                assert R.tobytes() == R.T.copy().tobytes()
+                assert gram_product(A, lane).tobytes() == R.tobytes()
 
 
 class TestPairwiseTarget:
