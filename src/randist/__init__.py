@@ -31,7 +31,7 @@ from .anomaly import (
     run_anomaly,
     score_rows,
 )
-from .clustering import ClusteringResult, KMeansResult, embed, kmeans, run_clustering
+from .clustering import ClusteringResult, embed, run_clustering
 from .metrics import auc_pr, auc_roc, nmi, pairwise_f
 from .persist import load_ensemble, save_ensemble
 from .errors import ConfigError, DataError, ModelFileError, NumericError
@@ -66,10 +66,8 @@ __all__ = [
     "fit_ensemble",
     "ensemble_score",
     "run_anomaly",
-    "KMeansResult",
     "ClusteringResult",
     "embed",
-    "kmeans",
     "run_clustering",
     "auc_roc",
     "auc_pr",

@@ -5,12 +5,12 @@ Centroids are k x n row weights A (centroids A X): one-hot rows from
 seeding, member means after each update. When the embedding has no more
 rows than columns, the restarts share its Gram K and read the centroid
 products from it (kernel k-means); otherwise they are formed from the
-centroids' coordinates. The restarts run in lockstep: each
+centroids' coordinates. `kmeans` runs the restarts in lockstep: each
 Lloyd round forms the centroid products of every restart still running
 from one product over their stacked row weights, so the rows or their
 Gram are read once per round. Each restart keeps its own random stream,
-seeding, repair and convergence test; `kmeans` is the one-restart call,
-and `restart_scores` scores a run of restarts against labels.
+seeding, repair and convergence test. `restart_scores` scores a run of
+restarts against labels; it is the only caller of `kmeans`.
 
 `run_clustering` holds one lane (`forks.spare_lane`) for its whole call and
 shares it with `train`, `embed` and `restart_scores`. The lane runs the
@@ -38,14 +38,6 @@ from .metrics import nmi, pairwise_f
 from .rng import child_seed, stream
 
 MAX_ITERS = 300  # Lloyd rounds before a restart stops unconverged
-
-
-@dataclass
-class KMeansResult:
-    assignments: np.ndarray
-    centroids: np.ndarray
-    inertia: float
-    iterations_run: int
 
 
 def embed(model: EncoderModel, data, lane=None) -> np.ndarray:
@@ -129,18 +121,6 @@ def _plusplus_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
     return picks
 
 
-def kmeans(X: np.ndarray, k: int, max_iters: int = MAX_ITERS, seed: int = 0) -> KMeansResult:
-    """Lloyd iterations from k-means++ until the assignments stop changing.
-
-    An empty cluster takes the point farthest from its centroid among those
-    whose cluster keeps another member, so every cluster id stays populated.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
-    return _lloyd(_Rows(X, np.sum(X * X, axis=1)), k, max_iters, [seed])[0].result(X)
-
-
 class _Restart:
     """The state of one K-means restart: row weights A, assignments and the
     rows' squared distances to their centroids."""
@@ -182,30 +162,26 @@ class _Restart:
         self.assignments = np.argmin(d2, axis=1)
         self.point_d2 = d2[self.ids, self.assignments]
 
-    def result(self, X: np.ndarray) -> KMeansResult:
-        return KMeansResult(
-            assignments=self.assignments,
-            centroids=self.A @ X,
-            inertia=float(self.point_d2.sum()),
-            iterations_run=self.iterations,
-        )
 
+def kmeans(rows: _Rows, k: int, seeds: list, lane=None) -> list:
+    """One K-means restart per seed, run in lockstep for at most MAX_ITERS
+    rounds: each round forms the distances of every restart still running
+    from one shared product (see `_centroid_dists`, which takes the lane);
+    seeding, repair and convergence stay per restart. Returns the final
+    restart states: a restart's centroids are A X, its inertia
+    point_d2.sum(), its rounds `iterations`.
 
-def _lloyd(rows: _Rows, k: int, max_iters: int, seeds: list, lane=None) -> list:
-    """One K-means restart per seed, run in lockstep: each round forms the
-    distances of every restart still running from one shared product (see
-    `_centroid_dists`, which takes the lane); seeding, repair and convergence
-    stay per restart.
-    Returns the final restart states; `result` forms a restart's centroids,
-    which the clustering pipeline never reads."""
+    An empty cluster takes the point farthest from its centroid among those
+    whose cluster keeps another member, so every cluster id stays populated.
+    """
     n = rows.X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not seeds:
+        raise ValueError("restarts must be >= 1, got 0")
     restarts = [_Restart(rows, k, seed) for seed in seeds]
     running = restarts
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         dists = _centroid_dists(rows, [r.A for r in running], lane)
         running = [r for r, d2 in zip(running, dists) if not r.step(d2)]
         if not running:
@@ -227,7 +203,7 @@ def restart_scores(X: np.ndarray, labels: np.ndarray, restarts: int, seed: int, 
     # with n <= width the n x n Gram is no larger than X (8n^2 bytes), and each
     # Lloyd round reads it once instead of reading X twice
     rows = _Rows(X, np.sum(X * X, axis=1), gram_product(X, lane) if X.shape[0] <= X.shape[1] else None)
-    assignments = [r.assignments for r in _lloyd(rows, k, MAX_ITERS, seeds, lane)]
+    assignments = [r.assignments for r in kmeans(rows, k, seeds, lane)]
     nmi_values = np.array([nmi(labels, a) for a in assignments])
     f_values = np.array([pairwise_f(labels, a) for a in assignments])
     return nmi_values, f_values, assignments[0]

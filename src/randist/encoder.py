@@ -18,31 +18,30 @@ n = 1000).
 
 Once H is formed, a step's pair term (HH^T - TT^T, then R @ H) and its
 auxiliary term (the novelty difference, or the decoder products) are
-independent. A lane (`forks.spare_lane`: one helper thread, where a CPU is
-spare) can run the second of each pair of blocks. `train` takes the
-caller's lane, as `run_clustering` passes one for its whole call, or starts
-its own for the call when a step can use it. With the n x n target Gram,
-the lane maps the second of the rows' two blocks (`forks.halves`) and forms
-the Gram's block [c, n)^2 (`mappings.gram_product`). A step of the nb x nb
-form that has a second branch runs it on the lane: the lane gathers the
-batch's Gram block while the caller forms H, runs the auxiliary term while
-the caller forms R, then the second of the two column blocks that R @ H and
-the tail take, beside the first; BLAS products and large array loops
-release the interpreter lock. All blocks follow from shapes and config, so
-a lane changes no bit of the result, only the time. The feature-Gram form
+independent. A lane (one helper thread, which `run_clustering` opens for
+its whole call) can run the second of each pair of blocks. `train` uses
+the caller's lane and opens none; without one every block runs in turn.
+With the n x n target Gram, the lane maps the second of the rows' two
+blocks (`forks.halves`) and forms the Gram's block [c, n)^2
+(`mappings.gram_product`). A step of the nb x nb form that has a second
+branch runs it on the lane: the lane gathers the batch's Gram block while
+the caller forms H, runs the auxiliary term while the caller forms R,
+then the second of the two column blocks that R @ H and the tail take,
+beside the first; BLAS products and large array loops release the
+interpreter lock. All blocks follow from shapes and config, so a lane
+changes no bit of the result, only the time. The feature-Gram form
 (m and k < nb) is too cheap for the handover, so its steps never use one.
 """
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NumericError
-from .forks import halves, spare_lane
+from .forks import halves
 from .mappings import RandomMap, apply, gram_product, row_products
 from .rng import child_seed, stream
 
@@ -334,8 +333,7 @@ def train(
     Deterministic in (X, config, random_map): the shuffle and the
     initialization both derive from config.seed. A trailing shuffled batch
     of a single row is dropped (it cannot be paired). lane is the caller's
-    (see the module docstring); without one, `train` starts its own for the
-    call where a CPU is spare and its steps can use it.
+    (see the module docstring); without one every block runs in turn here.
     """
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     if X.ndim != 2:
@@ -356,50 +354,49 @@ def train(
     laned = residual and (use_gram or config.use_aux_loss)
 
     lr = config.learning_rate
-    with spare_lane() if lane is None and laned else nullcontext(lane) as lane:
-        gram = None
-        if use_gram:  # the rows in two blocks, then their Gram, each with a block on the lane
-            targets = np.empty((n, k))
-            halves(lane, lambda a, b: apply(random_map, X[a:b], out=targets[a:b]), n)
-            gram = gram_product(targets, lane)
-        else:
-            targets = apply(random_map, X) if config.use_pair_loss or novelty else None
-        # with the pair term served by the Gram, only the novelty term reads the rows
-        batch_targets = targets if gram is None or novelty else None
-        lane = lane if laned else None
-        trace = LossTrace(
-            total=np.zeros(config.epochs), pair=np.zeros(config.epochs), aux=np.zeros(config.epochs),
-            lanes=1 if lane is None else 2,
-        )
-        for epoch in range(config.epochs):
-            perm = shuffle_rng.permutation(n)
-            total = pair = aux = 0.0  # Python floats: the same IEEE sums as an array, cheaper per step
-            batches = 0
-            for start in range(0, n, config.batch_size):
-                idx = perm[start : start + config.batch_size]
-                if idx.size < 2:
-                    continue
-                gram_b = None
-                if gram is not None:
-                    gram_b = _block(gram, idx) if lane is None else lane.submit(_block, gram, idx)
-                targets_b = None if batch_targets is None else batch_targets[idx]
-                try:
-                    grads, (loss_total, loss_pair, loss_aux) = grad_batch(
-                        model, X[idx], targets_b, config, gram_b, lane
-                    )
-                except NumericError as err:
-                    raise NumericError(f"training diverged at epoch {epoch}: {err}") from err
-                model.w -= lr * grads.dw
-                model.b -= lr * grads.db
-                if grads.ddecoder_w is not None:
-                    model.decoder_w -= lr * grads.ddecoder_w
-                    model.decoder_b -= lr * grads.ddecoder_b
-                total += loss_total
-                pair += loss_pair
-                aux += loss_aux
-                batches += 1
-            means = (total / batches, pair / batches, aux / batches)
-            if not all(map(math.isfinite, means)):
-                raise NumericError(f"training diverged at epoch {epoch}: mean loss {means[0]}")
-            trace.total[epoch], trace.pair[epoch], trace.aux[epoch] = means
+    gram = None
+    if use_gram:  # the rows in two blocks, then their Gram, each with a block on the lane
+        targets = np.empty((n, k))
+        halves(lane, lambda a, b: apply(random_map, X[a:b], out=targets[a:b]), n)
+        gram = gram_product(targets, lane)
+    else:
+        targets = apply(random_map, X) if config.use_pair_loss or novelty else None
+    # with the pair term served by the Gram, only the novelty term reads the rows
+    batch_targets = targets if gram is None or novelty else None
+    lane = lane if laned else None
+    trace = LossTrace(
+        total=np.zeros(config.epochs), pair=np.zeros(config.epochs), aux=np.zeros(config.epochs),
+        lanes=1 if lane is None else 2,
+    )
+    for epoch in range(config.epochs):
+        perm = shuffle_rng.permutation(n)
+        total = pair = aux = 0.0  # Python floats: the same IEEE sums as an array, cheaper per step
+        batches = 0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            if idx.size < 2:
+                continue
+            gram_b = None
+            if gram is not None:
+                gram_b = _block(gram, idx) if lane is None else lane.submit(_block, gram, idx)
+            targets_b = None if batch_targets is None else batch_targets[idx]
+            try:
+                grads, (loss_total, loss_pair, loss_aux) = grad_batch(
+                    model, X[idx], targets_b, config, gram_b, lane
+                )
+            except NumericError as err:
+                raise NumericError(f"training diverged at epoch {epoch}: {err}") from err
+            model.w -= lr * grads.dw
+            model.b -= lr * grads.db
+            if grads.ddecoder_w is not None:
+                model.decoder_w -= lr * grads.ddecoder_w
+                model.decoder_b -= lr * grads.ddecoder_b
+            total += loss_total
+            pair += loss_pair
+            aux += loss_aux
+            batches += 1
+        means = (total / batches, pair / batches, aux / batches)
+        if not all(map(math.isfinite, means)):
+            raise NumericError(f"training diverged at epoch {epoch}: mean loss {means[0]}")
+        trace.total[epoch], trace.pair[epoch], trace.aux[epoch] = means
     return model, trace

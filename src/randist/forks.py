@@ -2,16 +2,16 @@
 and a forked child each other one. The users, the ensemble's members and the
 CSV parse, are CPU-bound and hold the interpreter lock, so threads would not do.
 
-The lane of a clustering run or of one encoder's training is a thread
-instead (`spare_lane`): one helper thread that runs the second block of a
-large product (`beside`, `halves`), or the second branch of an SGD step,
-while the caller runs the first. Those blocks are BLAS products and
-in-place array loops, which release the lock, and they write into arrays
-the caller allocated, which a process would have to copy back; so a lane
-allocates nothing large for them. The blocks follow from shapes alone and run in turn without a
-lane, so a lane changes no bit of a result, only the time. Inside a share of
-a job of several, `process_count` is 1, so a lane never joins a share's
-process on its CPU. A share fails by raising, and the caller raises the
+The lane of a clustering run is a thread instead (`spare_lane`): one
+helper thread that runs the second block of a large product (`beside`,
+`halves`), or the second branch of an SGD step, while the caller runs the
+first. Only `run_clustering` and the `cluster` command's frozen baseline
+open one; the code they call takes it as an argument. Those blocks are
+BLAS products and in-place array loops, which release the lock, and they
+write into arrays the caller allocated, which a process would have to copy
+back; so a lane allocates nothing large for them. The blocks follow from
+shapes alone and run in turn without a lane, so a lane changes no bit of a
+result, only the time. A share fails by raising, and the caller raises the
 exception of the first share that failed, in share order, wherever that
 share ran.
 """

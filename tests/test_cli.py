@@ -12,6 +12,7 @@ import pytest
 
 import randist
 import randist.anomaly
+import randist.clustering
 import randist.data
 import randist.encoder
 import randist.forks
@@ -281,6 +282,19 @@ class TestClusterCommand:
             "baseline.frozen.f_mean": repr(float(fs.mean())),
             "baseline.frozen.f_std": repr(float(fs.std())),
         }
+
+    def test_every_k_means_goes_through_kmeans(self, capsys, blob_csv, monkeypatch):
+        calls = []
+        real = randist.clustering.kmeans
+
+        def counting(rows, k, seeds, lane=None):
+            calls.append(len(seeds))
+            return real(rows, k, seeds, lane)
+
+        monkeypatch.setattr(randist.clustering, "kmeans", counting)
+        code, _, _ = _run(capsys, ["cluster", "--input", blob_csv, "--label-column", "label",
+                                   "--m", "16", "--epochs", "2", "--restarts", "3"])
+        assert code == EXIT_OK and calls == [3, 3]  # the learned space, then the frozen baseline
 
     def test_frozen_baseline_is_the_same_across_repeats_and_lanes(self, capsys, blob_csv, monkeypatch):
         # m = batch: each step's decoder branch runs on a lane when a CPU is spare

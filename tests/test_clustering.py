@@ -8,9 +8,7 @@ import pytest
 import randist.clustering
 import randist.encoder
 import randist.forks
-from randist.clustering import (
-    MAX_ITERS, KMeansResult, _lloyd, _Rows, embed, kmeans, restart_scores, run_clustering,
-)
+from randist.clustering import _Restart, _Rows, embed, kmeans, restart_scores, run_clustering
 from randist.data import Dataset, synth_blobs
 from randist.encoder import EncoderModel, TrainConfig
 from randist.errors import NumericError
@@ -51,45 +49,59 @@ class TestEmbed:
 
 
 class TestKmeans:
+    """`kmeans` returns each restart's final state: its centroids are A @ X, its
+    inertia point_d2.sum() and its round count `iterations`."""
+
     def test_two_identical_pairs(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [9.0, 9.0], [9.0, 9.0]])
-        result = kmeans(X, 2, seed=3)
-        assert result.inertia == 0.0
+        result = _one_restart(X, "plain", 2, seed=3)
+        assert result.point_d2.sum() == 0.0
         assert result.assignments[0] == result.assignments[1]
         assert result.assignments[2] == result.assignments[3]
         assert result.assignments[0] != result.assignments[2]
 
     def test_k1_analytic(self):
         X = stream(1).standard_normal((30, 4))
-        result = kmeans(X, 1, seed=0)
-        np.testing.assert_allclose(result.centroids[0], X.mean(axis=0), rtol=1e-12)
+        result = _one_restart(X, "plain", 1, seed=0)
+        np.testing.assert_allclose((result.A @ X)[0], X.mean(axis=0), rtol=1e-12)
         expected = float(np.sum((X - X.mean(axis=0)) ** 2))
-        assert result.inertia == pytest.approx(expected, rel=1e-12)
+        assert float(result.point_d2.sum()) == pytest.approx(expected, rel=1e-12)
 
     def test_k_equals_n(self):
         X = stream(2).standard_normal((8, 3))
-        result = kmeans(X, 8, seed=1)
-        assert result.inertia == pytest.approx(0.0, abs=1e-12)
+        result = _one_restart(X, "plain", 8, seed=1)
+        assert float(result.point_d2.sum()) == pytest.approx(0.0, abs=1e-12)
 
     def test_k_out_of_range(self):
-        X = np.ones((4, 2))
+        rows = _plain_rows(np.ones((4, 2)))
         with pytest.raises(ValueError):
-            kmeans(X, 5)
+            kmeans(rows, 5, [0])
         with pytest.raises(ValueError):
-            kmeans(X, 0)
+            kmeans(rows, 0, [0])
 
-    def test_lloyd_monotone_in_iterations(self):
+    def test_no_restart_names_the_count(self):
+        # restart_scores hands kmeans its empty seed list; kmeans rejects it by count
+        X = synth_blobs(2, 10, 3, seed=5)
+        with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+            kmeans(_plain_rows(X.features), 2, [])
+        with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+            restart_scores(X.features, X.labels, 0, 1)
+
+    def test_lloyd_monotone_in_iterations(self, monkeypatch):
         X = synth_blobs(4, 30, 6, seed=3).features
-        inertias = [kmeans(X, 4, max_iters=t, seed=7).inertia for t in range(1, 12)]
+        inertias = []
+        for t in range(1, 12):
+            monkeypatch.setattr(randist.clustering, "MAX_ITERS", t)
+            inertias.append(float(_one_restart(X, "plain", 4, seed=7).point_d2.sum()))
         for a, b in zip(inertias, inertias[1:]):
             assert b <= a + 1e-9
 
     def test_deterministic_per_seed(self):
         X = synth_blobs(3, 25, 5, seed=4).features
-        a = kmeans(X, 3, seed=11)
-        b = kmeans(X, 3, seed=11)
+        a = _one_restart(X, "plain", 3, seed=11)
+        b = _one_restart(X, "plain", 3, seed=11)
         np.testing.assert_array_equal(a.assignments, b.assignments)
-        assert a.inertia == b.inertia
+        assert a.point_d2.sum() == b.point_d2.sum()
 
     @pytest.mark.parametrize("form", ["plain", "gram"])
     def test_empty_cluster_repair_keeps_all_ids(self, form):
@@ -103,9 +115,9 @@ class TestKmeans:
     def test_repair_on_last_iteration_reports_reseeded_row(self, form, monkeypatch):
         # seeded at rows -2, 0 and 10, round 2 leaves the cluster seeded at 0
         # empty (0 joins -1.175, both 4.9s join 5.875); the repair reseeds it
-        # at the farthest row, 10, and max_iters=2 stops right after it
+        # at the farthest row, 10, and MAX_ITERS = 2 stops right after it
         X = np.array([-2.0] + [-1.01] * 5 + [0.0] + [4.9] * 2 + [5.05] * 5 + [10.0])[:, None]
-        rows = _Rows(X, np.sum(X * X, axis=1)) if form == "plain" else _gram_rows(X)
+        rows = _plain_rows(X) if form == "plain" else _gram_rows(X)
         real_init = randist.clustering._plusplus_init
         forced = []  # one flag per seeding call, in call order: force the picks?
 
@@ -113,23 +125,24 @@ class TestKmeans:
             return np.array([0, 6, 14]) if forced.pop(0) else real_init(rows, k, rng)
 
         monkeypatch.setattr(randist.clustering, "_plusplus_init", init)
+        monkeypatch.setattr(randist.clustering, "MAX_ITERS", 2)
         forced[:] = [False, False]
-        others = [_lloyd(rows, 3, 2, [s])[0].result(X) for s in (4, 5)]
+        others = [kmeans(rows, 3, [s])[0] for s in (4, 5)]
         forced[:] = [True]
-        alone = _lloyd(rows, 3, 2, [0])[0].result(X)
+        alone = kmeans(rows, 3, [0])[0]
         forced[:] = [False, True, False]
-        lockstep = [r.result(X) for r in _lloyd(rows, 3, 2, [4, 0, 5])]
+        lockstep = kmeans(rows, 3, [4, 0, 5])
         for got in (alone, lockstep[1]):
-            assert got.iterations_run == 2
-            assert got.centroids[1, 0] == 10.0  # the reseeded row, bit for bit
+            assert got.iterations == 2
+            assert (got.A @ X)[1, 0] == 10.0  # the reseeded row, bit for bit
             assert got.assignments[14] == 1 and np.sum(got.assignments == 1) == 1
             np.testing.assert_array_equal(got.assignments, alone.assignments)
-            assert got.inertia == alone.inertia
+            assert got.point_d2.sum() == alone.point_d2.sum()
         # the other restarts ran on through the repair round, unaffected by it
         for got, want in zip((lockstep[0], lockstep[2]), others):
-            assert got.iterations_run == want.iterations_run >= 1
+            assert got.iterations == want.iterations >= 1
             np.testing.assert_array_equal(got.assignments, want.assignments)
-            np.testing.assert_array_equal(got.centroids, want.centroids)
+            np.testing.assert_array_equal(got.A @ X, want.A @ X)
 
     @pytest.mark.parametrize("form", ["plain", "gram"])
     def test_repair_fills_every_cluster_when_all_rows_tie(self, form):
@@ -138,19 +151,19 @@ class TestKmeans:
         X = np.zeros((4, 2))
         result = _one_restart(X, form, 3)
         assert set(result.assignments.tolist()) == {0, 1, 2}
-        assert result.iterations_run <= 2 and result.inertia == 0.0
+        assert result.iterations <= 2 and result.point_d2.sum() == 0.0
 
-    def test_matches_loop_reference(self):
-        # random, blob-shaped and rounded (tied) data; some runs stop at max_iters
-        _check_restarts_against_loop(_plain_case, 0)
+    def test_matches_loop_reference(self, monkeypatch):
+        # random, blob-shaped and rounded (tied) data; some runs stop at MAX_ITERS
+        _check_restarts_against_loop(_plain_case, 0, monkeypatch)
 
-    def test_gram_path_matches_loop_reference(self):
+    def test_gram_path_matches_loop_reference(self, monkeypatch):
         # untied random and blob data with n <= d, where the pipeline shares
-        # the Gram; some runs stop at max_iters
-        _check_restarts_against_loop(_gram_case, 500)
+        # the Gram; some runs stop at MAX_ITERS
+        _check_restarts_against_loop(_gram_case, 500, monkeypatch)
 
     @pytest.mark.parametrize("form", ["plain", "gram"])
-    def test_invariants_on_tied_data(self, form):
+    def test_invariants_on_tied_data(self, form, monkeypatch):
         # rounded rows tie often, so the two forms' assignments may differ;
         # each result must still be a consistent K-means state
         for case in range(20):
@@ -160,21 +173,29 @@ class TestKmeans:
             X = np.round(rng.standard_normal((int(rng.integers(k, d + 1)), d)), 0)
             inertias = []
             for iters in (1, 2, 4, 300):
-                result = _one_restart(X, form, k, max_iters=iters, seed=case)
+                monkeypatch.setattr(randist.clustering, "MAX_ITERS", iters)
+                result = _one_restart(X, form, k, seed=case)
                 assert set(result.assignments.tolist()) == set(range(k))
-                recomputed = float(np.sum((X - result.centroids[result.assignments]) ** 2))
-                assert result.inertia == pytest.approx(recomputed, rel=1e-9, abs=1e-9)
-                inertias.append(result.inertia)
+                inertia = float(result.point_d2.sum())
+                recomputed = float(np.sum((X - (result.A @ X)[result.assignments]) ** 2))
+                assert inertia == pytest.approx(recomputed, rel=1e-9, abs=1e-9)
+                inertias.append(inertia)
             for a, b in zip(inertias, inertias[1:]):
                 assert b <= a + 1e-9
 
     def test_result_fields(self):
         X = synth_blobs(2, 10, 3, seed=5).features
-        result = kmeans(X, 2, seed=2)
-        assert isinstance(result, KMeansResult)
-        assert result.centroids.shape == (2, 3)
-        assert result.iterations_run >= 1
+        result = _one_restart(X, "plain", 2, seed=2)
+        assert isinstance(result, _Restart)
+        assert result.A.shape == (2, 20) and (result.A @ X).shape == (2, 3)
+        assert result.point_d2.shape == (20,)
+        assert result.iterations >= 1
         assert np.all(result.assignments >= 0) and np.all(result.assignments < 2)
+
+
+def _plain_rows(X: np.ndarray) -> _Rows:
+    """A K-means input without its Gram, as restart_scores builds it for n > width."""
+    return _Rows(X, np.sum(X * X, axis=1))
 
 
 def _gram_rows(X: np.ndarray) -> _Rows:
@@ -182,11 +203,9 @@ def _gram_rows(X: np.ndarray) -> _Rows:
     return _Rows(X, np.sum(X * X, axis=1), X @ X.T)
 
 
-def _one_restart(X: np.ndarray, form: str, k: int, max_iters: int = MAX_ITERS, seed: int = 0):
-    """`kmeans` on X ("plain"), or its one restart on rows carrying their Gram ("gram")."""
-    if form == "plain":
-        return kmeans(X, k, max_iters=max_iters, seed=seed)
-    return _lloyd(_gram_rows(X), k, max_iters, [seed])[0].result(X)
+def _one_restart(X: np.ndarray, form: str, k: int, seed: int = 0) -> _Restart:
+    """The final state of one `kmeans` restart on X ("plain") or on rows carrying their Gram ("gram")."""
+    return kmeans(_plain_rows(X) if form == "plain" else _gram_rows(X), k, [seed])[0]
 
 
 def _plain_case(case, rng):
@@ -200,7 +219,7 @@ def _plain_case(case, rng):
     else:
         X = np.round(rng.standard_normal((n, d)), 1)
     iters = int(rng.integers(1, 20)) if case % 4 == 0 else 300
-    return X, _Rows(X, np.sum(X * X, axis=1)), k, iters
+    return X, _plain_rows(X), k, iters
 
 
 def _gram_case(case, rng):
@@ -215,26 +234,27 @@ def _gram_case(case, rng):
     return X, _gram_rows(X), k, iters
 
 
-def _check_restarts_against_loop(make_case, first):
-    """Each case runs three seeds one at a time (one-seed `_lloyd` calls) and together
+def _check_restarts_against_loop(make_case, first, monkeypatch):
+    """Each case runs three seeds one at a time (one-seed `kmeans` calls) and together
     in one lockstep call; every restart must match the loop reference for
     its seed, and a lockstep restart its one-seed run (assignments,
     iterations, inertia)."""
     stop_rounds_differ = cut_off = False
     for case in range(40):
         X, rows, k, iters = make_case(first + case, stream(first + case))
+        monkeypatch.setattr(randist.clustering, "MAX_ITERS", iters)
         seeds = [first + case, 7_000 + case, 9_000 + case]
-        alone = [_lloyd(rows, k, iters, [s])[0].result(X) for s in seeds]
-        lockstep = [r.result(X) for r in _lloyd(rows, k, iters, seeds)]
+        alone = [kmeans(rows, k, [s])[0] for s in seeds]
+        lockstep = kmeans(rows, k, seeds)
         for seed, one, got in zip(seeds, alone, lockstep):
             assignments, inertia = kmeans_loop(X, k, max_iters=iters, seed=seed)
             np.testing.assert_array_equal(got.assignments, assignments)
-            assert got.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12)
+            assert float(got.point_d2.sum()) == pytest.approx(inertia, rel=1e-12, abs=1e-12)
             np.testing.assert_array_equal(got.assignments, one.assignments)
-            assert got.iterations_run == one.iterations_run
-            assert got.inertia == pytest.approx(one.inertia, rel=1e-12, abs=0.0)
-            assert got.centroids.shape == (k, X.shape[1])
-        counts = {r.iterations_run for r in lockstep}
+            assert got.iterations == one.iterations
+            assert float(got.point_d2.sum()) == pytest.approx(float(one.point_d2.sum()), rel=1e-12, abs=0.0)
+            assert (got.A @ X).shape == (k, X.shape[1])
+        counts = {r.iterations for r in lockstep}
         stop_rounds_differ |= len(counts) > 1
         cut_off |= iters in counts and len(counts) > 1
     assert stop_rounds_differ and cut_off  # the sweep covers both
@@ -308,12 +328,22 @@ class TestRunClustering:
         cfg = self._cfg(m=192, epochs=20)
         result = run_clustering(blob_data, cfg, restarts=4)
         assert result.embeddings.shape[0] <= result.embeddings.shape[1]
-        lloyd = [
-            kmeans(result.embeddings, 3, seed=child_seed(cfg.seed, 20_000 + r)).assignments
-            for r in range(4)
-        ]
+        rows = _plain_rows(result.embeddings)
+        lloyd = [kmeans(rows, 3, [child_seed(cfg.seed, 20_000 + r)])[0].assignments for r in range(4)]
         np.testing.assert_array_equal(result.nmi_values, [nmi(blob_data.labels, a) for a in lloyd])
         np.testing.assert_array_equal(result.assignments, lloyd[0])
+
+    @pytest.mark.parametrize("m", [24, 192])  # K-means on the embedding's rows, and on its Gram
+    def test_every_restart_goes_through_kmeans(self, blob_data, monkeypatch, m):
+        calls = []
+
+        def counting(rows, k, seeds, lane=None):
+            calls.append(len(seeds))
+            return kmeans(rows, k, seeds, lane)
+
+        monkeypatch.setattr(randist.clustering, "kmeans", counting)
+        run_clustering(blob_data, self._cfg(m=m, epochs=2), restarts=4)
+        assert calls == [4]  # one lockstep call runs all the restarts
 
     @pytest.mark.parametrize("m", [24, 192])  # K-means on the embedding's rows, and on its Gram
     def test_restart_scores_are_the_pipelines(self, blob_data, m):
@@ -401,11 +431,11 @@ class TestRunLane:
         restarts = []
 
         def recording(*args, **kwargs):
-            out = _lloyd(*args, **kwargs)
+            out = kmeans(*args, **kwargs)
             restarts.append([r.assignments for r in out])
             return out
 
-        monkeypatch.setattr(randist.clustering, "_lloyd", recording)
+        monkeypatch.setattr(randist.clustering, "kmeans", recording)
         cfg = TrainConfig.clustering_defaults(m=m, epochs=2, seed=5)
         return run_clustering(synth_blobs(k, per, d, seed=4), cfg, restarts=30), restarts[0]
 

@@ -19,6 +19,7 @@ from randist.encoder import (
     train,
 )
 from randist.errors import NumericError
+from randist.forks import spare_lane
 from randist.mappings import apply, identity_map, rff, sparse_rp
 from randist.rng import stream
 
@@ -499,7 +500,7 @@ class TestTrain:
 
 
 def _lanes(monkeypatch, lanes: int) -> None:
-    """Let `train` start a lane (lanes=2) or not (1), whatever the CPUs and BLAS threads."""
+    """Let `spare_lane` start a lane (lanes=2) or not (1), whatever the CPUs and BLAS threads."""
     monkeypatch.setattr(randist.forks, "process_count", lambda limit: min(limit, lanes))
 
 
@@ -518,8 +519,8 @@ def _threads(monkeypatch, name: str = "_aux_term") -> list:
 
 
 class TestLane:
-    """`train` runs a step's two branches on two threads where a CPU is spare;
-    the result must be the bits of one thread."""
+    """`train` runs a step's two branches on two threads when its caller passes
+    a lane from `spare_lane`; the result must be the bits of one thread."""
 
     def _train_both(self, monkeypatch, X, cfg, mapping):
         runs = []
@@ -529,10 +530,12 @@ class TestLane:
             before = threading.active_count()
             sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock as often as they can
             try:
-                runs.append(train(X, cfg, mapping))
+                with spare_lane() as lane:
+                    assert (lane is None) == (lanes == 1)
+                    runs.append(train(X, cfg, mapping, lane))
             finally:
                 sys.setswitchinterval(switch)
-            assert threading.active_count() == before  # the lane is gone on return
+            assert threading.active_count() == before  # the lane is gone on leaving its block
         return runs
 
     @pytest.mark.parametrize(
@@ -578,9 +581,22 @@ class TestLane:
                           use_aux_loss=use_aux, seed=34)
         _lanes(monkeypatch, 2)
         names = _threads(monkeypatch)
-        _, trace = train(X, cfg, rff(6, m, data=X, seed=35))
+        with spare_lane() as lane:
+            assert lane is not None
+            _, trace = train(X, cfg, rff(6, m, data=X, seed=35), lane)
         assert trace.lanes == 1
         assert set(names) <= {threading.current_thread().name}
+
+    def test_without_a_lane_every_block_runs_here(self, monkeypatch):
+        # a CPU is spare and every step could use a lane, but the caller passes none
+        X = stream(36).standard_normal((40, 6))
+        cfg = TrainConfig(m=48, epochs=2, task="clustering", batch_size=16, seed=37)
+        _lanes(monkeypatch, 2)
+        aux, tails = _threads(monkeypatch), _threads(monkeypatch, "_tail")
+        before = threading.active_count()
+        _, trace = train(X, cfg, rff(6, 48, data=X, seed=38))
+        assert trace.lanes == 1 and threading.active_count() == before
+        assert aux and tails and set(aux + tails) == {threading.current_thread().name}
 
     def test_a_lane_needs_a_spare_cpu(self, monkeypatch):
         X = stream(36).standard_normal((40, 6))
@@ -588,10 +604,13 @@ class TestLane:
         mapping = rff(6, 48, data=X, seed=38)
         monkeypatch.setattr(randist.forks, "_openblas_num_threads", lambda: lambda: 1)
         monkeypatch.setattr(randist.forks.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert train(X, cfg, mapping)[1].lanes == 1
+        with spare_lane() as lane:
+            assert lane is None
+            assert train(X, cfg, mapping, lane)[1].lanes == 1
         monkeypatch.setattr(randist.forks.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         names = _threads(monkeypatch)
-        assert train(X, cfg, mapping)[1].lanes == 2
+        with spare_lane() as lane:
+            assert train(X, cfg, mapping, lane)[1].lanes == 2
         assert names and all(name.startswith("randist-lane") for name in names)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -605,8 +624,8 @@ class TestLane:
             _lanes(monkeypatch, lanes)
             names = _threads(monkeypatch)
             before = threading.active_count()
-            with pytest.raises(NumericError, match="epoch") as err:
-                train(X, cfg, mapping)
+            with pytest.raises(NumericError, match="epoch") as err, spare_lane() as lane:
+                train(X, cfg, mapping, lane)
             assert threading.active_count() == before
             assert names and all(name.startswith("randist-lane") for name in names) == (lanes == 2)
             messages.append(str(err.value))
@@ -629,8 +648,8 @@ class TestLane:
 
         monkeypatch.setattr(randist.encoder, name, interrupted)
         before = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            train(X, cfg, mapping)
+        with pytest.raises(KeyboardInterrupt), spare_lane() as lane:
+            train(X, cfg, mapping, lane)
         assert threading.active_count() == before
         assert calls[-1].startswith("randist-lane") == (where == "lane")
 
