@@ -1,6 +1,7 @@
 import gc
 import inspect
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -22,6 +23,7 @@ from randist.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from randist.clustering import restart_scores, run_clustering
 from randist.data import load_csv, standardize, synth_anomaly, synth_blobs, write_csv
 from randist.encoder import TrainConfig
+from randist.errors import ConfigError
 from randist.metrics import auc_pr, auc_roc
 from randist.persist import load_ensemble
 from randist.report import parse_report, strip_volatile
@@ -266,6 +268,12 @@ class TestClusterCommand:
         assert code == EXIT_OK
         assert report["timing.load_processes"] == "1" and float(report["timing.load_seconds"]) > 0
 
+    @staticmethod
+    def _restart_keys(space, X, labels, restarts, seed):
+        nmis, fs, _ = restart_scores(X, labels, restarts, seed)
+        return {f"baseline.{space}.{name}_{stat}": repr(float(getattr(values, stat)()))
+                for name, values in (("nmi", nmis), ("f", fs)) for stat in ("mean", "std")}
+
     def test_identity_frozen_baseline_is_k_means_on_the_standardized_table(self, capsys, blob_csv):
         code, report, _ = _run(
             capsys,
@@ -274,14 +282,21 @@ class TestClusterCommand:
         )
         assert code == EXIT_OK and float(report["timing.baseline_seconds"]) > 0
         data = standardize(load_csv(blob_csv, label_column="label"))[0]
-        nmis, fs, _ = restart_scores(data.features, data.labels, 3, 2)
         baseline = {key: value for key, value in report.items() if key.startswith("baseline.")}
-        assert baseline == {
-            "baseline.frozen.nmi_mean": repr(float(nmis.mean())),
-            "baseline.frozen.nmi_std": repr(float(nmis.std())),
-            "baseline.frozen.f_mean": repr(float(fs.mean())),
-            "baseline.frozen.f_std": repr(float(fs.std())),
-        }
+        # identity's eta(X) is the input itself: both spaces are K-means on the standardized table
+        assert baseline == {**self._restart_keys("input", data.features, data.labels, 3, 2),
+                            **self._restart_keys("frozen", data.features, data.labels, 3, 2)}
+
+    def test_input_baseline_is_k_means_on_the_unscaled_table_without_standardizing(self, capsys, blob_csv):
+        code, report, _ = _run(
+            capsys,
+            ["cluster", "--input", blob_csv, "--label-column", "label", "--m", "8", "--epochs", "2",
+             "--learning-rate", "0.01", "--restarts", "3", "--seed", "2", "--no-standardize"],
+        )
+        assert code == EXIT_OK
+        data = load_csv(blob_csv, label_column="label")
+        baseline = {key: value for key, value in report.items() if key.startswith("baseline.input.")}
+        assert baseline == self._restart_keys("input", data.features, data.labels, 3, 2)
 
     def test_every_k_means_goes_through_kmeans(self, capsys, blob_csv, monkeypatch):
         calls = []
@@ -294,7 +309,7 @@ class TestClusterCommand:
         monkeypatch.setattr(randist.clustering, "kmeans", counting)
         code, _, _ = _run(capsys, ["cluster", "--input", blob_csv, "--label-column", "label",
                                    "--m", "16", "--epochs", "2", "--restarts", "3"])
-        assert code == EXIT_OK and calls == [3, 3]  # the learned space, then the frozen baseline
+        assert code == EXIT_OK and calls == [3, 3, 3]  # the learned space, then the input and frozen baselines
 
     def test_frozen_baseline_is_the_same_across_repeats_and_lanes(self, capsys, blob_csv, monkeypatch):
         # m = batch: each step's decoder branch runs on a lane when a CPU is spare
@@ -308,7 +323,7 @@ class TestClusterCommand:
             )
             assert code == EXIT_OK and report["timing.train_lanes"] == str(lanes)
             baselines.append({key: value for key, value in report.items() if key.startswith("baseline.")})
-        assert len(baselines[0]) == 4
+        assert len(baselines[0]) == 8
         assert baselines[0] == baselines[1] == baselines[2]
 
     def test_a_training_lane_changes_no_output(self, capsys, tmp_path, blob_csv, monkeypatch):
@@ -871,3 +886,30 @@ class TestShippedConfigs:
         defaults = _library_defaults(task)
         owned = sorted(set(options) & set(defaults))
         assert {key: getattr(cfg, key) for key in owned} == {key: defaults[key] for key in owned}
+
+
+class TestReadmeRecipes:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def _lines(self, program):
+        """The lines of README.md's fenced blocks that run `program`, split as a shell splits them."""
+        blocks = self.README.read_text(encoding="utf-8").split("```")[1::2]
+        # a block's first line is its info string, such as `python`
+        lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()[1:]]
+        return [argv for argv in lines if argv[:1] == [program]]
+
+    def test_every_randist_line_is_a_valid_run(self, capsys):
+        runs = self._lines("randist")
+        assert len(runs) >= 14  # the three usage lines and the eleven experiments
+        for argv in runs:
+            try:
+                cli._validate(*cli.parse_options(argv[1:]))
+            except (SystemExit, ConfigError) as err:  # argparse exits on an unknown or bad flag
+                pytest.fail(f"README.md line {shlex.join(argv)!r}: {err!r} {capsys.readouterr().err}")
+
+    def test_every_python_line_writes_its_table(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in self._lines("python"):
+            assert argv[1] == "-c"
+            exec(argv[2], {})
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["anomaly.csv", "blobs.csv"]

@@ -82,8 +82,8 @@ def test_outputs_are_byte_identical_however_the_work_is_split(runs, case):
 
 @pytest.mark.parametrize("case", LANES)
 def test_the_frozen_baseline_does_not_change_with_the_lane(runs, case):
-    default, threaded, alone = ({k: v for k, v in runs[case, run][0].items() if k.startswith("baseline.frozen.")}
+    default, threaded, alone = ({k: v for k, v in runs[case, run][0].items() if k.startswith("baseline.")}
                                 for run in RUNS)
-    assert len(default) == 4
+    assert len(default) == 8
     assert threaded == default
     assert alone == threaded
